@@ -85,8 +85,6 @@ def make_toral_automorphism(matrix=None, *, r0=0.2, tau=1.0, label="toral"):
         frame=np.stack([e_u, e_s]),
         chi=rate,
         nu=abs(lam_s),
-        contraction=1.0 / rate,
-        leaf_const=1.0,
         r0=r0,
         tau=tau,
         leaf_rate=rate,
@@ -169,8 +167,6 @@ def make_skew_product(matrix=None, rotation=GOLDEN_ROTATION, *,
         frame=frame,
         chi=rate,
         nu=1.0,
-        contraction=1.0 / rate,
-        leaf_const=1.0,
         r0=r0,
         tau=tau,
         transitive=res is None,
@@ -314,8 +310,6 @@ def make_slowed_product(profile=None, matrix=None, *, r0=0.2, tau=1.0, label="sl
         frame=frame,
         chi=rate,
         nu=1.0,
-        contraction=1.0 / rate,
-        leaf_const=1.0,
         r0=r0,
         tau=tau,
         satisfies_c1=False,

@@ -6,14 +6,16 @@ One pipeline per invocation, parameters from an INI config:
 
 Pipelines write one CSV each (first line is a `#` schema comment) plus a
 summary.json; --check turns the per-pipeline structural checks into the
-exit status.  Exit codes: 0 ok, 1 bad config or arguments, 2 a check
-failed, 3 a numeric failure inside the computation.
+exit status.  The pipelines of one invocation share one Run, which computes
+the potential, the pressure estimate and the evolved measure once.  Exit
+codes: 0 ok, 1 bad config or arguments, 2 a check failed, 3 a numeric
+failure inside the computation.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import json
 import os
 
@@ -29,9 +31,6 @@ from .equilibrium import (birkhoff_probe, convergence_profile, density_vs_refere
 from .pressure import estimate_pressure
 
 SCHEMA_VERSION = 1
-
-PIPELINES = ("press", "cdim", "refmeas", "evolve", "gibbs", "holonomy",
-             "disintegrate", "probe", "fullsuite")
 
 
 class ConfigError(Exception):
@@ -102,6 +101,18 @@ _DEFAULT_GRID = {
 }
 
 
+def _parse(key, value):
+    """Convert and range-check one value against the schema."""
+    conv, check, _ = _SCHEMA[key]
+    try:
+        parsed = conv(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
+    if not check(parsed):
+        raise ConfigError(f"value out of range for {key!r}: {parsed!r}")
+    return parsed
+
+
 def load_config(path):
     """Parse and validate the [run] section; unknown keys are errors."""
     import configparser
@@ -120,14 +131,7 @@ def load_config(path):
     for key, value in raw.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r} in [run]")
-        conv, check, _ = _SCHEMA[key]
-        try:
-            parsed = conv(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
-        if not check(parsed):
-            raise ConfigError(f"value out of range for {key!r}: {parsed!r}")
-        cfg[key] = parsed
+        cfg[key] = _parse(key, value)
     for key in _REQUIRED:
         if key not in cfg:
             raise ConfigError(f"missing required key {key!r}")
@@ -153,17 +157,6 @@ def load_config(path):
     return cfg
 
 
-def _potential(cfg, sysm):
-    kind = cfg["potential"]
-    if kind == "zero":
-        return zero_potential()
-    if kind == "const":
-        return constant_potential(cfg["const_value"])
-    if kind == "geom":
-        return catalog.geometric_potential(sysm, cfg["q"])
-    return catalog.base_cosine_potential(cfg["amplitude"])
-
-
 def _fmt(v):
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
@@ -182,58 +175,77 @@ def write_csv(path, pipeline, cols, rows):
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _pmap(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
+class Run:
+    """One invocation's config, system and shared stages, each computed on first use."""
+
+    def __init__(self, cfg, sysm, jobs, pipelines):
+        self.cfg = cfg
+        self.sys = sysm
+        self.jobs = jobs
+        self.pipelines = pipelines
+
+    @functools.cached_property
+    def phi(self):
+        kind = self.cfg["potential"]
+        if kind == "zero":
+            return zero_potential()
+        if kind == "const":
+            return constant_potential(self.cfg["const_value"])
+        if kind == "geom":
+            return catalog.geometric_potential(self.sys, self.cfg["q"])
+        return catalog.base_cosine_potential(self.cfg["amplitude"])
+
+    @functools.cached_property
+    def pressure(self):
+        cfg = self.cfg
+        return estimate_pressure(self.sys, self.phi, np.array(cfg["base_x"]),
+                                 window=(cfg["n_lo"], cfg["n_hi"]),
+                                 leaf_radius=cfg["leaf_radius"], jobs=self.jobs)
+
+    @functools.cached_property
+    def evolved(self):
+        # snapshots serve only run_evolve; the averaged measure does not depend on them
+        cfg, marks = self.cfg, ()
+        if "evolve" in self.pipelines:
+            marks = sorted({max(1, cfg["steps"] // 4), cfg["steps"] // 2, cfg["steps"]})
+        return evolve_average(self.sys, self.phi, self.pressure.value,
+                              np.array(cfg["base_x"]), steps=cfg["steps"],
+                              grid=tuple(cfg["grid"]), order=cfg["evolve_order"],
+                              r=cfg["r"], leaf_radius=cfg["evolve_leaf_radius"],
+                              checkpoints=marks)
 
 
 # -- pipelines ---------------------------------------------------------------
 
 
-def run_press(cfg, entry, jobs):
-    sysm = entry.system
-    phi = _potential(cfg, sysm)
-    est = estimate_pressure(sysm, phi, np.array(cfg["base_x"]),
-                            window=(cfg["n_lo"], cfg["n_hi"]),
-                            leaf_radius=cfg["leaf_radius"], jobs=jobs)
-    rows = [(n, r, c, lz) for (n, r, c, lz) in est.table]
+def run_press(run):
+    est = run.pressure
     checks = [("pressure_radius_spread", est.spread < 0.02,
                f"spread={est.spread:.3g}")]
     summary = {"pressure": est.value, "spread": est.spread,
                "per_radius": {str(k): v for k, v in est.per_radius.items()}}
-    return rows, ("n", "r", "count", "log_z"), summary, checks
+    return est.table, ("n", "r", "count", "log_z"), summary, checks
 
 
-def run_cdim(cfg, entry, jobs):
-    sysm = entry.system
-    phi = _potential(cfg, sysm)
-    est = estimate_pressure(sysm, phi, np.array(cfg["base_x"]),
-                            window=(cfg["n_lo"], cfg["n_hi"]),
-                            leaf_radius=cfg["leaf_radius"], jobs=jobs)
+def run_cdim(run):
+    cfg, pressure = run.cfg, run.pressure.value
     seg = (-cfg["leaf_radius"], cfg["leaf_radius"])
-    out = caratheodory_dim(sysm, phi, np.array(cfg["base_x"]), seg,
+    out = caratheodory_dim(run.sys, run.phi, np.array(cfg["base_x"]), seg,
                            r=cfg["r"], tol=cfg["tol_dim"])
-    rows = [(a, t) for a, t in out["evals"]]
-    gap = abs(out["dim"] - est.value)
+    gap = abs(out["dim"] - pressure)
     checks = [("bracket_width", out["hi"] - out["lo"] <= cfg["tol_dim"] + 1e-12,
                f"width={out['hi'] - out['lo']:.4g}"),
               ("dim_matches_pressure", gap < 0.07, f"gap={gap:.4g}")]
     summary = {"dim": out["dim"], "lo": out["lo"], "hi": out["hi"],
-               "pressure": est.value, "gap": gap}
-    return rows, ("alpha", "trend"), summary, checks
+               "pressure": pressure, "gap": gap}
+    return out["evals"], ("alpha", "trend"), summary, checks
 
 
-def run_refmeas(cfg, entry, jobs):
-    sysm = entry.system
-    phi = _potential(cfg, sysm)
-    est = estimate_pressure(sysm, phi, np.array(cfg["base_x"]),
-                            window=(cfg["n_lo"], cfg["n_hi"]),
-                            leaf_radius=cfg["leaf_radius"], jobs=jobs)
+def run_refmeas(run):
+    cfg, pressure = run.cfg, run.pressure.value
     rng = np.random.default_rng(cfg["seed"])
-    bases = rng.random((20, sysm.dim))
-    diag = mass_diagnostics(sysm, phi, est.value, bases,
+    bases = rng.random((20, run.sys.dim))
+    diag = mass_diagnostics(run.sys, run.phi, pressure, bases,
                             orders=range(cfg["n_lo"], cfg["n_hi"] + 1),
                             r=cfg["r"], leaf_radius=cfg["leaf_radius"])
     rows = []
@@ -244,70 +256,47 @@ def run_refmeas(cfg, entry, jobs):
               ("mass_slope", diag["worst_slope"] <= 0.05,
                f"slope={diag['worst_slope']:.4g}")]
     summary = {"ratio": diag["ratio"], "worst_slope": diag["worst_slope"],
-               "pressure": est.value}
+               "pressure": pressure}
     return rows, ("base", "order", "mass"), summary, checks
 
 
-def run_evolve(cfg, entry, jobs):
-    sysm = entry.system
-    phi = _potential(cfg, sysm)
-    est = estimate_pressure(sysm, phi, np.array(cfg["base_x"]),
-                            window=(cfg["n_lo"], cfg["n_hi"]),
-                            leaf_radius=cfg["leaf_radius"], jobs=jobs)
-    marks = sorted({max(1, cfg["steps"] // 4), cfg["steps"] // 2, cfg["steps"]})
-    res = evolve_average(sysm, phi, est.value, np.array(cfg["base_x"]),
-                         steps=cfg["steps"], grid=tuple(cfg["grid"]),
-                         order=cfg["evolve_order"], r=cfg["r"],
-                         leaf_radius=cfg["evolve_leaf_radius"],
-                         checkpoints=marks)
+def run_evolve(run):
+    res, sysm = run.evolved, run.sys
     prof = convergence_profile(res)
-    unif = PhaseMeasure.uniform(tuple(cfg["grid"]))
+    unif = PhaseMeasure.uniform(tuple(run.cfg["grid"]))
     tv_unif = res.measure.tv(unif)
-    rows = [(n, tv) for n, tv in prof["rows"]]
     checks = []
     if sysm.satisfies_c1 and sysm.transitive:
         checks.append(("tv_to_uniform", tv_unif < 0.1, f"tv={tv_unif:.4g}"))
     summary = {"tv_to_uniform": tv_unif, "atoms": res.atom_count,
-               "steps": res.steps, "pressure": est.value, "thin": res.thin}
-    return rows, ("checkpoint", "tv_to_final"), summary, checks
+               "steps": res.steps, "pressure": run.pressure.value, "thin": res.thin}
+    return prof["rows"], ("checkpoint", "tv_to_final"), summary, checks
 
 
-def run_gibbs(cfg, entry, jobs):
-    sysm = entry.system
-    phi = _potential(cfg, sysm)
-    est = estimate_pressure(sysm, phi, np.array(cfg["base_x"]),
-                            window=(cfg["n_lo"], cfg["n_hi"]),
-                            leaf_radius=cfg["leaf_radius"], jobs=jobs)
-    res = evolve_average(sysm, phi, est.value, np.array(cfg["base_x"]),
-                         steps=cfg["steps"], grid=tuple(cfg["grid"]),
-                         order=cfg["evolve_order"], r=cfg["r"],
-                         leaf_radius=cfg["evolve_leaf_radius"])
-    rep = gibbs_ratio(sysm, phi, res.measure, est.value,
+def run_gibbs(run):
+    cfg, pressure = run.cfg, run.pressure.value
+    rep = gibbs_ratio(run.sys, run.phi, run.evolved.measure, pressure,
                       orders=range(cfg["gibbs_n_lo"], cfg["gibbs_n_hi"] + 1),
                       r=cfg["gibbs_r"], n_centers=cfg["n_centers"],
                       n_mc=cfg["n_mc"], seed=cfg["seed"])
     rows = [(n, rep.median_ratios[j], rep.qhat[j], int(rep.floored[j]))
             for j, n in enumerate(rep.orders)]
-    if sysm.satisfies_c1:
+    if run.sys.satisfies_c1:
         checks = [("qhat_bounded", rep.qhat_max < 10, f"qhat={rep.qhat_max:.4g}"),
                   ("qhat_flat", abs(rep.trend) < 0.05, f"trend={rep.trend:.4g}")]
     else:
         checks = [("qhat_blows_up", rep.trend > 0.05, f"trend={rep.trend:.4g}")]
     summary = {"qhat_max": rep.qhat_max, "trend": rep.trend,
-               "floored": int(rep.floored.sum()), "pressure": est.value}
+               "floored": int(rep.floored.sum()), "pressure": pressure}
     return rows, ("n", "median_ratio", "qhat", "floored"), summary, checks
 
 
-def run_holonomy(cfg, entry, jobs):
-    sysm = entry.system
-    phi = _potential(cfg, sysm)
-    est = estimate_pressure(sysm, phi, np.array(cfg["base_x"]),
-                            window=(cfg["n_lo"], cfg["n_hi"]),
-                            leaf_radius=cfg["leaf_radius"], jobs=jobs)
+def run_holonomy(run):
+    cfg, sysm, pressure = run.cfg, run.sys, run.pressure.value
     y = np.array(cfg["base_x"])
     z = sysm.cs_chart(y, np.full(sysm.dim - 1, 0.05 / np.sqrt(sysm.dim - 1)))
     z = sysm.unstable_chart(z, 0.03)
-    out = holonomy_jacobian(sysm, phi, est.value, y, z, order=cfg["order"],
+    out = holonomy_jacobian(sysm, run.phi, pressure, y, z, order=cfg["order"],
                             r=cfg["r"], leaf_radius=cfg["leaf_radius"],
                             n_cells=cfg["n_cells"])
     rows = [(i, out["ratios"][i]) for i in range(len(out["ratios"]))]
@@ -315,49 +304,32 @@ def run_holonomy(cfg, entry, jobs):
     checks = [("jacobian_window", ok,
                f"range=[{out['min']:.4g}, {out['max']:.4g}]")]
     summary = {"min": out["min"], "max": out["max"], "offset": out["offset"],
-               "pressure": est.value}
+               "pressure": pressure}
     return rows, ("cell", "ratio"), summary, checks
 
 
-def run_disintegrate(cfg, entry, jobs):
-    sysm = entry.system
-    phi = _potential(cfg, sysm)
-    est = estimate_pressure(sysm, phi, np.array(cfg["base_x"]),
-                            window=(cfg["n_lo"], cfg["n_hi"]),
-                            leaf_radius=cfg["leaf_radius"], jobs=jobs)
-    res = evolve_average(sysm, phi, est.value, np.array(cfg["base_x"]),
-                         steps=cfg["steps"], grid=tuple(cfg["grid"]),
-                         order=cfg["evolve_order"], r=cfg["r"],
-                         leaf_radius=cfg["evolve_leaf_radius"])
+def run_disintegrate(run):
+    cfg, sysm, pressure = run.cfg, run.sys, run.pressure.value
     rect = Rectangle(sys=sysm, anchor=np.array(cfg["base_y"]),
                      du=cfg["rect_du"], dcs=cfg["rect_dcs"])
-    fam = disintegrate(sysm, res.measure, rect, n_u=8)
-    dens = density_vs_reference(sysm, phi, est.value, fam, r=cfg["r"],
+    fam = disintegrate(sysm, run.evolved.measure, rect, n_u=8)
+    dens = density_vs_reference(sysm, run.phi, pressure, fam, r=cfg["r"],
                                 order=cfg["order"])
-    prod = product_structure_check(sysm, res.measure, rect, n_u=8)
-    rows = [(k, c0) for k, c0 in dens["per_plaque"]]
+    prod = product_structure_check(sysm, run.evolved.measure, rect, n_u=8)
     checks = [("conditional_constant", dens["c0"] < 3, f"c0={dens['c0']:.4g}"),
               ("product_tv", prod["tv"] < 0.1, f"tv={prod['tv']:.4g}")]
     summary = {"c0": dens["c0"], "product_tv": prod["tv"],
-               "mass_inside": fam.mass_inside, "pressure": est.value}
-    return rows, ("plaque", "c0"), summary, checks
+               "mass_inside": fam.mass_inside, "pressure": pressure}
+    return dens["per_plaque"], ("plaque", "c0"), summary, checks
 
 
-def run_probe(cfg, entry, jobs):
-    sysm = entry.system
-    phi = _potential(cfg, sysm)
-    est = estimate_pressure(sysm, phi, np.array(cfg["base_x"]),
-                            window=(cfg["n_lo"], cfg["n_hi"]),
-                            leaf_radius=cfg["leaf_radius"], jobs=jobs)
+def run_probe(run):
+    cfg, sysm = run.cfg, run.sys
     hit = transitivity_probe(sysm, np.array(cfg["base_x"]),
                              np.array(cfg["base_y"]), delta=cfg["delta"],
                              k_max=cfg["k_max"])
-    res = evolve_average(sysm, phi, est.value, np.array(cfg["base_x"]),
-                         steps=cfg["steps"], grid=tuple(cfg["grid"]),
-                         order=cfg["evolve_order"], r=cfg["r"],
-                         leaf_radius=cfg["evolve_leaf_radius"])
     obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
-    bk = birkhoff_probe(sysm, res.measure, obs, n_steps=cfg["birkhoff_steps"],
+    bk = birkhoff_probe(sysm, run.evolved.measure, obs, n_steps=cfg["birkhoff_steps"],
                         n_samples=cfg["n_samples"], seed=cfg["seed"])
     rows = [("transit_k", -1 if hit is None else hit["k"]),
             ("dispersion", bk["dispersion"]),
@@ -385,6 +357,7 @@ _RUNNERS = {
     "disintegrate": run_disintegrate,
     "probe": run_probe,
 }
+PIPELINES = (*_RUNNERS, "fullsuite")
 
 
 def main(argv=None):
@@ -395,7 +368,9 @@ def main(argv=None):
     ap.add_argument("--out", default="eqmeas_out")
     ap.add_argument("--check", action="store_true",
                     help="fail (exit 2) when a structural check fails")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="threads for the pressure partition sums; "
+                         "helps only non-constant potentials")
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
     if args.jobs < 1:
@@ -404,22 +379,22 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = _parse("seed", args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 1
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
 
     os.makedirs(args.out, exist_ok=True)
-    entry = catalog.get_system(cfg["system"])
     names = list(_RUNNERS) if args.pipeline == "fullsuite" else [args.pipeline]
 
     summary = {"schema_version": SCHEMA_VERSION, "config": dict(cfg),
                "system": cfg["system"], "pipelines": {}, "checks": []}
     all_ok = True
     try:
+        run = Run(cfg, catalog.get_system(cfg["system"]).system, args.jobs, names)
         for name in names:
-            rows, cols, part, checks = _RUNNERS[name](cfg, entry, args.jobs)
+            rows, cols, part, checks = _RUNNERS[name](run)
             write_csv(os.path.join(args.out, f"{name}.csv"), name, cols, rows)
             summary["pipelines"][name] = part
             for cname, ok, detail in checks:
@@ -428,8 +403,7 @@ def main(argv=None):
                      "detail": detail})
                 all_ok &= bool(ok)
                 print(f"[{name}] {cname}: {'ok' if ok else 'FAIL'} ({detail})")
-    except (ArithmeticError, ZeroDivisionError, OverflowError,
-            np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
         print(f"numeric failure: {exc}")
         return 3
 

@@ -3,8 +3,8 @@
 Points on the d-torus are numpy arrays of shape (..., d) with coordinates
 taken mod 1.  All distances are flat-torus distances unless a system
 installs its own metric.  A system is a SystemSpec: a pair of step maps
-(forward and backward), an orthonormal frame whose first u_dim rows span
-the unstable direction, and the constants of the hyperbolic splitting.
+(forward and backward), an orthonormal frame whose first row spans the
+unstable direction, and the constants of the hyperbolic splitting.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ class SystemSpec:
     not be orthogonal; coordinates are read off with the dual basis.
 
     chi is the per-step expansion lower bound on E^u, nu the growth upper
-    bound on E^cs (nu < chi), contraction the backward contraction rate on
-    unstable leaves with constant leaf_const, r0 the bracket radius and
-    tau the chart radius.  leaf_rate, when set, is the exact per-step
-    stretch factor of unstable leaf parameters and unlocks closed-form
-    Bowen geometry; leave it None for systems without linear leaves.
+    bound on E^cs (nu < chi), r0 the bracket radius and tau the chart
+    radius.  leaf_rate, when set, is the exact per-step stretch factor of
+    unstable leaf parameters and unlocks closed-form Bowen geometry; leave
+    it None for systems without linear leaves.
     """
 
     label: str
@@ -59,8 +58,6 @@ class SystemSpec:
     frame: np.ndarray
     chi: float
     nu: float
-    contraction: float
-    leaf_const: float
     r0: float
     tau: float
     satisfies_c1: bool = True
@@ -68,7 +65,6 @@ class SystemSpec:
     leaf_rate: float | None = None
     u_jacobian: Callable | None = None
     metric: Callable = staticmethod(torus_dist)
-    u_dim: int = 1
 
     def __post_init__(self):
         self.frame = np.asarray(self.frame, dtype=float)
@@ -84,8 +80,6 @@ class SystemSpec:
         self.coframe = np.linalg.inv(self.frame)
         if not (0.0 < self.nu < self.chi):
             raise ValueError("need 0 < nu < chi for a dominated splitting")
-        if self.u_dim != 1:
-            raise ValueError("only one-dimensional unstable directions are supported")
 
     # -- leaf charts ------------------------------------------------------
 

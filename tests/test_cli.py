@@ -121,11 +121,21 @@ class TestMain:
         assert summary["pipelines"]["evolve"]["steps"] == 2
 
     def test_numeric_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg, entry, jobs):
+        def boom(run):
             raise ArithmeticError("empty net")
         monkeypatch.setitem(cli._RUNNERS, "press", boom)
         path = _write(tmp_path, BASE)
         code = cli.main(["press", "--config", path,
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().out
+
+    def test_shared_stage_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise ArithmeticError("empty net")
+        monkeypatch.setattr(cli, "estimate_pressure", boom)
+        path = _write(tmp_path, BASE)
+        code = cli.main(["gibbs", "--config", path,
                          "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().out
@@ -150,3 +160,46 @@ class TestMain:
                          "--seed", "11"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["seed"] == 11
+
+    @pytest.mark.parametrize("seed", [-1, 2**31])
+    def test_seed_flag_out_of_range_exits_1(self, tmp_path, capsys, seed):
+        path = _write(tmp_path, BASE)
+        out = tmp_path / "s"
+        code = cli.main(["gibbs", "--config", path, "--out", str(out),
+                         "--seed", str(seed)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().out
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+SMALL = BASE + ("steps = 8\ngrid = 16\nbirkhoff_steps = 2000\n"
+                "n_samples = 50\n")
+SHARED = ("evolve", "gibbs", "disintegrate", "probe")
+
+
+class TestSharedStages:
+    def test_fullsuite_matches_pipelines_run_alone(self, tmp_path):
+        path = _write(tmp_path, SMALL)
+        full = tmp_path / "full"
+        assert cli.main(["fullsuite", "--config", path, "--out", str(full)]) == 0
+        for name in SHARED:
+            alone = tmp_path / name
+            assert cli.main([name, "--config", path, "--out", str(alone)]) == 0
+            assert ((full / f"{name}.csv").read_text()
+                    == (alone / f"{name}.csv").read_text()), name
+
+    def test_fullsuite_computes_each_stage_once(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+
+        spy("evolve_average", cli.evolve_average)
+        spy("estimate_pressure", cli.estimate_pressure)
+        path = _write(tmp_path, SMALL)
+        assert cli.main(["fullsuite", "--config", path,
+                         "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"evolve_average": 1, "estimate_pressure": 1}
