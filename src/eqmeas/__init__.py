@@ -7,9 +7,9 @@ product structure) on a small catalog of exactly solvable systems.
 """
 
 from .core import (SystemSpec, Potential, birkhoff_sum, bowen_constants,
-                   bracket, bracket_search, constant_potential, dyn_metric,
-                   iterate, leaf_point, mod1, orbit, shifted_potential,
-                   torus_dist, wrap, zero_potential)
+                   bracket, constant_potential, dyn_metric, iterate,
+                   leaf_point, mod1, orbit, shifted_potential, torus_dist,
+                   wrap, zero_potential)
 from .catalog import (CatalogEntry, SlowFlowProfile, as_rational,
                       base_cosine_potential, catalog_keys, fiber_point_mass,
                       fiber_speed_density, flow_time_one, geometric_potential,
@@ -35,9 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemSpec", "Potential", "birkhoff_sum", "bowen_constants", "bracket",
-    "bracket_search", "constant_potential", "dyn_metric", "iterate",
-    "leaf_point", "mod1", "orbit", "shifted_potential", "torus_dist", "wrap",
-    "zero_potential",
+    "constant_potential", "dyn_metric", "iterate", "leaf_point", "mod1",
+    "orbit", "shifted_potential", "torus_dist", "wrap", "zero_potential",
     "CatalogEntry", "SlowFlowProfile", "as_rational", "base_cosine_potential",
     "catalog_keys", "fiber_point_mass", "fiber_speed_density",
     "flow_time_one", "geometric_potential", "get_system", "make_skew_product",

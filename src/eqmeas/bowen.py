@@ -3,9 +3,7 @@
 The order-n dynamical metric d_n compares orbit segments of length n.  On
 a straight expanding leaf with per-step stretch factor lam the trace of
 the d_n-ball of radius r is an interval of parameter half-width
-r * lam^-(n-1), so nets and balls have closed forms; systems without the
-leaf_rate tag fall back to bisection and greedy searches over the same
-objects.
+r * lam^-(n-1), so nets and balls have closed forms.
 """
 
 from __future__ import annotations
@@ -59,91 +57,38 @@ class SeparatedNet:
         return leaf_point(self.sys, self.base, self.params)
 
 
-def u_bowen_ball(sysm, x, n, r, method="auto"):
+def u_bowen_ball(sysm, x, n, r):
     """B_n^u(x, r): the set of leaf parameters t with d_n(x, x + t e_u) < r.
 
-    method "closed" uses the exact linear-leaf width, "search" bisects
-    d_n along the leaf, "auto" picks closed when the system carries a
-    leaf_rate.  Width is capped at the chart radius tau.
+    The width is the exact straight-leaf half-width r * leaf_rate^-(n-1),
+    capped at the chart radius tau.
     """
     if n < 1:
         raise ValueError("ball order must be >= 1")
     if not 0 < r:
         raise ValueError("ball radius must be positive")
     x = np.asarray(x, dtype=float)
-    if method == "auto":
-        method = "closed" if sysm.leaf_rate is not None else "search"
-    if method == "closed":
-        if sysm.leaf_rate is None:
-            raise ValueError("closed form needs a system with leaf_rate set")
-        width = min(r * sysm.leaf_rate ** (-(n - 1)), sysm.tau)
-    elif method == "search":
-        width = _bisect_width(sysm, x, n, r)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    width = min(r * sysm.leaf_rate ** (-(n - 1)), sysm.tau)
     return UBowenBall(sys=sysm, center=x, order=n, radius=r, width=width)
 
 
-def _bisect_width(sysm, x, n, r, iters=60):
-    # d_n along the leaf is monotone in |t| for dominated expansion
-    if dyn_metric(sysm, x, leaf_point(sysm, x, sysm.tau), n) < r:
-        return sysm.tau
-    lo, hi = 0.0, sysm.tau
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if dyn_metric(sysm, x, leaf_point(sysm, x, mid), n) < r:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def separated_net(sysm, x, n, r, leaf_radius=0.5):
+    """Maximal (n, r)-separated net on [-leaf_radius, leaf_radius].
 
-
-def separated_net(sysm, x, n, r, leaf_radius=0.5, method="auto"):
-    """Greedy maximal (n, r)-separated net on [-leaf_radius, leaf_radius].
-
-    The greedy sweep scans candidates from the lowest parameter and keeps
-    each one at d_n >= r from the last kept atom.  On linear leaves this
-    collapses to an arithmetic progression with spacing r * lam^-(n-1),
-    which the fast path emits directly; the grid path runs the sweep over
-    a candidate grid of four points per expected gap and is the one used
-    when no closed form exists.
+    On straight leaves a greedy sweep from the lowest parameter keeps an
+    arithmetic progression with spacing r * lam^-(n-1), which is emitted
+    directly.
     """
     if n < 1:
         raise ValueError("net order must be >= 1")
     if leaf_radius <= 0 or r <= 0:
         raise ValueError("net radius arguments must be positive")
     x = np.asarray(x, dtype=float)
-    if method == "auto":
-        method = "fast" if sysm.leaf_rate is not None else "grid"
-    if method == "fast":
-        spacing = r * sysm.leaf_rate ** (-(n - 1))
-        k = int(np.floor(2 * leaf_radius / spacing))
-        params = -leaf_radius + spacing * np.arange(k + 1)
-    elif method == "grid":
-        if sysm.leaf_rate is not None:
-            step = r * sysm.leaf_rate ** (-(n - 1)) / 4.0
-        else:
-            step = _bisect_width(sysm, x, n, r) / 4.0
-        params = _greedy_sweep(sysm, x, n, r, leaf_radius, step)
-        spacing = float(np.min(np.diff(params))) if len(params) > 1 else 2 * leaf_radius
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    spacing = r * sysm.leaf_rate ** (-(n - 1))
+    k = int(np.floor(2 * leaf_radius / spacing))
+    params = -leaf_radius + spacing * np.arange(k + 1)
     return SeparatedNet(sys=sysm, base=x, order=n, radius=r,
                         leaf_radius=leaf_radius, params=params, spacing=float(spacing))
-
-
-def _greedy_sweep(sysm, x, n, r, leaf_radius, step):
-    grid = np.arange(-leaf_radius, leaf_radius + step / 2, step)
-    kept = [grid[0]]
-    pts = leaf_point(sysm, x, grid)
-    last = pts[0]
-    for t, p in zip(grid[1:], pts[1:]):
-        # the tiny slack keeps exact-threshold pairs on the kept side
-        # when rounding puts their d_n a few ulps under r
-        if dyn_metric(sysm, last, p, n) >= r * (1.0 - 1e-10):
-            kept.append(t)
-            last = p
-    return np.asarray(kept)
 
 
 def check_separation(net, sample=64):

@@ -37,12 +37,6 @@ class CoverSolution:
     table: list
 
 
-def _order_widths(sysm, r, orders):
-    if sysm.leaf_rate is None:
-        raise ValueError("cover construction needs a system with closed-form leaves")
-    return {n: r * sysm.leaf_rate ** (-(n - 1)) for n in orders}
-
-
 def cover_cost(sysm, phi, x, segment, alpha, order_min, *, span=6, r=0.05,
                strategy="auto", candidate_cap=400_000):
     """Cheapest weighted cover of a leaf-parameter segment.
@@ -66,7 +60,7 @@ def cover_cost(sysm, phi, x, segment, alpha, order_min, *, span=6, r=0.05,
     if order_min < 1 or span < 0:
         raise ValueError("bad order window")
     orders = range(order_min, order_min + span + 1)
-    widths = _order_widths(sysm, r, orders)
+    widths = {n: r * sysm.leaf_rate ** (-(n - 1)) for n in orders}
     length = b - a
 
     if strategy == "auto":
@@ -220,7 +214,7 @@ def caratheodory_dim(sysm, phi, x, segment, *, order_range=(4, 8), r=0.05,
 
     if bracket is None:
         c = phi.constant_value if phi.constant_value is not None else 0.0
-        lo, hi = c + 1e-3, c + 2.0 * np.log(sysm.chi) + 0.5
+        lo, hi = c + 1e-3, c + 2.0 * np.log(sysm.leaf_rate) + 0.5
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
     t_lo, t_hi = trend(lo), trend(hi)

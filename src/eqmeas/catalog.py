@@ -74,24 +74,17 @@ def make_toral_automorphism(matrix=None, *, r0=0.2, tau=1.0, label="toral"):
     def back(pts):
         return mod1(np.asarray(pts, dtype=float) @ minv.T)
 
-    def u_jac(pts):
-        return np.full(np.shape(pts)[:-1], rate)
-
-    sysm = SystemSpec(
+    return SystemSpec(
         label=label,
         dim=2,
         step_fwd=fwd,
         step_back=back,
         frame=np.stack([e_u, e_s]),
-        chi=rate,
+        leaf_rate=rate,
         nu=abs(lam_s),
         r0=r0,
         tau=tau,
-        leaf_rate=rate,
-        u_jacobian=u_jac,
     )
-    sysm.base_matrix = m
-    return sysm
 
 
 def as_rational(x, max_den=10**6, tol=1e-12):
@@ -152,30 +145,22 @@ def make_skew_product(matrix=None, rotation=GOLDEN_ROTATION, *,
         out[..., 2] = pts[..., 2] - rot
         return mod1(out)
 
-    def u_jac(pts):
-        return np.full(np.shape(pts)[:-1], rate)
-
     frame = np.zeros((3, 3))
     frame[0, :2] = e_u
     frame[1, :2] = e_s
     frame[2, 2] = 1.0
-    sysm = SystemSpec(
+    return SystemSpec(
         label=label,
         dim=3,
         step_fwd=fwd,
         step_back=back,
         frame=frame,
-        chi=rate,
+        leaf_rate=rate,
         nu=1.0,
         r0=r0,
         tau=tau,
         transitive=res is None,
-        leaf_rate=rate,
-        u_jacobian=u_jac,
     )
-    sysm.rotation = rot
-    sysm.base_matrix = m
-    return sysm
 
 
 # -- slowed linear flow on the fiber torus ---------------------------------
@@ -294,9 +279,6 @@ def make_slowed_product(profile=None, matrix=None, *, r0=0.2, tau=1.0, label="sl
         out[..., 2:] = _fiber(pts[..., 2:], -1.0)
         return out
 
-    def u_jac(pts):
-        return np.full(np.shape(pts)[:-1], rate)
-
     frame = np.zeros((4, 4))
     frame[0, :2] = e_u
     frame[1, :2] = e_s
@@ -308,16 +290,13 @@ def make_slowed_product(profile=None, matrix=None, *, r0=0.2, tau=1.0, label="sl
         step_fwd=fwd,
         step_back=back,
         frame=frame,
-        chi=rate,
+        leaf_rate=rate,
         nu=1.0,
         r0=r0,
         tau=tau,
         satisfies_c1=False,
-        leaf_rate=rate,
-        u_jacobian=u_jac,
     )
     sysm.profile = prof
-    sysm.base_matrix = m
     return sysm
 
 
@@ -327,21 +306,16 @@ def make_slowed_product(profile=None, matrix=None, *, r0=0.2, tau=1.0, label="sl
 def geometric_potential(sysm, q=1.0):
     """phi = -q * log of the unstable Jacobian.
 
-    Probes the Jacobian on a fixed grid; when it is constant (true for
-    every built-in system) the potential carries the constant tag and
+    On straight leaves the Jacobian is leaf_rate everywhere, so phi is the
+    constant -q * log(leaf_rate) and carries the constant tag that lets
     downstream sums take their closed forms.
     """
-    if sysm.u_jacobian is None:
-        raise ValueError(f"system {sysm.label!r} has no unstable Jacobian installed")
     q = float(q)
-    probes = (np.arange(8)[:, None] * np.ones(sysm.dim) * 0.117) % 1.0
-    vals = -q * np.log(sysm.u_jacobian(probes))
-    const = float(vals[0]) if np.ptp(vals) < 1e-13 else None
-    jac = sysm.u_jacobian
+    c = float(-q * np.log(sysm.leaf_rate))
     return Potential(
-        fn=lambda x: -q * np.log(jac(x)),
+        fn=lambda x: np.full(x.shape[:-1], c),
         label=f"geom[q={q:g}]",
-        constant_value=const,
+        constant_value=c,
     )
 
 

@@ -99,6 +99,8 @@ _DEFAULT_GRID = {
     "skew": [16, 16, 8],
     "slowprod": [16, 16, 16, 16],
 }
+# evolve holds a float array of one entry per cell, plus one per bincount
+_MAX_GRID_CELLS = 65_536
 
 
 def _parse(key, value):
@@ -152,6 +154,8 @@ def load_config(path):
         cfg["grid"] = cfg["grid"] * entry.system.dim
     if len(cfg["grid"]) != entry.system.dim:
         raise ConfigError(f"grid needs {entry.system.dim} axes")
+    if int(np.prod(cfg["grid"])) > _MAX_GRID_CELLS:
+        raise ConfigError(f"grid {cfg['grid']} has more than {_MAX_GRID_CELLS} cells")
     if cfg["n_hi"] <= cfg["n_lo"] or cfg["gibbs_n_hi"] <= cfg["gibbs_n_lo"]:
         raise ConfigError("order windows must satisfy lo < hi")
     return cfg

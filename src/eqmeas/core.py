@@ -1,10 +1,11 @@
 """Torus geometry, dynamical systems as data, orbits, and leaf charts.
 
 Points on the d-torus are numpy arrays of shape (..., d) with coordinates
-taken mod 1.  All distances are flat-torus distances unless a system
-installs its own metric.  A system is a SystemSpec: a pair of step maps
-(forward and backward), an orthonormal frame whose first row spans the
-unstable direction, and the constants of the hyperbolic splitting.
+taken mod 1.  All distances are flat-torus distances.  A system is a
+SystemSpec: a pair of step maps (forward and backward), an orthonormal
+frame whose first row spans the unstable direction, and the constants of
+the hyperbolic splitting, including the exact stretch factor of its
+straight unstable leaves.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ class SystemSpec:
     x + s @ frame[1:] (centre-stable) in these coordinates.  The rows need
     not be orthogonal; coordinates are read off with the dual basis.
 
-    chi is the per-step expansion lower bound on E^u, nu the growth upper
-    bound on E^cs (nu < chi), r0 the bracket radius and tau the chart
-    radius.  leaf_rate, when set, is the exact per-step stretch factor of
-    unstable leaf parameters and unlocks closed-form Bowen geometry; leave
-    it None for systems without linear leaves.
+    leaf_rate is the exact per-step stretch factor of unstable leaf
+    parameters (so also the unstable Jacobian), which gives Bowen balls,
+    nets and covers their closed forms; nu is the growth upper bound on
+    E^cs (nu < leaf_rate), r0 the bracket radius and tau the chart radius.
     """
 
     label: str
@@ -56,15 +56,12 @@ class SystemSpec:
     step_fwd: Callable
     step_back: Callable
     frame: np.ndarray
-    chi: float
+    leaf_rate: float
     nu: float
     r0: float
     tau: float
     satisfies_c1: bool = True
     transitive: bool = True
-    leaf_rate: float | None = None
-    u_jacobian: Callable | None = None
-    metric: Callable = staticmethod(torus_dist)
 
     def __post_init__(self):
         self.frame = np.asarray(self.frame, dtype=float)
@@ -78,8 +75,8 @@ class SystemSpec:
             raise ValueError("frame rows are (numerically) linearly dependent")
         # dual basis: coframe[i] . frame[j] = delta_ij
         self.coframe = np.linalg.inv(self.frame)
-        if not (0.0 < self.nu < self.chi):
-            raise ValueError("need 0 < nu < chi for a dominated splitting")
+        if not (0.0 < self.nu < self.leaf_rate):
+            raise ValueError("need 0 < nu < leaf_rate for a dominated splitting")
 
     # -- leaf charts ------------------------------------------------------
 
@@ -135,14 +132,14 @@ def orbit(sys, x, n):
 
 
 def dyn_metric(sys, x, y, n):
-    """d_n(x, y) = max of metric(f^k x, f^k y) over 0 <= k < n."""
+    """d_n(x, y) = max of torus_dist(f^k x, f^k y) over 0 <= k < n."""
     if n < 1:
         raise ValueError("dyn_metric order must be >= 1")
     x, y = mod1(x), mod1(y)
-    best = sys.metric(x, y)
+    best = torus_dist(x, y)
     for _ in range(n - 1):
         x, y = sys.step_fwd(x), sys.step_fwd(y)
-        best = np.maximum(best, sys.metric(x, y))
+        best = np.maximum(best, torus_dist(x, y))
     return best
 
 
@@ -190,35 +187,6 @@ def bracket(sys, x, y, check=True):
         if resid > CHART_TOL:
             raise ValueError(f"bracket residual {resid:.3g} exceeds {CHART_TOL}; frame is inconsistent")
     return z
-
-
-def bracket_search(sys, x, y, max_iter=25):
-    """Bracket by damped Newton iteration on chart coordinates.
-
-    Solves unstable_chart(x, t) = cs_chart(y, s) for (t, s) with a
-    finite-difference Jacobian, seeded from the frame split.  On systems
-    with straight leaves this converges in one step and agrees with
-    bracket(); it exists as the search path for curved-leaf charts.
-    """
-    x, y = mod1(x), mod1(y)
-    u0, cs0 = sys.split(np.asarray(y) - x)
-    z = np.concatenate([[u0], cs0])  # unknowns: t and s stacked
-
-    def residual(v):
-        return wrap(sys.unstable_chart(x, v[0]) - sys.cs_chart(y, v[1:]))
-
-    h = 1e-7
-    for _ in range(max_iter):
-        r = residual(z)
-        if np.linalg.norm(r) < CHART_TOL:
-            break
-        jac = np.empty((sys.dim, sys.dim))
-        for j in range(sys.dim):
-            dz = np.zeros_like(z)
-            dz[j] = h
-            jac[:, j] = (residual(z + dz) - r) / h
-        z = z - np.linalg.solve(jac, r)
-    return sys.unstable_chart(x, z[0])
 
 
 # -- potentials -----------------------------------------------------------
@@ -274,12 +242,11 @@ def bowen_constants(sys, phi, n_max=10, r=0.05, base_points=None, seed=0):
     if base_points is None:
         rng = np.random.default_rng(seed)
         base_points = rng.random((24, sys.dim))
-    rate = sys.leaf_rate if sys.leaf_rate is not None else np.exp(sys.chi)
     q_u = 0.0
     q_cs = 0.0
     for x in np.atleast_2d(base_points):
         for n in range(1, n_max + 1):
-            w = r * rate ** (-(n - 1))
+            w = r * sys.leaf_rate ** (-(n - 1))
             s0 = birkhoff_sum(sys, phi, x, n)
             for t in (-w, w):
                 q_u = max(q_u, abs(birkhoff_sum(sys, phi, sys.unstable_chart(x, t), n) - s0))

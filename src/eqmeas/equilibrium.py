@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import birkhoff_sum, iterate, leaf_point, mod1, torus_dist, wrap
+from .core import birkhoff_sum, iterate, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, reference_measure
 
 MASS_TOL = 1e-9
@@ -204,8 +204,6 @@ def pushforward(sysm, lm):
     the leaf rate while weights ride along unchanged, so total mass is
     conserved exactly.
     """
-    if sysm.leaf_rate is None:
-        raise ValueError("pushforward needs closed-form leaves")
     return LeafMeasure(
         sys=sysm,
         base=sysm.step_fwd(lm.base),
@@ -226,8 +224,6 @@ def scaling_check(sysm, phi, pressure, x, *, order=10, window=(-0.05, 0.05),
     """
     a, b = window
     lam = sysm.leaf_rate
-    if lam is None:
-        raise ValueError("scaling check needs closed-form leaves")
     m_x = reference_measure(sysm, phi, pressure, x, order, r=r, leaf_radius=leaf_radius)
     fx = sysm.step_fwd(np.asarray(x, dtype=float))
     m_fx = reference_measure(sysm, phi, pressure, fx, order, r=r,
@@ -347,8 +343,6 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
     if n_min < 1:
         raise ValueError("orders must be >= 1")
     lam = sysm.leaf_rate
-    if lam is None:
-        raise ValueError("gibbs_ratio needs closed-form leaves")
     rng = np.random.default_rng(seed)
     centers = mu.sample(n_centers, rng)
     exts = np.full(sysm.dim, r * pad)
@@ -360,13 +354,13 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
         coeff = (2 * rng.random((n_mc, sysm.dim)) - 1) * exts
         cloud = mod1(x + coeff @ sysm.frame)
         dens = mu.density(cloud)
-        dmax = sysm.metric(x, cloud)
+        dmax = torus_dist(x, cloud)
         zx, zc = x.copy(), cloud
         pos = {n: j for j, n in enumerate(orders)}
         for n in range(1, n_max + 1):
             if n > 1:
                 zx, zc = sysm.step_fwd(zx), sysm.step_fwd(zc)
-                dmax = np.maximum(dmax, sysm.metric(zx, zc))
+                dmax = np.maximum(dmax, torus_dist(zx, zc))
             if n in pos:
                 j = pos[n]
                 hits = dmax < r
@@ -609,24 +603,21 @@ def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14, verify=True):
     Works on the closed-form leaf geometry: at time k the image segment
     is a straight run of length 2*delta*rate^k along the unstable
     direction, and meeting the target reduces to an integer search over
-    deck translations inside a thin slab.  Fiber coordinates add their
-    own proximity condition per system kind.
+    deck translations inside a thin slab.  Coordinates past the first two
+    form the fiber, which the step map carries along; a candidate k also
+    needs the fiber of f^k(x) within delta of y's.
     """
-    if sysm.leaf_rate is None:
-        raise ValueError("transitivity probe needs closed-form leaves")
-    mat = getattr(sysm, "base_matrix", None)
-    if mat is None:
-        raise ValueError("transitivity probe needs the system's base matrix")
     x = mod1(np.asarray(x, dtype=float))
     y = mod1(np.asarray(y, dtype=float))
     lam = sysm.leaf_rate
     e_u = sysm.frame[0, :2]
     e_cs = sysm.frame[1, :2]
-    bx = x[:2].copy()
-    fib = x[2:].copy()
+    z = x
     for k in range(k_max + 1):
-        if _fiber_close(sysm, fib, y, delta):
-            t = _leaf_hit(bx, y[:2], e_u, e_cs, delta, lam ** k)
+        if k:
+            z = sysm.step_fwd(z)
+        if torus_dist(z[2:], y[2:]) <= delta:
+            t = _leaf_hit(z[:2], y[:2], e_u, e_cs, delta, lam ** k)
             if t is not None:
                 if verify:
                     w = iterate(sysm, leaf_point(sysm, x, t), k)
@@ -635,25 +626,7 @@ def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14, verify=True):
                         t = None
                 if t is not None:
                     return {"k": k, "param": t}
-        bx = mod1(bx @ mat.T)
-        if len(fib):
-            fib = _fiber_step(sysm, fib)
     return None
-
-
-def _fiber_close(sysm, fib, y, delta):
-    if sysm.dim == 2:
-        return True
-    if sysm.dim == 3:
-        return abs(wrap(fib[0] - y[2])) <= delta
-    return torus_dist(fib, y[2:]) <= delta
-
-
-def _fiber_step(sysm, fib):
-    if sysm.dim == 3:
-        return (fib + sysm.rotation) % 1.0
-    from .catalog import flow_time_one
-    return flow_time_one(sysm.profile, fib)
 
 
 def _leaf_hit(b0, by, e_u, e_cs, delta, stretch):

@@ -28,11 +28,11 @@ def test_unknown_key():
 class TestToralBuilder:
     def test_default_is_cat_matrix(self):
         sysm = eqmeas.make_toral_automorphism()
-        assert np.array_equal(sysm.base_matrix, [[2, 1], [1, 1]])
+        assert sysm.step_fwd(np.array([0.1, 0.2])) == pytest.approx([0.4, 0.3])
 
     def test_custom_hyperbolic_matrix(self):
         sysm = eqmeas.make_toral_automorphism([[1, 1], [1, 2]])
-        assert sysm.chi == pytest.approx(LAM)
+        assert sysm.leaf_rate == pytest.approx(LAM)
         x = np.array([0.3, 0.4])
         back = sysm.step_back(sysm.step_fwd(x))
         assert eqmeas.torus_dist(back, x) < 1e-12
@@ -69,7 +69,9 @@ class TestRationalGuard:
 
     def test_default_rotation(self):
         sysm = eqmeas.make_skew_product()
-        assert sysm.rotation == pytest.approx(np.sqrt(2) - 1)
+        x = np.array([0.1, 0.2, 0.3])
+        moved = eqmeas.wrap(sysm.step_fwd(x)[2] - x[2])
+        assert moved == pytest.approx(np.sqrt(2) - 1)
         assert sysm.transitive is True
 
 

@@ -62,6 +62,13 @@ class TestLoadConfig:
         cfg = cli.load_config(_write(tmp_path, BASE + "grid = 16\n"))
         assert cfg["grid"] == [16, 16]
 
+    def test_grid_cell_count_capped(self, tmp_path):
+        body = "schema_version = 1\nsystem = slowprod\n"
+        cfg = cli.load_config(_write(tmp_path, body + "grid = 16\n"))
+        assert cfg["grid"] == [16] * 4
+        with pytest.raises(cli.ConfigError, match="cells"):
+            cli.load_config(_write(tmp_path, body + "grid = 17\n"))
+
 
 class TestMain:
     def test_config_error_exits_1(self, tmp_path, capsys):

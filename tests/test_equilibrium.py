@@ -1,5 +1,7 @@
 """Evolved measures, Gibbs ratios, holonomy, disintegration, probes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,3 +311,27 @@ class TestTransitivityProbe:
                                         np.array([0.61, 0.13, 0.8]),
                                         k_max=2)
         assert hit is None
+
+    def test_reads_only_the_spec(self, cat, skew):
+        # a field-by-field copy drops any attribute set after construction
+        hit = eqmeas.transitivity_probe(dataclasses.replace(cat.system), X0,
+                                        np.array([0.61, 0.13]))
+        assert hit["k"] == 3
+        hit = eqmeas.transitivity_probe(dataclasses.replace(skew.system),
+                                        np.array([0.2, 0.7, 0.37]),
+                                        np.array([0.61, 0.13, 0.8]))
+        assert hit["k"] == 6
+
+    def test_steps_only_between_iterations(self, skew):
+        calls = []
+
+        def step(pts):
+            calls.append(1)
+            return skew.system.step_fwd(pts)
+
+        sysm = dataclasses.replace(skew.system, step_fwd=step)
+        hit = eqmeas.transitivity_probe(sysm, np.array([0.2, 0.7, 0.37]),
+                                        np.array([0.61, 0.13, 0.8]),
+                                        k_max=2, verify=False)
+        assert hit is None
+        assert len(calls) == 2
