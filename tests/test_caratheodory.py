@@ -47,36 +47,109 @@ class TestChainCosts:
             assert sol.lower_bound is not None
             assert sol.lower_bound <= sol.cost + 1e-12
 
+    def test_log_costs_finite_at_extreme_alpha(self, cat, phi0):
+        # exp(-20 * 40) underflows in linear scale
+        low = eqmeas.cover_cost(cat.system, phi0, X0, SEG, -5.0, 20)
+        high = eqmeas.cover_cost(cat.system, phi0, X0, SEG, 40.0, 20)
+        assert np.isfinite(low.log_cost) and np.isfinite(high.log_cost)
+        assert np.isfinite(high.log_lower_bound)
+        assert high.log_lower_bound <= high.log_cost < -700 < low.log_cost
+        n, k, log_price = high.table[-1]
+        assert high.log_cost == log_price == pytest.approx(np.log(k) - 40.0 * n)
+
+
+def min_cover_dp(lo, hi, w, a, b):
+    """Optimal cost to cover [a, b] with closed weighted intervals.
+
+    Classic sweep over right endpoints with a range-min tree over reached
+    positions: dp[p] = cheapest cover of [a, p], extended by any interval
+    whose left end touches a reached position.
+    """
+    reach = np.minimum(hi, b)
+    keep = (lo < b) & (reach > a) & (reach > lo)
+    lo, reach, w = lo[keep], reach[keep], w[keep]
+    if len(lo) == 0:
+        return np.inf
+    order = np.argsort(reach, kind="stable")
+    lo, reach, w = lo[order], reach[order], w[order]
+    pos = np.unique(np.concatenate([[a], reach]))
+    size = 1
+    while size < len(pos):
+        size *= 2
+    tree = np.full(2 * size, np.inf)
+
+    def update(i, v):
+        i += size
+        if v < tree[i]:
+            tree[i] = v
+            i >>= 1
+            while i:
+                tree[i] = min(tree[2 * i], tree[2 * i + 1])
+                i >>= 1
+
+    def query_from(i0):
+        res, l, r = np.inf, i0 + size, len(pos) + size
+        while l < r:
+            if l & 1:
+                res = min(res, tree[l])
+                l += 1
+            if r & 1:
+                r -= 1
+                res = min(res, tree[r])
+            l >>= 1
+            r >>= 1
+        return res
+
+    update(int(np.searchsorted(pos, a)), 0.0)
+    best = np.inf
+    right_idx = np.searchsorted(pos, reach)
+    left_idx = np.searchsorted(pos, lo - 1e-12, side="left")
+    for j in range(len(lo)):
+        m = query_from(left_idx[j])
+        if not np.isfinite(m):
+            continue
+        v = m + w[j]
+        update(right_idx[j], v)
+        if reach[j] >= b - 1e-12:
+            best = min(best, v)
+    return best
+
+
+def dp_cover_cost(sysm, phi, alpha, order_min, span=6, r=0.05):
+    """Optimal mixed-order cover of SEG over the order window: the oracle.
+
+    Candidate intervals of every order sit on a grid of half-width steps,
+    which contains the centers of the arithmetic single-order covers.
+    """
+    a, b = SEG
+    los, his, ws = [], [], []
+    for n in range(order_min, order_min + span + 1):
+        w = r * sysm.leaf_rate ** (-(n - 1))
+        centers = np.arange(a - w / 2, b + w / 2 + w / 4, w / 2)
+        sn = eqmeas.birkhoff_sum(sysm, phi, eqmeas.leaf_point(sysm, X0, centers), n)
+        los.append(centers - w)
+        his.append(centers + w)
+        ws.append(np.exp(sn - n * alpha))
+    return min_cover_dp(np.concatenate(los), np.concatenate(his),
+                        np.concatenate(ws), a, b)
+
 
 class TestStrategies:
+    """The single-order cover against the optimal mixed-order cover."""
+
     @pytest.mark.parametrize("order", [4, 5])
     def test_dp_matches_chain_for_constants(self, cat, phi0, order):
-        ch = eqmeas.cover_cost(cat.system, phi0, X0, SEG, H, order,
-                               strategy="chain")
-        dp = eqmeas.cover_cost(cat.system, phi0, X0, SEG, H, order,
-                               strategy="dp")
-        assert dp.cost == pytest.approx(ch.cost, rel=1e-9)
-        assert dp.lower_bound <= dp.cost + 1e-12
+        ch = eqmeas.cover_cost(cat.system, phi0, X0, SEG, H, order)
+        dp = dp_cover_cost(cat.system, phi0, H, order)
+        assert dp == pytest.approx(ch.cost, rel=1e-9)
+        assert ch.lower_bound <= dp + 1e-12
 
-    def test_walk_upper_bounds_dp(self, cat):
+    def test_chain_upper_bounds_dp(self, cat):
         phi = eqmeas.base_cosine_potential(0.05)
         for order in (4, 5):
-            dp = eqmeas.cover_cost(cat.system, phi, X0, SEG, H, order,
-                                   strategy="dp")
-            wk = eqmeas.cover_cost(cat.system, phi, X0, SEG, H, order,
-                                   strategy="walk")
-            assert wk.cost >= dp.cost - 1e-12
-
-    def test_auto_picks_chain_for_constants(self, cat, phi0):
-        sol = eqmeas.cover_cost(cat.system, phi0, X0, SEG, H, 4,
-                                strategy="auto")
-        assert sol.strategy == "chain"
-
-    def test_auto_avoids_chain_for_variable_potentials(self, cat):
-        phi = eqmeas.base_cosine_potential(0.05)
-        sol = eqmeas.cover_cost(cat.system, phi, X0, SEG, H, 4,
-                                strategy="auto")
-        assert sol.strategy != "chain"
+            ch = eqmeas.cover_cost(cat.system, phi, X0, SEG, H, order)
+            dp = dp_cover_cost(cat.system, phi, H, order)
+            assert dp - 1e-12 <= ch.cost <= 1.1 * dp
 
 
 class TestCriticalExponent:

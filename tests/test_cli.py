@@ -168,6 +168,24 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["seed"] == 11
 
+    def test_cdim_non_constant_potential_checks(self, tmp_path, capsys):
+        path = _write(tmp_path, BASE + "potential = cos\n")
+        out = tmp_path / "out"
+        assert cli.main(["cdim", "--config", path, "--out", str(out),
+                         "--check"]) == 0
+        assert "dim_matches_pressure: ok" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["pipelines"]["cdim"]["gap"] < 0.07
+
+    def test_cdim_cover_size_limit_exits_3(self, tmp_path, capsys):
+        path = _write(tmp_path, BASE + "potential = cos\nr = 0.0001\n")
+        code = cli.main(["cdim", "--config", path, "--out", str(tmp_path / "o"),
+                         "--check"])
+        assert code == 3
+        text = capsys.readouterr().out
+        assert ("numeric failure: cover of order 10 needs 5778000 centers "
+                "(limit 4194304)") in text
+
     @pytest.mark.parametrize("seed", [-1, 2**31])
     def test_seed_flag_out_of_range_exits_1(self, tmp_path, capsys, seed):
         path = _write(tmp_path, BASE)
