@@ -232,10 +232,12 @@ def run_press(run):
 
 
 def run_cdim(run):
-    cfg, pressure = run.cfg, run.pressure.value
+    # caratheodory_dim first: its cover-size limit exits 3 before the pressure is paid for
+    cfg = run.cfg
     seg = (-cfg["leaf_radius"], cfg["leaf_radius"])
     out = caratheodory_dim(run.sys, run.phi, np.array(cfg["base_x"]), seg,
                            r=cfg["r"], tol=cfg["tol_dim"])
+    pressure = run.pressure.value
     gap = abs(out["dim"] - pressure)
     checks = [("bracket_width", out["hi"] - out["lo"] <= cfg["tol_dim"] + 1e-12,
                f"width={out['hi'] - out['lo']:.4g}"),

@@ -1,5 +1,7 @@
 """System catalog: builders, validation, the slowed fiber flow."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,58 @@ import eqmeas
 from eqmeas.catalog import SlowFlowProfile
 
 LAM = (3 + np.sqrt(5.0)) / 2
+
+
+def rk4_time_one(profile, pts, sign=1.0, step=1e-4, refine_below=0.05):
+    """Time-one map oracle: fixed-step RK4 on the field psi * drift.
+
+    Steps whose starting speed is below refine_below are re-done as two
+    half steps.  Coordinates stay unwrapped and are reduced mod 1 once at
+    the end.  Orbits that pass through the centre, where psi is not
+    Lipschitz, are beyond it (errors up to 4e-5 at step 1e-4).
+    """
+    v = float(sign) * np.asarray(profile.drift, dtype=float)
+
+    def rk4(p, h):
+        k1 = profile.psi(p)[..., None] * v
+        k2 = profile.psi(p + h / 2 * k1)[..., None] * v
+        k3 = profile.psi(p + h / 2 * k2)[..., None] * v
+        k4 = profile.psi(p + h * k3)[..., None] * v
+        return p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    pts = np.array(pts, dtype=float)
+    for _ in range(int(round(1.0 / step))):
+        lo = profile.psi(pts) < refine_below
+        nxt = rk4(pts, step)
+        if lo.any():
+            nxt = np.where(lo[..., None], rk4(rk4(pts, step / 2), step / 2), nxt)
+        pts = nxt
+    return eqmeas.mod1(pts)
+
+
+def line_crossing_oracle(profile, t, step=1e-4):
+    """Arc length covered in unit time from cy = t on the chord cx = 0.
+
+    RK4 in w = sign(u)|u|^(1-e), where the field (1-e)|u|^-e kappa(|u|)
+    is the constant (1-e)/t0^e on the power-law core, so orbits through
+    the centre are resolved.
+    """
+    e, t0 = profile.exponent, profile.t0
+
+    def field(w):
+        u = np.abs(w) ** (1 / (1 - e))
+        far = np.maximum(u, 0.9 * t0)
+        core = u < 0.9 * t0
+        return (1 - e) * np.where(core, t0 ** -e, far ** -e * profile.kappa(far))
+
+    w = np.sign(t) * np.abs(t) ** (1 - e)
+    for _ in range(int(round(1.0 / step))):
+        k1 = field(w)
+        k2 = field(w + step / 2 * k1)
+        k3 = field(w + step / 2 * k2)
+        k4 = field(w + step * k3)
+        w = w + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return np.sign(w) * np.abs(w) ** (1 / (1 - e)) - t
 
 
 def test_catalog_keys():
@@ -116,6 +170,28 @@ class TestSlowFlowProfile:
         with pytest.raises(ValueError):
             SlowFlowProfile(t0=-0.1)
 
+    def test_rejects_horizontal_drift(self):
+        with pytest.raises(ValueError, match="drift\\[1\\] must be nonzero"):
+            SlowFlowProfile(drift=(1.0, 0.0))
+
+    @pytest.mark.parametrize("t0", [5.0, 0.36])
+    def test_rejects_disk_crossing_the_wrap_cell(self, t0):
+        # the default drift stretches the disk to |d0| < t0*sqrt(2)
+        with pytest.raises(ValueError, match="crosses the wrap cell"):
+            SlowFlowProfile(t0=t0)
+
+    def test_rejects_arc_meeting_two_copies(self):
+        # a vertical drift brings every orbit back to the same disk after
+        # one unit of arc
+        with pytest.raises(ValueError, match="meets two copies"):
+            SlowFlowProfile(drift=(0.0, 1.0))
+
+    def test_default_profile_builds(self):
+        prof = SlowFlowProfile()
+        assert (prof.t0, prof.exponent, prof.center) == (0.1, 0.5, (0.5, 0.5))
+        assert [f.name for f in dataclasses.fields(prof)] == [
+            "t0", "exponent", "drift", "center"]
+
     def test_kappa_saturates(self):
         prof = SlowFlowProfile()
         assert prof.kappa(np.array([0.1, 0.2, 5.0])) == pytest.approx(1.0)
@@ -159,13 +235,35 @@ class TestSlowFlowMap:
         assert got == pytest.approx(want, abs=5e-5)
         assert all(a > b for a, b in zip(got, got[1:]))
 
-    def test_step_refinement_converged(self, slowprod):
+    def test_matches_rk4_oracle(self, slowprod):
         prof = slowprod.system.profile
-        fine = SlowFlowProfile(step=prof.step / 2)
+        drift, center = np.array(prof.drift), np.array(prof.center)
+        perp = np.array([-drift[1], drift[0]]) / np.linalg.norm(drift)
+        rho = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+        near = center + np.concatenate([rho, -rho])[:, None] * perp
+        # on the drift line through the centre, moving away from it
+        ahead = center + np.array([1e-6, 1e-3, 0.05, 0.3])[:, None] * drift
         pts = np.random.default_rng(7).random((30, 2))
-        gap = np.abs(eqmeas.wrap(eqmeas.flow_time_one(prof, pts)
-                                 - eqmeas.flow_time_one(fine, pts))).max()
-        assert gap < 1e-8
+        for sign in (1.0, -1.0):
+            x = np.vstack([pts, near, center + sign * (ahead - center)])
+            got = eqmeas.flow_time_one(prof, x, sign=sign)
+            want = rk4_time_one(prof, x, sign=sign)
+            assert np.abs(eqmeas.wrap(got - want)).max() <= 1e-9
+            back = eqmeas.flow_time_one(prof, got, sign=-sign)
+            assert np.abs(eqmeas.wrap(back - x)).max() <= 1e-12
+
+    def test_line_through_centre_is_crossed(self):
+        # drift (0.5, 1) keeps cx = 0 exact on dyadic points of the line
+        prof = SlowFlowProfile(drift=(0.5, 1.0))
+        drift, center = np.array(prof.drift), np.array(prof.center)
+        t = np.array([-2.0 ** -4, -2.0 ** -10, -2.0 ** -20, 2.0 ** -10])
+        end = t + line_crossing_oracle(prof, t)
+        assert np.all(end > 0)
+        for sign in (1.0, -1.0):
+            got = eqmeas.flow_time_one(prof, center + sign * t[:, None] * drift,
+                                       sign=sign)
+            want = eqmeas.mod1(center + sign * end[:, None] * drift)
+            assert np.abs(eqmeas.wrap(got - want)).max() <= 1e-9
 
     def test_backward_inverts(self, slowprod):
         prof = slowprod.system.profile

@@ -1,6 +1,9 @@
 """Config validation, pipeline runs, output files, exit codes."""
 
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -186,6 +189,30 @@ class TestMain:
         assert ("numeric failure: cover of order 10 needs 5778000 centers "
                 "(limit 4194304)") in text
 
+    def test_cdim_cover_size_limit_skips_pressure(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "estimate_pressure",
+                            lambda *a, **k: calls.append(1))
+        path = _write(tmp_path, BASE + "potential = cos\nr = 0.0001\n")
+        assert cli.main(["cdim", "--config", path, "--out", str(tmp_path / "o"),
+                         "--check"]) == 3
+        assert calls == []
+
+    def test_slowprod_fullsuite_checks(self, tmp_path, capsys):
+        path = _write(tmp_path, "schema_version = 1\nsystem = slowprod\n"
+                      "n_centers = 4\nn_mc = 256\ngibbs_n_lo = 1\ngibbs_n_hi = 5\n"
+                      "birkhoff_steps = 10\nn_samples = 64\n")
+        out = tmp_path / "o"
+        assert cli.main(["fullsuite", "--config", path, "--out", str(out),
+                         "--check", "--seed", "0"]) == 2
+        assert sorted(f.name for f in out.glob("*.csv")) == sorted(
+            f"{name}.csv" for name in cli.PIPELINES if name != "fullsuite")
+        summary = json.loads((out / "summary.json").read_text())
+        failed = [(c["pipeline"], c["name"]) for c in summary["checks"]
+                  if not c["passed"]]
+        assert failed == [("probe", "transitivity")]
+        assert "[probe] transitivity: FAIL (no k)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("seed", [-1, 2**31])
     def test_seed_flag_out_of_range_exits_1(self, tmp_path, capsys, seed):
         path = _write(tmp_path, BASE)
@@ -228,3 +255,43 @@ class TestSharedStages:
         assert cli.main(["fullsuite", "--config", path,
                          "--out", str(tmp_path / "o")]) == 0
         assert calls == {"evolve_average": 1, "estimate_pressure": 1}
+
+
+def _load_workloads():
+    path = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+WORKLOADS = _load_workloads()
+
+
+class TestSeededVerdicts:
+    """The benchmark's recorded per-seed verdicts, rerun through the CLI.
+
+    A fullsuite call is rerun as the one pipeline that owns the check;
+    every check that pipeline reports must give the verdict the benchmark
+    expects at that seed.
+    """
+
+    @pytest.mark.parametrize("key", sorted(WORKLOADS.SEED_VERDICTS),
+                             ids=lambda k: f"{k[1]}-seed{k[0]}")
+    def test_recorded_verdict(self, tmp_path, key):
+        seed, label, pipeline, check = key
+        call = next(c for calls in WORKLOADS.WORKLOADS.values() for c in calls
+                    if c.label == label)
+        path = tmp_path / "run.ini"
+        path.write_text(call.ini())
+        out = tmp_path / "o"
+        code = cli.main([pipeline, "--config", str(path), "--out", str(out),
+                         "--check", "--seed", str(seed)])
+        summary = json.loads((out / "summary.json").read_text())
+        got = {(c["pipeline"], c["name"]): c["passed"] for c in summary["checks"]}
+        want = {k: v for k, v in WORKLOADS.expected(call, seed).items()
+                if k[0] == pipeline}
+        assert got == want
+        assert got[(pipeline, check)] is WORKLOADS.SEED_VERDICTS[key]
+        assert code == (0 if all(got.values()) else 2)
