@@ -8,8 +8,7 @@ product structure) on a small catalog of exactly solvable systems.
 
 from .core import (SystemSpec, Potential, birkhoff_sum, bowen_constants,
                    bracket, constant_potential, dyn_metric, iterate,
-                   leaf_point, mod1, orbit, shifted_potential, torus_dist,
-                   wrap, zero_potential)
+                   leaf_point, mod1, orbit, torus_dist, wrap, zero_potential)
 from .catalog import (CatalogEntry, SlowFlowProfile, as_rational,
                       base_cosine_potential, catalog_keys, fiber_point_mass,
                       fiber_speed_density, flow_time_one, geometric_potential,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SystemSpec", "Potential", "birkhoff_sum", "bowen_constants", "bracket",
     "constant_potential", "dyn_metric", "iterate", "leaf_point", "mod1",
-    "orbit", "shifted_potential", "torus_dist", "wrap", "zero_potential",
+    "orbit", "torus_dist", "wrap", "zero_potential",
     "CatalogEntry", "SlowFlowProfile", "as_rational", "base_cosine_potential",
     "catalog_keys", "fiber_point_mass", "fiber_speed_density",
     "flow_time_one", "geometric_potential", "get_system", "make_skew_product",

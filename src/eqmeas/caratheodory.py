@@ -214,8 +214,11 @@ def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1)
     if order < 1:
         raise ValueError("order must be >= 1")
     net = separated_net(sysm, x, order, r, leaf_radius)
-    sn = birkhoff_sum(sysm, phi, net.points(), order)
-    sn = np.broadcast_to(np.asarray(sn, dtype=float), net.params.shape)
+    c = getattr(phi, "constant_value", None)
+    if c is not None:  # birkhoff_sum's closed form, without the leaf points
+        sn = np.full(net.params.shape, float(order) * c)
+    else:
+        sn = birkhoff_sum(sysm, phi, net.points(), order)
     weights = np.exp(sn - order * pressure)
     return LeafMeasure(sys=sysm, base=np.asarray(x, dtype=float), order=order,
                        radius=r, leaf_radius=leaf_radius,

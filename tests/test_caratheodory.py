@@ -192,6 +192,25 @@ class TestReferenceMeasure:
         s5 = eqmeas.birkhoff_sum(cat.system, phi, lm.points(), 5)
         assert lm.weights == pytest.approx(np.exp(s5 - 5 * H))
 
+    @pytest.mark.parametrize("make", [
+        lambda sysm: eqmeas.zero_potential(),
+        lambda sysm: eqmeas.constant_potential(0.3),
+        lambda sysm: eqmeas.geometric_potential(sysm, 0.5),
+    ], ids=["zero", "const", "geom"])
+    @pytest.mark.parametrize("order", [1, 6, 12])
+    def test_constant_potential_reads_no_leaf_points(self, cat, monkeypatch,
+                                                     make, order):
+        phi = make(cat.system)
+
+        def refuse(net):
+            raise AssertionError("leaf points built for a constant potential")
+
+        monkeypatch.setattr(eqmeas.SeparatedNet, "points", refuse)
+        lm = eqmeas.reference_measure(cat.system, phi, H, X0, order)
+        c = phi.constant_value
+        expect = np.exp(np.full(lm.params.shape, order * c) - order * H)
+        assert np.array_equal(lm.weights.view(np.int64), expect.view(np.int64))
+
     def test_segment_mass_adds_up(self, cat, phi0):
         lm = eqmeas.reference_measure(cat.system, phi0, H, X0, 8)
         total = lm.segment_mass(-0.1, 0.1)

@@ -49,6 +49,71 @@ def bracket_search(sys, x, y, max_iter=25):
     return sys.unstable_chart(x, z[0])
 
 
+def mod1_oracle(x):
+    """Torus reduction by numpy's remainder."""
+    return np.asarray(x, dtype=float) % 1.0
+
+
+def wrap_oracle(delta):
+    return (np.asarray(delta, dtype=float) + 0.5) % 1.0 - 0.5
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+EDGES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 7.0, -7.0, 1e6, -1e6, 0.5, -0.5,
+         2.0 ** 52, -2.0 ** 52, 2.0 ** 53, -2.0 ** 53, 1 - 2.0 ** -53,
+         -(1 - 2.0 ** -53), 1e-20, -1e-20, 2.0 ** 52 + 0.5, -(2.0 ** 52 + 0.5)]
+
+
+class TestTorusReduction:
+    @pytest.mark.parametrize("scale", [10.0 ** e for e in range(-20, 16, 5)])
+    def test_matches_remainder_at_scale(self, scale):
+        x = scale * np.random.default_rng(int(np.log10(scale)) + 20).uniform(
+            -1.0, 1.0, 10 ** 6)
+        assert np.array_equal(bits(eqmeas.mod1(x)), bits(mod1_oracle(x)))
+        assert np.array_equal(bits(eqmeas.wrap(x)), bits(wrap_oracle(x)))
+
+    def test_matches_remainder_on_edges(self):
+        x = np.array(EDGES)
+        assert np.array_equal(bits(eqmeas.mod1(x)), bits(mod1_oracle(x)))
+        assert np.array_equal(bits(eqmeas.wrap(x)), bits(wrap_oracle(x)))
+
+    @pytest.mark.parametrize("x", [0.3, -0.3, 3, -3, 0, np.array(-1.25),
+                                   np.float64(2.75)])
+    def test_scalars(self, x):
+        for f, oracle in ((eqmeas.mod1, mod1_oracle), (eqmeas.wrap, wrap_oracle)):
+            out = f(x)
+            assert np.shape(out) == ()
+            assert type(out) is type(oracle(x))
+            assert bits(out) == bits(oracle(x))
+
+    def test_does_not_touch_input(self):
+        x = np.array([[-0.25, 1.5], [2.0, -3.75]])
+        before = x.copy()
+        eqmeas.mod1(x)
+        eqmeas.wrap(x)
+        assert np.array_equal(x, before)
+
+    def test_one_only_just_below_an_integer(self):
+        # the contract: values in [0, 1], 1.0 only at most 2**-54 below an
+        # integer, as numpy's remainder gives
+        assert eqmeas.mod1(-1e-20) == 1.0
+        assert eqmeas.mod1(-(2.0 ** -54)) == 1.0
+        assert eqmeas.mod1(-(2.0 ** -53)) < 1.0
+        assert eqmeas.mod1(1 - 2.0 ** -53) < 1.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_property(self, x):
+        m = eqmeas.mod1(x)
+        assert bits(m) == bits(mod1_oracle(x))
+        assert bits(eqmeas.wrap(x)) == bits(wrap_oracle(x))
+        assert 0.0 <= m <= 1.0
+        assert m < 1.0 or x < 0
+
+
 class TestFrame:
     def test_unstable_direction(self, sysm):
         want = unit([1.0, (S5 - 1) / 2])

@@ -265,7 +265,62 @@ class TestDisintegration:
         assert all(c >= 1.0 for _, c in out["per_plaque"])
 
 
+def birkhoff_probe_oracle(sysm, mu, observable, *, n_steps=10_000, n_samples=200,
+                          seed=0, tol=0.05):
+    """Per-step Birkhoff probe: one observable call per orbit point."""
+    rng = np.random.default_rng(seed)
+    pts = mu.sample(n_samples, rng)
+    fwd = np.zeros(n_samples)
+    bwd = np.zeros(n_samples)
+    pf, pb = pts.copy(), pts.copy()
+    for _ in range(n_steps):
+        fwd += observable(pf)
+        bwd += observable(pb)
+        pf = sysm.step_fwd(pf)
+        pb = sysm.step_back(pb)
+    fwd /= n_steps
+    bwd /= n_steps
+    return {
+        "forward": fwd,
+        "backward": bwd,
+        "dispersion": float(np.std(fwd)),
+        "mean": float(np.mean(fwd)),
+        "agree_fraction": float(np.mean(np.abs(fwd - bwd) <= tol)),
+    }
+
+
+B = eqmeas.equilibrium.PROBE_BLOCK
+
+
 class TestBirkhoffProbe:
+    @pytest.mark.parametrize("key", ["cat", "skew"])
+    @pytest.mark.parametrize("n_steps", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_matches_per_step_oracle(self, key, n_steps):
+        sysm = eqmeas.get_system(key).system
+        mu = eqmeas.PhaseMeasure.uniform((8,) * sysm.dim)
+        calls = {"fwd": 0, "back": 0, "obs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        obs = lambda pts: np.cos(2 * np.pi * pts[..., 0]) + 0.3 * pts[..., 1]
+        spied = dataclasses.replace(sysm, step_fwd=counted("fwd", sysm.step_fwd),
+                                    step_back=counted("back", sysm.step_back))
+        out = eqmeas.birkhoff_probe(spied, mu, counted("obs", obs),
+                                    n_steps=n_steps, n_samples=40, seed=3)
+        ref = birkhoff_probe_oracle(sysm, mu, obs, n_steps=n_steps,
+                                    n_samples=40, seed=3)
+        assert np.array_equal(out["forward"], ref["forward"])
+        assert np.array_equal(out["backward"], ref["backward"])
+        for k in ("dispersion", "mean", "agree_fraction"):
+            assert out[k] == ref[k]
+        # no step past the last observed point; one observable call per block
+        assert calls["fwd"] == calls["back"] == n_steps - 1
+        assert calls["obs"] == 2 * -(-n_steps // B)
+
     def test_time_averages_agree_with_space_average(self, cat, cat_mu40):
         obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
         out = eqmeas.birkhoff_probe(cat.system, cat_mu40.measure, obs,
