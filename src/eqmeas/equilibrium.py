@@ -606,7 +606,7 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200,
     }
 
 
-def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14, verify=True):
+def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14):
     """Smallest k <= k_max such that the forward image of the leaf
     delta-segment at x meets the delta-neighborhood of y's local
     centre-stable set, or None.
@@ -630,12 +630,9 @@ def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14, verify=True):
         if torus_dist(z[2:], y[2:]) <= delta:
             t = _leaf_hit(z[:2], y[:2], e_u, e_cs, delta, lam ** k)
             if t is not None:
-                if verify:
-                    w = iterate(sysm, leaf_point(sysm, x, t), k)
-                    uw, csw = sysm.split(w - y)
-                    if abs(uw) > delta * 1.01 or np.max(np.abs(csw)) > delta * 1.01:
-                        t = None
-                if t is not None:
+                w = iterate(sysm, leaf_point(sysm, x, t), k)
+                uw, csw = sysm.split(w - y)
+                if not (abs(uw) > delta * 1.01 or np.max(np.abs(csw)) > delta * 1.01):
                     return {"k": k, "param": t}
     return None
 

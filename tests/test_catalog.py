@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import eqmeas
-from eqmeas.catalog import SlowFlowProfile
+import eqmeas.catalog as catalog
+from eqmeas.catalog import CAT_MATRIX, SlowFlowProfile
 
 LAM = (3 + np.sqrt(5.0)) / 2
 
@@ -265,6 +266,25 @@ class TestSlowFlowMap:
             want = eqmeas.mod1(center + sign * end[:, None] * drift)
             assert np.abs(eqmeas.wrap(got - want)).max() <= 1e-9
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_image_does_not_depend_on_batch(self, slowprod, sign):
+        # under a matrix-vector quadrature these two points moved by 1 ulp
+        # with the size of their batch
+        recorded = {1.0: ([0.47542495358772874, 0.12987352477313463], 2),
+                    -1.0: ([0.6239027819391343, 0.5919027832141105], 4)}
+        prof = slowprod.system.profile
+        rng = np.random.default_rng(17)
+        point, size = recorded[sign]
+        cases = [(np.array(point), size, row) for row in range(size)]
+        for n in (1, 2, 3, 4, 8, 16, 100):
+            cases += [(rng.random(2), n, rng.integers(n)) for _ in range(20)]
+        for p, n, row in cases:
+            batch = rng.random((n, 2))
+            batch[row] = p
+            alone = eqmeas.flow_time_one(prof, p, sign=sign)
+            got = eqmeas.flow_time_one(prof, batch, sign=sign)[row]
+            assert np.array_equal(got, alone), (p.tolist(), n, row)
+
     def test_backward_inverts(self, slowprod):
         prof = slowprod.system.profile
         pts = np.random.default_rng(5).random((25, 2))
@@ -300,6 +320,71 @@ class TestSlowedProduct:
         out = sysm.step_fwd(x)
         want = eqmeas.flow_time_one(sysm.profile, x[2:])
         assert out[2:] == pytest.approx(want, abs=1e-12)
+
+    @pytest.fixture
+    def mapped_rows(self, monkeypatch):
+        """Row count of each flow_time_one call the slowed product makes."""
+        rows = []
+
+        def counting(profile, pts, sign=1.0):
+            rows.append(len(pts))
+            return eqmeas.flow_time_one(profile, pts, sign=sign)
+
+        monkeypatch.setattr(catalog, "flow_time_one", counting)
+        return rows
+
+    # fiber points whose image alone and in a batch of 1937 differed by 1 ulp
+    # under a matrix-vector quadrature
+    @pytest.mark.parametrize("step,sign,fiber", [
+        ("step_fwd", 1.0, [0.7916562055903406, 0.6051365892775145]),
+        ("step_back", -1.0, [0.6239027819391343, 0.5919027832141105])],
+        ids=["fwd", "back"])
+    def test_shared_fiber_point_is_mapped_once(self, slowprod, mapped_rows, step, sign,
+                                               fiber):
+        sysm = slowprod.system
+        cloud = np.random.default_rng(3).random((1937, 4))
+        cloud[:, 2:] = fiber
+        out = getattr(sysm, step)(cloud)
+        assert mapped_rows == [1]
+        want = eqmeas.flow_time_one(sysm.profile, cloud[:, 2:], sign=sign)
+        assert np.array_equal(out[:, 2:], want)
+        # one ulp apart in the last row: every row is mapped
+        cloud[-1, 3] = np.nextafter(cloud[-1, 3], 1.0)
+        getattr(sysm, step)(cloud)
+        assert mapped_rows == [1, 1937]
+
+    @pytest.mark.parametrize("step,sign", [("step_fwd", 1.0), ("step_back", -1.0)],
+                             ids=["fwd", "back"])
+    def test_signed_zeros_share_a_fiber_point(self, slowprod, mapped_rows, step, sign):
+        sysm = slowprod.system
+        cloud = np.random.default_rng(4).random((6, 4))
+        cloud[:, 2] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0]
+        cloud[:, 3] = 0.45
+        out = getattr(sysm, step)(cloud)
+        assert mapped_rows == [1]
+        want = [eqmeas.flow_time_one(sysm.profile, f, sign=sign) for f in cloud[:, 2:]]
+        assert np.array_equal(out[:, 2:], want)
+
+    def test_evolve_matches_mapping_every_row(self, slowprod, phi0):
+        sysm = slowprod.system
+
+        def every_row(matrix, sign):
+            def step(pts):
+                out = np.empty_like(pts)
+                out[..., :2] = eqmeas.mod1(pts[..., :2] @ matrix.T)
+                out[..., 2:] = eqmeas.flow_time_one(sysm.profile, pts[..., 2:], sign=sign)
+                return out
+            return step
+
+        oracle = dataclasses.replace(
+            sysm, step_fwd=every_row(CAT_MATRIX, 1.0),
+            step_back=every_row(np.rint(np.linalg.inv(CAT_MATRIX)), -1.0))
+        kw = dict(steps=8, grid=(8, 8, 8, 8), order=6, r=0.05, leaf_radius=0.45)
+        x = np.array([0.2, 0.7, 0.7916562055903406, 0.6051365892775145])
+        got = eqmeas.evolve_average(sysm, phi0, slowprod.h_top, x, **kw)
+        want = eqmeas.evolve_average(oracle, phi0, slowprod.h_top, x, **kw)
+        assert got.atom_count == want.atom_count > 1
+        assert np.array_equal(got.measure.masses, want.measure.masses)
 
 
 class TestFiberDensities:

@@ -293,10 +293,13 @@ B = eqmeas.equilibrium.PROBE_BLOCK
 
 
 class TestBirkhoffProbe:
-    @pytest.mark.parametrize("key", ["cat", "skew"])
-    @pytest.mark.parametrize("n_steps", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("n_steps,key", [
+        *((n, key) for n in (1, B - 1, B, B + 1, 2 * B + 3) for key in ("cat", "skew")),
+        # slowprod's fiber map tests for a shared fiber point on every step
+        (1, "slowprod"), (B + 1, "slowprod")])
     def test_matches_per_step_oracle(self, key, n_steps):
         sysm = eqmeas.get_system(key).system
+        n_samples = 8 if key == "slowprod" else 40
         mu = eqmeas.PhaseMeasure.uniform((8,) * sysm.dim)
         calls = {"fwd": 0, "back": 0, "obs": 0}
 
@@ -310,9 +313,9 @@ class TestBirkhoffProbe:
         spied = dataclasses.replace(sysm, step_fwd=counted("fwd", sysm.step_fwd),
                                     step_back=counted("back", sysm.step_back))
         out = eqmeas.birkhoff_probe(spied, mu, counted("obs", obs),
-                                    n_steps=n_steps, n_samples=40, seed=3)
+                                    n_steps=n_steps, n_samples=n_samples, seed=3)
         ref = birkhoff_probe_oracle(sysm, mu, obs, n_steps=n_steps,
-                                    n_samples=40, seed=3)
+                                    n_samples=n_samples, seed=3)
         assert np.array_equal(out["forward"], ref["forward"])
         assert np.array_equal(out["backward"], ref["backward"])
         for k in ("dispersion", "mean", "agree_fraction"):
@@ -386,7 +389,6 @@ class TestTransitivityProbe:
 
         sysm = dataclasses.replace(skew.system, step_fwd=step)
         hit = eqmeas.transitivity_probe(sysm, np.array([0.2, 0.7, 0.37]),
-                                        np.array([0.61, 0.13, 0.8]),
-                                        k_max=2, verify=False)
+                                        np.array([0.61, 0.13, 0.8]), k_max=2)
         assert hit is None
         assert len(calls) == 2
