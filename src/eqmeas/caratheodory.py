@@ -27,7 +27,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import birkhoff_sum, leaf_point
+from .core import leaf_birkhoff_sum, leaf_point
 from .bowen import separated_net
 from .pressure import _logsumexp
 
@@ -84,7 +84,7 @@ def _log_sums(sysm, phi, x, segment, orders, r):
             log_z = np.log(k) + n * c
         else:
             centers = a + _width(sysm, n, r) * (2 * np.arange(k) + 1)
-            log_z = _logsumexp(birkhoff_sum(sysm, phi, leaf_point(sysm, x, centers), n))
+            log_z = _logsumexp(leaf_birkhoff_sum(sysm, phi, x, centers, n))
         if not np.isfinite(log_z):
             raise ArithmeticError(f"degenerate cover cost at order {n}")
         sums[n] = (k, float(log_z))
@@ -218,7 +218,7 @@ def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1)
     if c is not None:  # birkhoff_sum's closed form, without the leaf points
         sn = np.full(net.params.shape, float(order) * c)
     else:
-        sn = birkhoff_sum(sysm, phi, net.points(), order)
+        sn = leaf_birkhoff_sum(sysm, phi, net.base, net.params, order)
     weights = np.exp(sn - order * pressure)
     return LeafMeasure(sys=sysm, base=np.asarray(x, dtype=float), order=order,
                        radius=r, leaf_radius=leaf_radius,

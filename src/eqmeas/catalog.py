@@ -19,14 +19,6 @@ CAT_MATRIX = np.array([[2, 1], [1, 1]], dtype=float)
 GOLDEN_ROTATION = np.sqrt(2.0) - 1.0
 
 
-def _integer_inverse(m):
-    inv = np.linalg.inv(m)
-    rounded = np.rint(inv)
-    if not np.allclose(inv, rounded, atol=1e-9):
-        raise ValueError("matrix is not invertible over the integers")
-    return rounded
-
-
 def _hyperbolic_eigendata(m):
     """(lam_u, e_u, lam_s, e_s) for a 2x2 integer hyperbolic matrix.
 
@@ -64,28 +56,20 @@ def make_toral_automorphism(matrix=None, *, r0=0.2, tau=1.0, label="toral"):
     Defaults to [[2, 1], [1, 1]].  Raises ValueError when the matrix is
     not an integer unimodular hyperbolic matrix.
     """
+    return _toral_product(matrix, None, 2, label=label, r0=r0, tau=tau)
+
+
+def _toral_product(matrix, fiber, dim, **kwargs):
+    """The automorphism of matrix (default CAT_MATRIX) times a fiber map on
+    dim - 2 more coordinates, with the fiber axes completing the frame."""
     m = CAT_MATRIX if matrix is None else np.asarray(matrix, dtype=float)
     lam_u, e_u, lam_s, e_s = _hyperbolic_eigendata(m)
-    minv = _integer_inverse(m)
-    rate = abs(lam_u)
-
-    def fwd(pts):
-        return mod1(np.asarray(pts, dtype=float) @ m.T)
-
-    def back(pts):
-        return mod1(np.asarray(pts, dtype=float) @ minv.T)
-
-    return SystemSpec(
-        label=label,
-        dim=2,
-        step_fwd=fwd,
-        step_back=back,
-        frame=np.stack([e_u, e_s]),
-        leaf_rate=rate,
-        nu=abs(lam_s),
-        r0=r0,
-        tau=tau,
-    )
+    frame = np.eye(dim)
+    frame[:2, :2] = e_u, e_s
+    # E^cs holds the fiber axes, which the fiber maps do not expand
+    nu = abs(lam_s) if fiber is None else 1.0
+    return SystemSpec(dim=dim, matrix=m, fiber=fiber, frame=frame,
+                      leaf_rate=abs(lam_u), nu=nu, **kwargs)
 
 
 def as_rational(x, max_den=10**6, tol=1e-12):
@@ -120,10 +104,6 @@ def make_skew_product(matrix=None, rotation=GOLDEN_ROTATION, *,
     allow_resonant is set, in which case the system is built with its
     transitive flag cleared.
     """
-    m = CAT_MATRIX if matrix is None else np.asarray(matrix, dtype=float)
-    lam_u, e_u, lam_s, e_s = _hyperbolic_eigendata(m)
-    minv = _integer_inverse(m)
-    rate = abs(lam_u)
     rot = float(rotation)
     res = as_rational(rot)
     if res is not None and not allow_resonant:
@@ -131,37 +111,9 @@ def make_skew_product(matrix=None, rotation=GOLDEN_ROTATION, *,
             f"rotation {rot!r} is rational ({res[0]}/{res[1]}) to within 1e-12; "
             "the skew product is not transitive (pass allow_resonant=True to "
             "build it anyway)")
-
-    def fwd(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty_like(pts)
-        out[..., :2] = pts[..., :2] @ m.T
-        out[..., 2] = pts[..., 2] + rot
-        return mod1(out)
-
-    def back(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty_like(pts)
-        out[..., :2] = pts[..., :2] @ minv.T
-        out[..., 2] = pts[..., 2] - rot
-        return mod1(out)
-
-    frame = np.zeros((3, 3))
-    frame[0, :2] = e_u
-    frame[1, :2] = e_s
-    frame[2, 2] = 1.0
-    return SystemSpec(
-        label=label,
-        dim=3,
-        step_fwd=fwd,
-        step_back=back,
-        frame=frame,
-        leaf_rate=rate,
-        nu=1.0,
-        r0=r0,
-        tau=tau,
-        transitive=res is None,
-    )
+    fiber = (lambda th: mod1(th + rot), lambda th: mod1(th - rot))
+    return _toral_product(matrix, fiber, 3, label=label, r0=r0, tau=tau,
+                          transitive=res is None)
 
 
 # -- slowed linear flow on the fiber torus ---------------------------------
@@ -326,53 +278,10 @@ def make_slowed_product(profile=None, matrix=None, *, r0=0.2, tau=1.0, label="sl
     keeping the unstable geometry identical to the plain product.
     """
     prof = SlowFlowProfile() if profile is None else profile
-    m = CAT_MATRIX if matrix is None else np.asarray(matrix, dtype=float)
-    lam_u, e_u, lam_s, e_s = _hyperbolic_eigendata(m)
-    minv = _integer_inverse(m)
-    rate = abs(lam_u)
-
-    def _fiber(fib, sign):
-        flat = fib.reshape(-1, 2)
-        # evolve pushes clouds that share one fiber point (up to 231,120 atoms
-        # in gibbs at steps = 8).  A point's image does not depend on its
-        # batch, so mapping it once is exact, and keeps gibbs + probe there
-        # at 0.5 s and 69 MB peak RSS (16 s and 568 MB mapping every row)
-        if len(flat) > 1 and all((col == col[0]).all() for col in flat.T):
-            one = flow_time_one(prof, flat[:1], sign=sign)
-            return np.broadcast_to(one, flat.shape).reshape(fib.shape)
-        return flow_time_one(prof, flat, sign=sign).reshape(fib.shape)
-
-    def fwd(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty_like(pts)
-        out[..., :2] = mod1(pts[..., :2] @ m.T)
-        out[..., 2:] = _fiber(pts[..., 2:], 1.0)
-        return out
-
-    def back(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty_like(pts)
-        out[..., :2] = mod1(pts[..., :2] @ minv.T)
-        out[..., 2:] = _fiber(pts[..., 2:], -1.0)
-        return out
-
-    frame = np.zeros((4, 4))
-    frame[0, :2] = e_u
-    frame[1, :2] = e_s
-    frame[2, 2] = 1.0
-    frame[3, 3] = 1.0
-    sysm = SystemSpec(
-        label=label,
-        dim=4,
-        step_fwd=fwd,
-        step_back=back,
-        frame=frame,
-        leaf_rate=rate,
-        nu=1.0,
-        r0=r0,
-        tau=tau,
-        satisfies_c1=False,
-    )
+    # flow_time_one is looked up when called, so a patched one is seen
+    fiber = (lambda y: flow_time_one(prof, y), lambda y: flow_time_one(prof, y, sign=-1.0))
+    sysm = _toral_product(matrix, fiber, 4, label=label, r0=r0, tau=tau,
+                          satisfies_c1=False)
     sysm.profile = prof
     return sysm
 

@@ -2,15 +2,16 @@
 
 Points on the d-torus are numpy arrays of shape (..., d) with coordinates
 taken mod 1.  All distances are flat-torus distances.  A system is a
-SystemSpec: a pair of step maps (forward and backward), an orthonormal
-frame whose first row spans the unstable direction, and the constants of
-the hyperbolic splitting, including the exact stretch factor of its
-straight unstable leaves.
+SystemSpec: a hyperbolic toral automorphism on the first two coordinates
+times a fiber map on the rest, an orthonormal frame whose first row spans
+the unstable direction, and the constants of the hyperbolic splitting,
+including the exact stretch factor of its straight unstable leaves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -45,12 +46,18 @@ def torus_dist(x, y):
 class SystemSpec:
     """A concrete system with a one-dimensional unstable direction.
 
-    step_fwd and step_back act on arrays of shape (..., dim) and must be
-    exact inverses up to numerical error.  frame is a (dim, dim) matrix of
-    unit rows; row 0 spans E^u and the remaining rows span E^cs, so local
-    leaves are straight segments x + t*frame[0] (unstable) and
-    x + s @ frame[1:] (centre-stable) in these coordinates.  The rows need
-    not be orthogonal; coordinates are read off with the dual basis.
+    The map is (b, y) -> (matrix @ b mod 1, fiber(y)): matrix is a 2x2
+    integer matrix acting on the base coordinates b = x[..., :2], and fiber
+    is None when dim == 2, else a (forward, backward) pair of mutually
+    inverse maps from (..., dim - 2) fiber arrays to reduced coordinates;
+    the fiber map ignores the base.  step_fwd and step_back apply the map
+    and its inverse to arrays of shape (..., dim).  frame is a (dim, dim)
+    matrix of unit rows; row 0 spans E^u and lies in the base plane, the
+    remaining rows span E^cs, so local leaves are straight segments
+    x + t*frame[0] (unstable) and x + s @ frame[1:] (centre-stable) in
+    these coordinates, and an unstable leaf keeps the fiber point of x.
+    The rows need not be orthogonal; coordinates are read off with the
+    dual basis.
 
     leaf_rate is the exact per-step stretch factor of unstable leaf
     parameters (so also the unstable Jacobian), which gives Bowen balls,
@@ -60,8 +67,8 @@ class SystemSpec:
 
     label: str
     dim: int
-    step_fwd: Callable
-    step_back: Callable
+    matrix: np.ndarray
+    fiber: tuple | None
     frame: np.ndarray
     leaf_rate: float
     nu: float
@@ -71,9 +78,20 @@ class SystemSpec:
     transitive: bool = True
 
     def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.matrix.shape != (2, 2):
+            raise ValueError(f"matrix must be (2, 2), got {self.matrix.shape}")
+        inv = np.linalg.inv(self.matrix)
+        self.inverse = np.rint(inv)
+        if not np.allclose(inv, self.inverse, atol=1e-9):
+            raise ValueError("matrix is not invertible over the integers")
+        if (self.fiber is None) != (self.dim == 2):
+            raise ValueError(f"fiber must be None exactly when dim == 2, got dim {self.dim}")
         self.frame = np.asarray(self.frame, dtype=float)
         if self.frame.shape != (self.dim, self.dim):
             raise ValueError(f"frame must be ({self.dim}, {self.dim}), got {self.frame.shape}")
+        if np.any(self.frame[0, 2:] != 0.0):
+            raise ValueError("frame[0] (the unstable direction) must lie in the base plane")
         norms = np.linalg.norm(self.frame, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-10):
             raise ValueError("frame rows must have unit length")
@@ -84,6 +102,23 @@ class SystemSpec:
         self.coframe = np.linalg.inv(self.frame)
         if not (0.0 < self.nu < self.leaf_rate):
             raise ValueError("need 0 < nu < leaf_rate for a dominated splitting")
+
+    # -- the map ------------------------------------------------------------
+
+    def step_fwd(self, pts):
+        """One forward step of points of shape (..., dim)."""
+        return self._step(pts, self.matrix, 0)
+
+    def step_back(self, pts):
+        """One backward step of points of shape (..., dim)."""
+        return self._step(pts, self.inverse, 1)
+
+    def _step(self, pts, matrix, direction):
+        pts = np.asarray(pts, dtype=float)
+        base = mod1(pts[..., :2] @ matrix.T)
+        if self.fiber is None:
+            return base
+        return np.concatenate((base, self.fiber[direction](pts[..., 2:])), axis=-1)
 
     # -- leaf charts ------------------------------------------------------
 
@@ -163,6 +198,40 @@ def birkhoff_sum(sys, phi, x, n):
     for _ in range(n - 1):
         x = sys.step_fwd(x)
         total += phi(x)
+    return total
+
+
+def _shared_fiber_orbit(sys, base, fib, n):
+    """Yield the first n forward images of points with one fiber point.
+
+    base is an (N, 2) array of base coordinates and fib the fiber point
+    they share; each image is a (base, fib) pair holding the bits of
+    step_fwd on the full points, as the fiber map ignores the base.
+    """
+    for k in range(n):
+        if k:
+            base = mod1(base @ sys.matrix.T)
+            if sys.fiber is not None:
+                fib = sys.fiber[0](fib)
+        yield base, fib
+
+
+def leaf_birkhoff_sum(sys, phi, x, t, n):
+    """S_n phi at the leaf points leaf_point(sys, x, t), for a 1-d array t.
+
+    The same numbers as birkhoff_sum on those points, bit for bit.  The
+    unstable direction lies in the base plane, so the points share one
+    fiber point, which is mapped once per step.
+    """
+    if n < 1:
+        raise ValueError("birkhoff order must be >= 1")
+    pts = mod1(leaf_point(sys, x, t))  # reduced twice, as birkhoff_sum does
+    total = np.asarray(phi(pts), dtype=float).copy()
+    images = _shared_fiber_orbit(sys, pts[:, :2], pts[0, 2:], n)
+    for base, fib in itertools.islice(images, 1, None):
+        pts = base if sys.fiber is None else np.column_stack(
+            (base, np.broadcast_to(fib, (len(base), len(fib)))))
+        total += phi(pts)
     return total
 
 

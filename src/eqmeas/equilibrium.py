@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import birkhoff_sum, iterate, leaf_point, mod1, torus_dist
+from .core import _shared_fiber_orbit, birkhoff_sum, iterate, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, reference_measure
 
 MASS_TOL = 1e-9
@@ -103,11 +103,14 @@ class PhaseMeasure:
 
 def _bin_index(points, grid):
     idx = np.zeros(len(points), dtype=np.int64)
+    ij = np.empty_like(idx)
     for j, g in enumerate(grid):
         g = int(g)
+        np.multiply(points[:, j], g, out=ij, casting="unsafe")  # truncates, as astype
         # mod1 gives 1.0 for tiny negative coordinates; the clamp keeps ij < g
-        ij = np.minimum((points[:, j] * g).astype(np.int64), g - 1)
-        idx = idx * g + ij
+        np.minimum(ij, g - 1, out=ij)
+        idx *= g
+        idx += ij
     return idx
 
 
@@ -255,35 +258,44 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
                    r=0.05, leaf_radius=1.0, checkpoints=(), atom_budget=10**6):
     """Birkhoff average of pushforwards of a leaf reference measure.
 
-    Bins the normalized reference measure after each of `steps` forward
-    images and averages the binned snapshots.  Nets larger than
-    atom_budget are decimated deterministically (every k-th atom), which
-    preserves the closed-form weights up to the reported thinning factor.
+    Bins the normalized reference measure at each of its first `steps`
+    forward images (the measure itself included) and averages the binned
+    snapshots.  Nets larger than atom_budget are decimated
+    deterministically (every k-th atom), which preserves the closed-form
+    weights up to the reported thinning factor.
+
+    The leaf through x runs in the base plane, so its atoms share x's fiber
+    point at every step: the base coordinates are pushed as an (N, 2)
+    array and the fiber as one point, and the bin of an atom is its base
+    bin times the number of fiber cells plus the fiber point's cell.
     """
-    if grid is None:
-        grid = (32,) * sysm.dim
+    grid = (32,) * sysm.dim if grid is None else tuple(int(g) for g in grid)
+    if len(grid) != sysm.dim:
+        raise ValueError(f"grid has {len(grid)} axes, the system has dim {sysm.dim}")
     lm = reference_measure(sysm, phi, pressure, x, order, r=r, leaf_radius=leaf_radius)
-    pts = lm.points()
-    w = lm.weights
+    t, w = lm.params, lm.weights
     thin = 1
-    if len(pts) > atom_budget:
-        thin = int(np.ceil(len(pts) / atom_budget))
-        pts, w = pts[::thin], w[::thin]
+    if len(t) > atom_budget:
+        thin = int(np.ceil(len(t) / atom_budget))
+        t, w = t[::thin], w[::thin]
     w = w / w.sum()
-    acc = np.zeros(int(np.prod(grid)))
+    base = mod1(lm.base[:2] + t[:, None] * sysm.frame[0, :2])  # unstable_chart's base
+    images = _shared_fiber_orbit(sysm, base, mod1(lm.base[2:]), steps)
+    # (base cell, fiber cell); raveled in C order, the flat index of _bin_index
+    acc = np.zeros((int(np.prod(grid[:2])), int(np.prod(grid[2:]))))
     snaps = {}
     marks = set(int(c) for c in checkpoints)
-    for k in range(steps):
-        acc += np.bincount(_bin_index(pts, grid), weights=w,
-                           minlength=int(np.prod(grid)))
+    for k, (base, fib) in enumerate(images):
+        cell = _bin_index(fib[None], grid[2:])[0]
+        acc[:, cell] += np.bincount(_bin_index(base, grid[:2]), weights=w,
+                                    minlength=len(acc))
         if (k + 1) in marks:
-            snaps[k + 1] = PhaseMeasure(tuple(grid), acc / (k + 1))
-        pts = sysm.step_fwd(pts)
+            snaps[k + 1] = PhaseMeasure(grid, acc / (k + 1))
     return EvolveResult(
-        measure=PhaseMeasure(tuple(grid), acc / steps),
+        measure=PhaseMeasure(grid, acc / steps),
         snapshots=snaps,
         steps=steps,
-        atom_count=len(pts),
+        atom_count=len(t),
         initial_mass=lm.mass(),
         thin=thin,
     )
@@ -576,27 +588,37 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200,
     """Forward and backward Birkhoff averages of an observable from mu-samples.
 
     observable maps (..., dim) arrays to (...) arrays; it sees PROBE_BLOCK
-    orbit points per call.  A unique ergodic average shows up as small
-    dispersion across starting points and forward/backward agreement; the
-    returned fractions use tol.
+    orbit points of both directions per call.  A unique ergodic average
+    shows up as small dispersion across starting points and
+    forward/backward agreement; the returned fractions use tol.
     """
     rng = np.random.default_rng(seed)
     pts = mu.sample(n_samples, rng)
-    block = np.empty((min(n_steps, PROBE_BLOCK),) + pts.shape)
-    averages = []
-    for step in (sysm.step_fwd, sysm.step_back):
-        total = np.zeros(n_samples)
-        p = pts
-        for start in range(0, n_steps, PROBE_BLOCK):
-            m = min(PROBE_BLOCK, n_steps - start)
-            for i in range(m):
-                if start + i:
-                    p = step(p)
-                block[i] = p
-            for row in observable(block[:m]):  # in step order, as per-step sums round
-                total += row
-        averages.append(total / n_steps)
-    fwd, bwd = averages
+    # the two orbits advance together, block[i, 0] forward and block[i, 1]
+    # backward, each stored coordinates first, (dim, n_samples): one stacked
+    # product maps both bases, and mod1 runs along contiguous rows
+    mats = np.stack([sysm.matrix, sysm.inverse])
+    block = np.empty((min(n_steps, PROBE_BLOCK), 2, sysm.dim, n_samples))
+    p = np.stack([pts.T, pts.T])
+    total = np.zeros((2, n_samples))
+    for start in range(0, n_steps, PROBE_BLOCK):
+        m = min(PROBE_BLOCK, n_steps - start)
+        for i in range(m):
+            q = block[i]
+            if start + i:
+                b = q[:, :2]
+                np.matmul(mats, p[:, :2], out=b)
+                b -= np.floor(b)  # mod1 in place
+                if sysm.fiber is not None:
+                    for d in (0, 1):
+                        q[d, 2:] = sysm.fiber[d](p[d, 2:].T).T
+            else:
+                q[...] = p
+            p = q
+        # (m, 2, n_samples, dim) points; rows added in step order, as per-step sums round
+        for row in observable(block[:m].transpose(0, 1, 3, 2)):
+            total += row
+    fwd, bwd = total / n_steps
     return {
         "forward": fwd,
         "backward": bwd,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bowen import separated_net
-from .core import birkhoff_sum, mod1
+from .core import leaf_birkhoff_sum, mod1
 
 
 def _logsumexp(vals):
@@ -38,7 +38,7 @@ def log_partition_sum(sysm, phi, x, n, r, leaf_radius=0.1):
     c = getattr(phi, "constant_value", None)
     if c is not None:
         return np.log(count) + n * c, count
-    s = birkhoff_sum(sysm, phi, net.points(), n)
+    s = leaf_birkhoff_sum(sysm, phi, net.base, net.params, n)
     return float(_logsumexp(s)), count
 
 

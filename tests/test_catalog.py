@@ -8,6 +8,7 @@ import pytest
 import eqmeas
 import eqmeas.catalog as catalog
 from eqmeas.catalog import CAT_MATRIX, SlowFlowProfile
+from oracles import evolve_oracle, slowprod_steps, systems_with_oracles
 
 LAM = (3 + np.sqrt(5.0)) / 2
 
@@ -327,64 +328,59 @@ class TestSlowedProduct:
         rows = []
 
         def counting(profile, pts, sign=1.0):
-            rows.append(len(pts))
+            rows.append(np.size(pts) // 2)
             return eqmeas.flow_time_one(profile, pts, sign=sign)
 
         monkeypatch.setattr(catalog, "flow_time_one", counting)
         return rows
 
-    # fiber points whose image alone and in a batch of 1937 differed by 1 ulp
-    # under a matrix-vector quadrature
-    @pytest.mark.parametrize("step,sign,fiber", [
-        ("step_fwd", 1.0, [0.7916562055903406, 0.6051365892775145]),
-        ("step_back", -1.0, [0.6239027819391343, 0.5919027832141105])],
-        ids=["fwd", "back"])
-    def test_shared_fiber_point_is_mapped_once(self, slowprod, mapped_rows, step, sign,
-                                               fiber):
-        sysm = slowprod.system
-        cloud = np.random.default_rng(3).random((1937, 4))
-        cloud[:, 2:] = fiber
-        out = getattr(sysm, step)(cloud)
-        assert mapped_rows == [1]
-        want = eqmeas.flow_time_one(sysm.profile, cloud[:, 2:], sign=sign)
-        assert np.array_equal(out[:, 2:], want)
-        # one ulp apart in the last row: every row is mapped
-        cloud[-1, 3] = np.nextafter(cloud[-1, 3], 1.0)
-        getattr(sysm, step)(cloud)
-        assert mapped_rows == [1, 1937]
-
-    @pytest.mark.parametrize("step,sign", [("step_fwd", 1.0), ("step_back", -1.0)],
-                             ids=["fwd", "back"])
-    def test_signed_zeros_share_a_fiber_point(self, slowprod, mapped_rows, step, sign):
-        sysm = slowprod.system
-        cloud = np.random.default_rng(4).random((6, 4))
-        cloud[:, 2] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0]
-        cloud[:, 3] = 0.45
-        out = getattr(sysm, step)(cloud)
-        assert mapped_rows == [1]
-        want = [eqmeas.flow_time_one(sysm.profile, f, sign=sign) for f in cloud[:, 2:]]
-        assert np.array_equal(out[:, 2:], want)
+    def test_evolve_maps_one_fiber_point_per_step(self, slowprod, mapped_rows, phi0):
+        # the atoms of a leaf share one fiber point, and no step follows the last bin
+        kw = dict(steps=5, grid=(8, 8, 8, 8), order=6, r=0.05, leaf_radius=0.45)
+        x = np.array([0.2, 0.7, 0.7916562055903406, 0.6051365892775145])
+        res = eqmeas.evolve_average(slowprod.system, phi0, slowprod.h_top, x, **kw)
+        assert res.atom_count > 1
+        assert mapped_rows == [1] * 4
 
     def test_evolve_matches_mapping_every_row(self, slowprod, phi0):
         sysm = slowprod.system
-
-        def every_row(matrix, sign):
-            def step(pts):
-                out = np.empty_like(pts)
-                out[..., :2] = eqmeas.mod1(pts[..., :2] @ matrix.T)
-                out[..., 2:] = eqmeas.flow_time_one(sysm.profile, pts[..., 2:], sign=sign)
-                return out
-            return step
-
-        oracle = dataclasses.replace(
-            sysm, step_fwd=every_row(CAT_MATRIX, 1.0),
-            step_back=every_row(np.rint(np.linalg.inv(CAT_MATRIX)), -1.0))
+        fwd, _ = slowprod_steps(sysm.profile, CAT_MATRIX)
         kw = dict(steps=8, grid=(8, 8, 8, 8), order=6, r=0.05, leaf_radius=0.45)
         x = np.array([0.2, 0.7, 0.7916562055903406, 0.6051365892775145])
         got = eqmeas.evolve_average(sysm, phi0, slowprod.h_top, x, **kw)
-        want = eqmeas.evolve_average(oracle, phi0, slowprod.h_top, x, **kw)
+        want = evolve_oracle(sysm, fwd, phi0, slowprod.h_top, x, **kw)
         assert got.atom_count == want.atom_count > 1
         assert np.array_equal(got.measure.masses, want.measure.masses)
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    return systems_with_oracles()
+
+
+@pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
+class TestStepsMatchClosures:
+    """step_fwd/step_back read the base matrix and the fiber map; they give
+    the bits of the closures that once were the system."""
+
+    def test_random_points(self, oracles, key):
+        sysm, (fwd, back) = oracles[key]
+        pts = np.random.default_rng(8).random((10_000, sysm.dim))
+        assert np.array_equal(sysm.step_fwd(pts), fwd(pts))
+        assert np.array_equal(sysm.step_back(pts), back(pts))
+
+    def test_single_points(self, oracles, key):
+        sysm, (fwd, back) = oracles[key]
+        for x in np.random.default_rng(9).random((20, sysm.dim)):
+            assert np.array_equal(sysm.step_fwd(x), fwd(x))
+            assert np.array_equal(sysm.step_back(x), back(x))
+
+    def test_shared_fiber_point(self, oracles, key):
+        sysm, (fwd, back) = oracles[key]
+        cloud = np.random.default_rng(10).random((1937, sysm.dim))
+        cloud[:, 2:] = cloud[0, 2:]
+        assert np.array_equal(sysm.step_fwd(cloud), fwd(cloud))
+        assert np.array_equal(sysm.step_back(cloud), back(cloud))
 
 
 class TestFiberDensities:

@@ -1,11 +1,14 @@
 """Core geometry: charts, dynamical metric, Birkhoff sums, brackets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import eqmeas
-from eqmeas.core import CHART_TOL
+from eqmeas.core import CHART_TOL, leaf_birkhoff_sum
+from oracles import systems_with_oracles
 
 S5 = np.sqrt(5.0)
 LAM = (3 + S5) / 2
@@ -280,3 +283,60 @@ class TestBowenConstants:
             sysm, eqmeas.base_cosine_potential(0.05), n_max=8)
         assert 0 <= q_u < 1.0
         assert 0 <= q_cs < 1.0
+
+
+class TestSystemSpec:
+    def test_rejects_non_2x2_matrix(self, cat, skew):
+        with pytest.raises(ValueError, match="matrix must be"):
+            dataclasses.replace(skew.system, matrix=np.eye(3))
+
+    def test_rejects_matrix_not_invertible_over_integers(self, cat):
+        with pytest.raises(ValueError, match="over the integers"):
+            dataclasses.replace(cat.system, matrix=[[2.0, 0.0], [0.0, 2.0]])
+
+    def test_rejects_missing_fiber(self, skew):
+        with pytest.raises(ValueError, match="fiber must be None exactly when dim == 2"):
+            dataclasses.replace(skew.system, fiber=None)
+
+    def test_rejects_fiber_on_the_base_alone(self, cat, skew):
+        with pytest.raises(ValueError, match="fiber must be None exactly when dim == 2"):
+            dataclasses.replace(cat.system, fiber=skew.system.fiber)
+
+    def test_rejects_unstable_direction_off_the_base_plane(self, skew):
+        frame = skew.system.frame.copy()
+        frame[0] = [0.6, 0.0, 0.8]
+        with pytest.raises(ValueError, match="base plane"):
+            dataclasses.replace(skew.system, frame=frame)
+
+    def test_inverse_is_integer_inverse(self, cat):
+        assert np.array_equal(cat.system.inverse, [[1.0, -1.0], [-1.0, 2.0]])
+        assert np.array_equal(cat.system.matrix @ cat.system.inverse, np.eye(2))
+
+
+class TestLeafBirkhoffSum:
+    PHI = eqmeas.Potential(fn=lambda x: np.cos(2 * np.pi * x[..., 0]) + 0.3 * x[..., -1])
+
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
+    def test_matches_birkhoff_sum_of_leaf_points(self, key):
+        sysm = systems_with_oracles()[key][0]
+        rng = np.random.default_rng(12)
+        # t = -1e-20 from a zero coordinate puts 1.0 in the leaf point
+        t = np.concatenate([[-1e-20, 0.0, 1e-20], rng.uniform(-0.5, 0.5, 200)])
+        for x in (rng.random(sysm.dim), np.full(sysm.dim, -1e-20), np.zeros(sysm.dim)):
+            for n in (1, 2, 7):
+                got = leaf_birkhoff_sum(sysm, self.PHI, x, t, n)
+                want = eqmeas.birkhoff_sum(sysm, self.PHI, eqmeas.leaf_point(sysm, x, t), n)
+                assert np.array_equal(got, want), (x, n)
+
+    @pytest.mark.parametrize("key", ["skew", "slowprod"])
+    def test_maps_the_shared_fiber_point_once_per_step(self, key):
+        sysm = systems_with_oracles()[key][0]
+        rows = []
+
+        def counted(fib):
+            rows.append(np.shape(fib))
+            return sysm.fiber[0](fib)
+
+        spied = dataclasses.replace(sysm, fiber=(counted, sysm.fiber[1]))
+        leaf_birkhoff_sum(spied, self.PHI, np.full(sysm.dim, 0.3), np.linspace(-0.1, 0.1, 50), 5)
+        assert rows == [(sysm.dim - 2,)] * 4

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import eqmeas
+from eqmeas.equilibrium import _bin_index
+from oracles import bin_index_oracle, evolve_oracle, systems_with_oracles
 
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
@@ -175,6 +177,49 @@ class TestEvolveAverage:
             steps=40, grid=(32, 32), order=10, leaf_radius=1.0)
         assert out["max_tv"] < 0.1
 
+    @pytest.mark.parametrize("key,x,grid", [
+        ("cat", [0.2, 0.7], (8, 8)),
+        ("skew", [0.2, 0.7, 0.37], (8, 8, 4)),
+        ("slowprod", [0.2, 0.7, 0.13, 0.86], (4, 4, 4, 4)),
+        ("toral32", [0.2, 0.7], (8, 8))])
+    def test_matches_full_atom_oracle(self, phi0, key, x, grid):
+        sysm, (fwd, _) = systems_with_oracles()[key]
+        h = float(np.log(sysm.leaf_rate))
+        # every 6th of 359 atoms (every 17th of 1,040 on toral32)
+        kw = dict(steps=6, grid=grid, order=4, r=0.05, leaf_radius=0.5,
+                  checkpoints=(1, 2, 5, 6), atom_budget=64)
+        got = eqmeas.evolve_average(sysm, phi0, h, np.array(x), **kw)
+        want = evolve_oracle(sysm, fwd, phi0, h, np.array(x), **kw)
+        assert got.thin == want.thin > 1
+        assert got.atom_count == want.atom_count
+        assert got.measure.grid == want.measure.grid == grid
+        assert np.array_equal(got.measure.masses, want.measure.masses)
+        assert sorted(got.snapshots) == sorted(want.snapshots) == [1, 2, 5, 6]
+        for n, snap in want.snapshots.items():
+            assert np.array_equal(got.snapshots[n].masses, snap.masses)
+
+    @pytest.mark.parametrize("grid", [(8, 8), (8, 8, 8, 8)])
+    def test_rejects_grid_of_wrong_length(self, skew, phi0, grid):
+        with pytest.raises(ValueError, match=f"grid has {len(grid)} axes.*dim 3"):
+            eqmeas.evolve_average(skew.system, phi0, skew.h_top,
+                                  np.array([0.2, 0.7, 0.37]), steps=2, grid=grid,
+                                  order=4, leaf_radius=0.5)
+
+
+class TestBinIndex:
+    EDGE = [0.0, 1 - 2.0 ** -53, eqmeas.mod1(-1e-20), 0.5, 0.25, 0.999]
+
+    @pytest.mark.parametrize("grid", [(8, 8), (32, 7), (16, 16, 8), (5, 3, 9, 2),
+                                      (16, 16, 16, 16)])
+    def test_matches_oracle(self, grid):
+        rng = np.random.default_rng(len(grid))
+        pts = rng.random((5000, len(grid)))
+        assert np.array_equal(_bin_index(pts, grid), bin_index_oracle(pts, grid))
+        edges = np.array(np.meshgrid(*[self.EDGE] * len(grid), indexing="ij"))
+        edges = edges.reshape(len(grid), -1).T
+        assert edges.max() == 1.0
+        assert np.array_equal(_bin_index(edges, grid), bin_index_oracle(edges, grid))
+
 
 class TestGibbsRatio:
     def test_cat_ratios_are_flat_and_bounded(self, cat, phi0, cat_mu40):
@@ -294,11 +339,11 @@ B = eqmeas.equilibrium.PROBE_BLOCK
 
 class TestBirkhoffProbe:
     @pytest.mark.parametrize("n_steps,key", [
-        *((n, key) for n in (1, B - 1, B, B + 1, 2 * B + 3) for key in ("cat", "skew")),
-        # slowprod's fiber map tests for a shared fiber point on every step
+        *((n, key) for n in (1, B - 1, B, B + 1, 2 * B + 3)
+          for key in ("cat", "skew", "toral32")),
         (1, "slowprod"), (B + 1, "slowprod")])
     def test_matches_per_step_oracle(self, key, n_steps):
-        sysm = eqmeas.get_system(key).system
+        sysm = systems_with_oracles()[key][0]
         n_samples = 8 if key == "slowprod" else 40
         mu = eqmeas.PhaseMeasure.uniform((8,) * sysm.dim)
         calls = {"fwd": 0, "back": 0, "obs": 0}
@@ -310,8 +355,10 @@ class TestBirkhoffProbe:
             return wrapper
 
         obs = lambda pts: np.cos(2 * np.pi * pts[..., 0]) + 0.3 * pts[..., 1]
-        spied = dataclasses.replace(sysm, step_fwd=counted("fwd", sysm.step_fwd),
-                                    step_back=counted("back", sysm.step_back))
+        spied = sysm
+        if sysm.fiber is not None:
+            spied = dataclasses.replace(sysm, fiber=(counted("fwd", sysm.fiber[0]),
+                                                     counted("back", sysm.fiber[1])))
         out = eqmeas.birkhoff_probe(spied, mu, counted("obs", obs),
                                     n_steps=n_steps, n_samples=n_samples, seed=3)
         ref = birkhoff_probe_oracle(sysm, mu, obs, n_steps=n_steps,
@@ -321,8 +368,10 @@ class TestBirkhoffProbe:
         for k in ("dispersion", "mean", "agree_fraction"):
             assert out[k] == ref[k]
         # no step past the last observed point; one observable call per block
-        assert calls["fwd"] == calls["back"] == n_steps - 1
-        assert calls["obs"] == 2 * -(-n_steps // B)
+        # of both directions
+        if sysm.fiber is not None:
+            assert calls["fwd"] == calls["back"] == n_steps - 1
+        assert calls["obs"] == -(-n_steps // B)
 
     def test_time_averages_agree_with_space_average(self, cat, cat_mu40):
         obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
@@ -382,12 +431,13 @@ class TestTransitivityProbe:
 
     def test_steps_only_between_iterations(self, skew):
         calls = []
+        fwd, back = skew.system.fiber
 
-        def step(pts):
+        def step(theta):
             calls.append(1)
-            return skew.system.step_fwd(pts)
+            return fwd(theta)
 
-        sysm = dataclasses.replace(skew.system, step_fwd=step)
+        sysm = dataclasses.replace(skew.system, fiber=(step, back))
         hit = eqmeas.transitivity_probe(sysm, np.array([0.2, 0.7, 0.37]),
                                         np.array([0.61, 0.13, 0.8]), k_max=2)
         assert hit is None
