@@ -28,8 +28,8 @@ import dataclasses
 import numpy as np
 
 from .core import leaf_birkhoff_sum, leaf_point
-from .bowen import separated_net
-from .pressure import _logsumexp
+from .bowen import ball_width, separated_net
+from .pressure import _leaf_log_sum
 
 # Most centers priced per order for a non-constant potential; each one
 # costs an order-n Birkhoff sum.
@@ -62,29 +62,21 @@ class CoverSolution:
         return None if self.log_lower_bound is None else float(np.exp(self.log_lower_bound))
 
 
-def _width(sysm, n, r):
-    """Leaf half-width of a d_n ball of radius r."""
-    return r * sysm.leaf_rate ** (-(n - 1))
-
-
 def _log_sums(sysm, phi, x, segment, orders, r):
     """(k_n, L_n) for each order: size and alpha-free log price of its cover."""
     a, b = float(segment[0]), float(segment[1])
     if not b > a:
         raise ValueError("segment must have positive length")
     c = phi.constant_value
-    sizes = {n: int(np.ceil((b - a) / (2 * _width(sysm, n, r)))) for n in orders}
+    sizes = {n: int(np.ceil((b - a) / (2 * ball_width(sysm, n, r)))) for n in orders}
     over = [n for n in orders if sizes[n] > MAX_CENTERS]
     if c is None and over:
         raise ArithmeticError(f"cover of order {over[0]} needs {sizes[over[0]]} "
                               f"centers (limit {MAX_CENTERS})")
     sums = {}
     for n, k in sizes.items():
-        if c is not None:
-            log_z = np.log(k) + n * c
-        else:
-            centers = a + _width(sysm, n, r) * (2 * np.arange(k) + 1)
-            log_z = _logsumexp(leaf_birkhoff_sum(sysm, phi, x, centers, n))
+        log_z = _leaf_log_sum(phi, n, k, lambda: leaf_birkhoff_sum(
+            sysm, phi, x, a + ball_width(sysm, n, r) * (2 * np.arange(k) + 1), n))
         if not np.isfinite(log_z):
             raise ArithmeticError(f"degenerate cover cost at order {n}")
         sums[n] = (k, float(log_z))
@@ -111,7 +103,7 @@ def cover_cost(sysm, phi, x, segment, alpha, order_min, *, span=6, r=0.05):
     if phi.constant_value is not None:
         # every order-n interval costs exp(n (c - alpha)) and covers 2 w_n
         log_lower = np.log(segment[1] - segment[0]) + min(
-            n * (phi.constant_value - alpha) - np.log(2 * _width(sysm, n, r))
+            n * (phi.constant_value - alpha) - np.log(2 * ball_width(sysm, n, r))
             for n in orders)
     return CoverSolution(min(row[2] for row in table), log_lower, alpha,
                          order_min, span, table)

@@ -182,10 +182,9 @@ def write_csv(path, pipeline, cols, rows):
 class Run:
     """One invocation's config, system and shared stages, each computed on first use."""
 
-    def __init__(self, cfg, sysm, jobs, pipelines):
+    def __init__(self, cfg, sysm, pipelines):
         self.cfg = cfg
         self.sys = sysm
-        self.jobs = jobs
         self.pipelines = pipelines
 
     @functools.cached_property
@@ -204,7 +203,7 @@ class Run:
         cfg = self.cfg
         return estimate_pressure(self.sys, self.phi, np.array(cfg["base_x"]),
                                  window=(cfg["n_lo"], cfg["n_hi"]),
-                                 leaf_radius=cfg["leaf_radius"], jobs=self.jobs)
+                                 leaf_radius=cfg["leaf_radius"])
 
     @functools.cached_property
     def evolved(self):
@@ -374,14 +373,8 @@ def main(argv=None):
     ap.add_argument("--out", default="eqmeas_out")
     ap.add_argument("--check", action="store_true",
                     help="fail (exit 2) when a structural check fails")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="threads for the pressure partition sums; "
-                         "helps only non-constant potentials")
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1")
-        return 1
 
     try:
         cfg = load_config(args.config)
@@ -398,7 +391,7 @@ def main(argv=None):
                "system": cfg["system"], "pipelines": {}, "checks": []}
     all_ok = True
     try:
-        run = Run(cfg, catalog.get_system(cfg["system"]).system, args.jobs, names)
+        run = Run(cfg, catalog.get_system(cfg["system"]).system, names)
         for name in names:
             rows, cols, part, checks = _RUNNERS[name](run)
             write_csv(os.path.join(args.out, f"{name}.csv"), name, cols, rows)

@@ -16,9 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-# Residual tolerance for chart round-trips and bracket consistency checks.
-CHART_TOL = 1e-8
-
 
 def mod1(x):
     """Reduce coordinates mod 1, componentwise, as x - floor(x).
@@ -159,20 +156,6 @@ def iterate(sys, x, k):
     return x
 
 
-def orbit(sys, x, n):
-    """Stack the forward orbit segment [x, f(x), ..., f^(n-1)(x)].
-
-    Output shape is (n,) + x.shape.
-    """
-    if n < 1:
-        raise ValueError("orbit length must be >= 1")
-    out = np.empty((n,) + np.shape(mod1(x)), dtype=float)
-    out[0] = mod1(x)
-    for k in range(1, n):
-        out[k] = sys.step_fwd(out[k - 1])
-    return out
-
-
 def dyn_metric(sys, x, y, n):
     """d_n(x, y) = max of torus_dist(f^k x, f^k y) over 0 <= k < n."""
     if n < 1:
@@ -240,31 +223,6 @@ def leaf_point(sys, x, t):
     return sys.unstable_chart(x, t)
 
 
-# -- the bracket ----------------------------------------------------------
-
-
-def bracket(sys, x, y, check=True):
-    """Local product bracket [x, y]: the point of V^u_loc(x) on V^cs_loc(y).
-
-    Splits the wrapped displacement y - x in the frame and keeps only the
-    unstable component.  Raises ValueError when the two points are r0 or
-    further apart, where the bracket is not defined.
-    """
-    x, y = mod1(x), mod1(y)
-    d0 = torus_dist(x, y)
-    if np.any(d0 >= sys.r0):
-        raise ValueError(f"bracket undefined at distance {np.max(d0):.4g} >= r0 = {sys.r0}")
-    u, cs = sys.split(np.asarray(y) - x)
-    z = sys.unstable_chart(x, u)
-    if check:
-        # z must equal y displaced back along the centre-stable frame
-        back = mod1(np.asarray(y) - cs @ sys.frame[1:])
-        resid = np.max(torus_dist(z, back))
-        if resid > CHART_TOL:
-            raise ValueError(f"bracket residual {resid:.3g} exceeds {CHART_TOL}; frame is inconsistent")
-    return z
-
-
 # -- potentials -----------------------------------------------------------
 
 
@@ -292,30 +250,3 @@ def zero_potential():
 def constant_potential(c):
     c = float(c)
     return Potential(fn=lambda x: np.full(x.shape[:-1], c), label=f"{c:g}", constant_value=c)
-
-
-def bowen_constants(sys, phi, n_max=10, r=0.05, base_points=None, seed=0):
-    """Measured Bowen distortion constants (Q_u, Q_cs) of a potential.
-
-    Q_u bounds |S_n phi(x) - S_n phi(y)| over y in the order-n unstable
-    Bowen ball of radius r around x; Q_cs does the same along the
-    centre-stable chart.  Estimated on a sample of base points by probing
-    the extreme offsets of each ball; exact 0 for constant potentials.
-    """
-    if phi.constant_value is not None:
-        return 0.0, 0.0
-    if base_points is None:
-        rng = np.random.default_rng(seed)
-        base_points = rng.random((24, sys.dim))
-    q_u = 0.0
-    q_cs = 0.0
-    for x in np.atleast_2d(base_points):
-        for n in range(1, n_max + 1):
-            w = r * sys.leaf_rate ** (-(n - 1))
-            s0 = birkhoff_sum(sys, phi, x, n)
-            for t in (-w, w):
-                q_u = max(q_u, abs(birkhoff_sum(sys, phi, sys.unstable_chart(x, t), n) - s0))
-            for sgn in (-1.0, 1.0):
-                s = np.full(sys.dim - 1, sgn * r / np.sqrt(sys.dim - 1))
-                q_cs = max(q_cs, abs(birkhoff_sum(sys, phi, sys.cs_chart(x, s), n) - s0))
-    return q_u, q_cs

@@ -9,6 +9,7 @@ import dataclasses
 
 import numpy as np
 
+from .bowen import ball_width
 from .core import _shared_fiber_orbit, birkhoff_sum, iterate, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, reference_measure
 
@@ -66,25 +67,6 @@ class PhaseMeasure:
         if self.grid != other.grid:
             raise ValueError(f"grid mismatch {self.grid} vs {other.grid}")
         return 0.5 * float(np.abs(self.masses - other.masses).sum())
-
-    def marginal(self, axis):
-        """Project onto one axis (int) or several (tuple), as a plain array."""
-        keep = (axis,) if np.isscalar(axis) else tuple(axis)
-        drop = tuple(i for i in range(len(self.grid)) if i not in keep)
-        return self.reshaped().sum(axis=drop)
-
-    def coarsen(self, factors):
-        """Merge bins, factors per axis dividing the grid."""
-        factors = tuple(int(f) for f in factors)
-        if len(factors) != len(self.grid) or any(
-                g % f for g, f in zip(self.grid, factors)):
-            raise ValueError("factors must divide the grid axis-wise")
-        arr = self.reshaped()
-        for ax, f in enumerate(factors):
-            g = arr.shape[ax]
-            arr = arr.reshape(arr.shape[:ax] + (g // f, f) + arr.shape[ax + 1:])
-            arr = arr.sum(axis=ax + 1)
-        return PhaseMeasure(tuple(g // f for g, f in zip(self.grid, factors)), arr)
 
     def bin_index(self, points):
         return _bin_index(np.atleast_2d(np.asarray(points, dtype=float)), self.grid)
@@ -148,54 +130,6 @@ class Rectangle:
         d = self.sys.dim
         return 2 * self.du * (2 * self.dcs) ** (d - 1) * abs(
             float(np.linalg.det(self.sys.frame)))
-
-
-def rectangle_partition(sysm, eps):
-    """Partition into rectangle cells of diameter <= eps.
-
-    Cells are cubes of a grid in frame coordinates of the principal lift
-    [0,1)^d, so every point gets exactly one flat cell index.  Returns
-    (cells, assign): assign maps points to indices and lazily fills the
-    cells dict with a Rectangle per index it has seen.  Membership tests
-    of those rectangles agree with assign away from the lift boundary
-    (the wrapped displacement picks the other representative on
-    straddling cells); interior cells are exact.
-    """
-    d = sysm.dim
-    h = eps / (2.0 * np.sqrt(d)) * 0.999
-    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * d, indexing="ij")).reshape(d, -1).T
-    cc = corners @ sysm.coframe
-    lo = cc.min(axis=0)
-    hi = cc.max(axis=0)
-    counts = np.ceil((hi - lo) / h - 1e-12).astype(int)
-
-    def cell_of(points):
-        c = np.atleast_2d(np.asarray(points, dtype=float)) @ sysm.coframe
-        ij = np.floor((c - lo) / h).astype(int)
-        ij = np.clip(ij, 0, counts - 1)
-        flat = np.zeros(len(ij), dtype=np.int64)
-        for j in range(d):
-            flat = flat * counts[j] + ij[:, j]
-        return flat
-
-    rects = {}
-
-    def assign(points):
-        flat = cell_of(points)
-        for f in np.unique(flat):
-            if f not in rects:
-                ij = []
-                rem = int(f)
-                for j in reversed(range(d)):
-                    ij.append(rem % counts[j])
-                    rem //= counts[j]
-                ij = np.array(ij[::-1], dtype=float)
-                center = (lo + (ij + 0.5) * h) @ sysm.frame
-                rects[f] = Rectangle(sys=sysm, anchor=mod1(center),
-                                     du=h / 2, dcs=h / 2)
-        return flat
-
-    return rects, assign
 
 
 # -- pushforward and the scaling identity ------------------------------------
@@ -355,11 +289,10 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
     n_min, n_max = min(orders), max(orders)
     if n_min < 1:
         raise ValueError("orders must be >= 1")
-    lam = sysm.leaf_rate
     rng = np.random.default_rng(seed)
     centers = mu.sample(n_centers, rng)
     exts = np.full(sysm.dim, r * pad)
-    exts[0] = r * lam ** (-(n_min - 1)) * pad
+    exts[0] = ball_width(sysm, n_min, r) * pad
     volume = float(np.prod(2 * exts)) * abs(float(np.linalg.det(sysm.frame)))
     ratios = np.full((n_centers, len(orders)), np.nan)
     floored = np.zeros((n_centers, len(orders)), dtype=bool)
@@ -402,29 +335,17 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
 # -- holonomy -----------------------------------------------------------------
 
 
-def holonomy_map(sysm, y, z, params):
-    """Centre-stable holonomy from y's leaf to z's leaf, in parameters.
-
-    The image of the leaf point at parameter t is the bracket [z, point]:
-    on straight leaves that is a parameter translation by the unstable
-    coordinate of z -> y displacement.  Returns (params_on_z, points).
-    """
-    y, z = mod1(y), mod1(z)
-    u0, cs0 = sysm.split(np.asarray(y, dtype=float) - z)
-    if np.max(np.abs(cs0)) > sysm.r0:
-        raise ValueError("holonomy defined only between nearby leaves")
-    out = np.asarray(params, dtype=float) + u0
-    return out, leaf_point(sysm, z, out)
-
-
 def holonomy_jacobian(sysm, phi, pressure, y, z, *, order=8, r=0.05,
                       leaf_radius=0.1, n_cells=16, window=0.8):
     """Cell-mass ratios of reference measures across the holonomy.
 
     Bins a centered window of y's leaf into n_cells, transports the cell
-    edges to z's leaf, and compares reference masses cell by cell.  The
-    z-side measure is built on its own leaf with enough radius to hold
-    the transported window.
+    edges to z's leaf, and compares reference masses cell by cell.  On
+    straight leaves the centre-stable holonomy is a parameter translation
+    by offset, the unstable coordinate of y - z; it is defined only when
+    the leaves are within r0 along the centre-stable frame.  The z-side
+    measure is built on its own leaf with enough radius to hold the
+    transported window.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)

@@ -8,12 +8,12 @@ phi, so we fit that slope over a window of orders and several radii.
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bowen import separated_net
+from .bowen import net_size, separated_net
 from .core import leaf_birkhoff_sum, mod1
 
 
@@ -25,32 +25,33 @@ def _logsumexp(vals):
     return m + np.log(np.exp(vals - m).sum())
 
 
+def _leaf_log_sum(phi, n, count, sums, stride=1):
+    """log of the sum of e^{S_n phi} over count points of one leaf.
+
+    A constant phi = c takes the closed form log(count) + n c.  Otherwise
+    the points' S_n phi values are sums()[::stride], and only then is sums
+    called.
+    """
+    c = getattr(phi, "constant_value", None)
+    if c is not None:
+        return np.log(count) + n * c
+    return float(_logsumexp(sums()[::stride]))
+
+
+def _net_sums(sysm, phi, x, n, r, leaf_radius):
+    """S_n phi at the atoms of the (n, r)-separated net on x's leaf."""
+    net = separated_net(sysm, x, n, r, leaf_radius)
+    return leaf_birkhoff_sum(sysm, phi, net.base, net.params, n)
+
+
 def log_partition_sum(sysm, phi, x, n, r, leaf_radius=0.1):
     """log of the order-n partition sum on the unstable leaf of x.
 
-    Returns (log_z, atom_count).  Constant potentials skip the orbit
-    computation entirely.
+    Returns (log_z, atom_count).  Constant potentials build no net.
     """
-    net = separated_net(sysm, x, n, r, leaf_radius=leaf_radius)
-    count = len(net)
-    if count == 0:
-        raise ArithmeticError("empty separated net")
-    c = getattr(phi, "constant_value", None)
-    if c is not None:
-        return np.log(count) + n * c, count
-    s = leaf_birkhoff_sum(sysm, phi, net.base, net.params, n)
-    return float(_logsumexp(s)), count
-
-
-def partition_bounds(sysm, phi, x, n, r, leaf_radius=0.1):
-    """Sandwich the order-n sum between two separation radii.
-
-    Halving r refines the net, so the pair (log_z(r), log_z(r/2)) brackets
-    how sensitive the sum is to the packing radius at this order.
-    """
-    lo, _ = log_partition_sum(sysm, phi, x, n, r, leaf_radius)
-    hi, _ = log_partition_sum(sysm, phi, x, n, r / 2, leaf_radius)
-    return lo, hi
+    count = net_size(sysm, n, r, leaf_radius)
+    sums = functools.partial(_net_sums, sysm, phi, x, n, r, leaf_radius)
+    return _leaf_log_sum(phi, n, count, sums), count
 
 
 @dataclass(frozen=True)
@@ -68,40 +69,39 @@ def _default_point(sysm):
 
 
 def estimate_pressure(sysm, phi, x=None, *, window=(6, 12),
-                      radii=(0.1, 0.05, 0.025), leaf_radius=0.1, jobs=1):
+                      radii=(0.1, 0.05, 0.025), leaf_radius=0.1):
     """Least-squares slope of log Z_n over a window of orders.
 
     One slope per separation radius; the estimate is their mean and the
-    spread (max minus min) is the stability diagnostic.
+    spread (max minus min) is the stability diagnostic.  Each radius must
+    be the finest one times a power of two 2^j: its net is then every
+    2^j-th atom of the finest net, bit for bit, so one net and one set of
+    orbit sums per order serve all radii.  table rows are
+    (n, r, count, log_z), radius by radius.
     """
     if x is None:
         x = _default_point(sysm)
     x = np.asarray(x, dtype=float)
-    ns = np.arange(window[0], window[1] + 1)
-    tasks = [(n, r) for r in radii for n in ns]
-
-    def one(task):
-        n, r = task
-        lz, cnt = log_partition_sum(sysm, phi, x, int(n), r, leaf_radius)
-        return int(n), r, cnt, lz
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-            table = list(ex.map(one, tasks))
-    else:
-        table = [one(t) for t in tasks]
-
-    per_radius = {}
-    for r in radii:
-        rows = [(n, lz) for (n, rr, _, lz) in table if rr == r]
-        ns_r = np.array([n for n, _ in rows], dtype=float)
-        lz_r = np.array([lz for _, lz in rows])
-        per_radius[r] = float(np.polyfit(ns_r, lz_r, 1)[0])
+    r_min = min(radii)
+    strides = [int(r / r_min) if r_min > 0 else 0 for r in radii]
+    if any(s < 1 or s & (s - 1) or r_min * s != r for s, r in zip(strides, radii)):
+        raise ValueError(f"radii must be a positive radius times powers of two, got {radii}")
+    ns = range(window[0], window[1] + 1)
+    logs = {}
+    for n in ns:
+        fine = functools.cache(functools.partial(_net_sums, sysm, phi, x, n, r_min,
+                                                 leaf_radius))
+        for r, s in zip(radii, strides):
+            count = net_size(sysm, n, r, leaf_radius)
+            logs[r, n] = (n, r, count, _leaf_log_sum(phi, n, count, fine, s))
+    per_radius = {r: float(np.polyfit(ns, [logs[r, n][3] for n in ns], 1)[0])
+                  for r in radii}
     slopes = np.array(list(per_radius.values()))
     return PressureEstimate(value=float(slopes.mean()),
                             per_radius=per_radius,
                             spread=float(slopes.max() - slopes.min()),
-                            window=tuple(window), base_point=x, table=table)
+                            window=tuple(window), base_point=x,
+                            table=[logs[r, n] for r in radii for n in ns])
 
 
 def check_submultiplicativity(sysm, phi, x=None, *,
@@ -120,17 +120,3 @@ def check_submultiplicativity(sysm, phi, x=None, *,
     ratios = [float(np.exp(lz(m + n) - lz(m) - lz(n))) for m, n in pairs]
     ok = all(lo <= q <= hi for q in ratios)
     return {"ratios": ratios, "pairs": list(pairs), "ok": ok}
-
-
-def check_uniformity(sysm, phi, base_points, *, window=(6, 12), r=0.05,
-                     leaf_radius=0.1, tol=0.02):
-    """Slope of log Z_n per base point; the spread should be tiny."""
-    ns = np.arange(window[0], window[1] + 1, dtype=float)
-    slopes = []
-    for x in np.atleast_2d(np.asarray(base_points, dtype=float)):
-        lzs = [log_partition_sum(sysm, phi, x, int(n), r, leaf_radius)[0]
-               for n in ns]
-        slopes.append(float(np.polyfit(ns, np.array(lzs), 1)[0]))
-    slopes = np.array(slopes)
-    spread = float(slopes.max() - slopes.min())
-    return {"slopes": slopes, "spread": spread, "ok": spread <= tol}

@@ -1,16 +1,23 @@
-"""Reference implementations of the step maps and of evolve_average.
+"""Reference implementations the tests hold the package against.
 
 The step maps here are opaque closures over full (..., dim) points, the
 slowed product mapping the fiber of every row; evolve_oracle pushes the
 full (N, dim) atom array through a step map and bins every axis.  The
 package computes the same numbers from a system's base matrix and fiber
 map, and the tests compare the two bit for bit.
+
+pressure_oracle builds one separated net and one partition sum per
+(order, radius), as the package did before reading coarser radii by
+stride; check_separation and is_spanning certify separated nets in the
+d_n metric, and bowen_constants measures the distortion constants the
+closed forms rest on.
 """
 
 import numpy as np
 
 import eqmeas
 from eqmeas.catalog import CAT_MATRIX, GOLDEN_ROTATION
+from eqmeas.core import leaf_birkhoff_sum
 from eqmeas.equilibrium import EvolveResult, PhaseMeasure
 
 # a hyperbolic matrix with an entry (3) whose products are not all exact
@@ -119,3 +126,96 @@ def bin_index_oracle(points, grid):
         ij = np.minimum((points[:, j] * g).astype(np.int64), g - 1)
         idx = idx * g + ij
     return idx
+
+
+def _logsumexp(vals):
+    m = vals.max()
+    if not np.isfinite(m):
+        return m
+    return m + np.log(np.exp(vals - m).sum())
+
+
+def pressure_oracle(sysm, phi, x, *, window=(6, 12), radii=(0.1, 0.05, 0.025),
+                    leaf_radius=0.1):
+    """(table, per_radius, value, spread) of estimate_pressure, one net per (n, r)."""
+    x = np.asarray(x, dtype=float)
+    table = []
+    for r in radii:
+        for n in range(window[0], window[1] + 1):
+            net = eqmeas.separated_net(sysm, x, n, r, leaf_radius=leaf_radius)
+            c = phi.constant_value
+            if c is not None:
+                lz = np.log(len(net)) + n * c
+            else:
+                lz = float(_logsumexp(leaf_birkhoff_sum(sysm, phi, net.base, net.params, n)))
+            table.append((n, r, len(net), lz))
+    per_radius = {}
+    for r in radii:
+        rows = [(n, lz) for (n, rr, _, lz) in table if rr == r]
+        ns_r = np.array([n for n, _ in rows], dtype=float)
+        lz_r = np.array([lz for _, lz in rows])
+        per_radius[r] = float(np.polyfit(ns_r, lz_r, 1)[0])
+    slopes = np.array(list(per_radius.values()))
+    return table, per_radius, float(slopes.mean()), float(slopes.max() - slopes.min())
+
+
+def check_separation(net, sample=64):
+    """Smallest adjacent-pair d_n of a net (monotone leaves make adjacent
+    pairs the extreme case).  Subsamples long nets."""
+    p = net.params
+    if len(p) < 2:
+        return np.inf
+    idx = np.arange(len(p) - 1)
+    if len(idx) > sample:
+        idx = idx[np.linspace(0, len(idx) - 1, sample).astype(int)]
+    a = eqmeas.leaf_point(net.sys, net.base, p[idx])
+    b = eqmeas.leaf_point(net.sys, net.base, p[idx + 1])
+    return float(np.min(eqmeas.dyn_metric(net.sys, a, b, net.order)))
+
+
+def is_spanning(net, r=None, probes_per_gap=4, max_probes=512):
+    """Verify the net d_n-covers its segment at radius r (default: its own).
+
+    Probes a dense parameter grid and measures each probe's d_n distance
+    to its nearest few atoms; returns (ok, worst_covering_distance).
+    """
+    r = net.radius if r is None else float(r)
+    p = net.params
+    lo, hi = -net.leaf_radius, net.leaf_radius
+    count = min(max_probes, max(8, probes_per_gap * len(p)))
+    probes = np.linspace(lo, hi, count)
+    j = np.clip(np.searchsorted(p, probes), 0, len(p) - 1)
+    worst = 0.0
+    for t, jj in zip(probes, j):
+        cand = p[max(0, jj - 1): jj + 2]
+        a = eqmeas.leaf_point(net.sys, net.base, np.full(len(cand), t))
+        b = eqmeas.leaf_point(net.sys, net.base, cand)
+        worst = max(worst, float(np.min(eqmeas.dyn_metric(net.sys, a, b, net.order))))
+    return worst <= r + 1e-12, worst
+
+
+def bowen_constants(sys, phi, n_max=10, r=0.05, base_points=None, seed=0):
+    """Measured Bowen distortion constants (Q_u, Q_cs) of a potential.
+
+    Q_u bounds |S_n phi(x) - S_n phi(y)| over y in the order-n unstable
+    Bowen ball of radius r around x; Q_cs does the same along the
+    centre-stable chart.  Estimated on a sample of base points by probing
+    the extreme offsets of each ball; exact 0 for constant potentials.
+    """
+    if phi.constant_value is not None:
+        return 0.0, 0.0
+    if base_points is None:
+        rng = np.random.default_rng(seed)
+        base_points = rng.random((24, sys.dim))
+    q_u = 0.0
+    q_cs = 0.0
+    for x in np.atleast_2d(base_points):
+        for n in range(1, n_max + 1):
+            w = eqmeas.ball_width(sys, n, r)
+            s0 = eqmeas.birkhoff_sum(sys, phi, x, n)
+            for t in (-w, w):
+                q_u = max(q_u, abs(eqmeas.birkhoff_sum(sys, phi, sys.unstable_chart(x, t), n) - s0))
+            for sgn in (-1.0, 1.0):
+                s = np.full(sys.dim - 1, sgn * r / np.sqrt(sys.dim - 1))
+                q_cs = max(q_cs, abs(eqmeas.birkhoff_sum(sys, phi, sys.cs_chart(x, s), n) - s0))
+    return q_u, q_cs

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import eqmeas
+from oracles import check_separation, is_spanning
 
 LAM = (3 + np.sqrt(5.0)) / 2
 
@@ -51,39 +52,24 @@ def greedy_sweep(sysm, x, n, r, leaf_radius, step):
 
 
 class TestUBowenBall:
+    """The trace of the unstable Bowen ball B_n^u(x, r): an interval of
+    half-width ball_width(sysm, n, r) around x on its leaf."""
+
     def test_closed_form_width(self, sysm):
-        ball = eqmeas.u_bowen_ball(sysm, np.zeros(2), 4, 0.05)
-        assert ball.width == pytest.approx(0.05 * LAM ** -3, rel=1e-12)
-        assert ball.width == pytest.approx(0.002786404500042061, rel=1e-12)
+        width = eqmeas.ball_width(sysm, 4, 0.05)
+        assert width == pytest.approx(0.05 * LAM ** -3, rel=1e-12)
+        assert width == pytest.approx(0.002786404500042061, rel=1e-12)
 
     def test_bisection_agrees_with_closed_form(self, sysm):
-        fast = eqmeas.u_bowen_ball(sysm, np.zeros(2), 4, 0.05)
         slow = bisect_width(sysm, np.zeros(2), 4, 0.05)
-        assert slow == pytest.approx(fast.width, rel=1e-9)
-
-    def test_width_caps_at_leaf_scale(self, sysm):
-        ball = eqmeas.u_bowen_ball(sysm, np.zeros(2), 1, 5.0)
-        assert ball.width <= sysm.tau
-
-    def test_contains_param(self, sysm):
-        ball = eqmeas.u_bowen_ball(sysm, np.zeros(2), 5, 0.05)
-        assert ball.contains_param(0.0)
-        assert ball.contains_param(ball.width * 0.99)
-        assert not ball.contains_param(ball.width * 1.01)
-
-    def test_endpoints_on_leaf(self, sysm):
-        x = np.array([0.3, 0.3])
-        ball = eqmeas.u_bowen_ball(sysm, x, 6, 0.05)
-        lo, hi = ball.endpoints()
-        assert eqmeas.torus_dist(lo, eqmeas.leaf_point(sysm, x, -ball.width)) < 1e-12
-        assert eqmeas.torus_dist(hi, eqmeas.leaf_point(sysm, x, ball.width)) < 1e-12
+        assert slow == pytest.approx(eqmeas.ball_width(sysm, 4, 0.05), rel=1e-9)
 
     def test_membership_in_dynamic_metric(self, sysm):
         x = np.array([0.3, 0.3])
         n, r = 6, 0.05
-        ball = eqmeas.u_bowen_ball(sysm, x, n, r)
-        inside = eqmeas.leaf_point(sysm, x, 0.95 * ball.width)
-        outside = eqmeas.leaf_point(sysm, x, 1.2 * ball.width)
+        width = eqmeas.ball_width(sysm, n, r)
+        inside = eqmeas.leaf_point(sysm, x, 0.95 * width)
+        outside = eqmeas.leaf_point(sysm, x, 1.2 * width)
         assert eqmeas.dyn_metric(sysm, x, inside, n) <= r + 1e-12
         assert eqmeas.dyn_metric(sysm, x, outside, n) > r
 
@@ -94,6 +80,7 @@ class TestSeparatedNet:
             net = eqmeas.separated_net(sysm, np.zeros(2), n, 0.05,
                                        leaf_radius=0.5)
             assert len(net) == want
+            assert eqmeas.net_size(sysm, n, 0.05, 0.5) == want
 
     def test_count_growth_rate(self, sysm):
         counts = [len(eqmeas.separated_net(sysm, np.zeros(2), n, 0.05,
@@ -126,13 +113,13 @@ class TestSeparatedNet:
     def test_separation_certificate(self, sysm):
         net = eqmeas.separated_net(sysm, np.array([0.2, 0.7]), 6, 0.05,
                                    leaf_radius=0.5)
-        worst = eqmeas.check_separation(net)
+        worst = check_separation(net)
         assert worst >= 0.05 * (1 - 1e-9)
 
     def test_spanning_certificate(self, sysm):
         net = eqmeas.separated_net(sysm, np.array([0.2, 0.7]), 6, 0.05,
                                    leaf_radius=0.5)
-        ok, worst = eqmeas.is_spanning(net)
+        ok, worst = is_spanning(net)
         assert ok
         assert worst <= 0.05
 
@@ -140,6 +127,6 @@ class TestSeparatedNet:
         net = eqmeas.separated_net(skew.system, np.array([0.2, 0.7, 0.37]),
                                    6, 0.05, leaf_radius=0.5)
         assert len(net) == NET_COUNTS[6]
-        ok, _ = eqmeas.is_spanning(net)
+        ok, _ = is_spanning(net)
         assert ok
-        assert eqmeas.check_separation(net) >= 0.05 * (1 - 1e-9)
+        assert check_separation(net) >= 0.05 * (1 - 1e-9)

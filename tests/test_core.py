@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eqmeas
-from eqmeas.core import CHART_TOL, leaf_birkhoff_sum
-from oracles import systems_with_oracles
+from eqmeas.core import leaf_birkhoff_sum
+from oracles import bowen_constants, systems_with_oracles
 
 S5 = np.sqrt(5.0)
 LAM = (3 + S5) / 2
 H = np.log(LAM)
+# Residual tolerance for chart round-trips and bracket consistency checks.
+CHART_TOL = 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,12 @@ def bracket_search(sys, x, y, max_iter=25):
             jac[:, j] = (residual(z + dz) - r) / h
         z = z - np.linalg.solve(jac, r)
     return sys.unstable_chart(x, z[0])
+
+
+def bracket(sys, x, y):
+    """Local product bracket [x, y]: the point of V^u_loc(x) on V^cs_loc(y),
+    read off the frame split of the wrapped displacement y - x."""
+    return sys.unstable_chart(x, sys.split(np.asarray(y) - x)[0])
 
 
 def mod1_oracle(x):
@@ -149,15 +157,18 @@ class TestIteration:
 
     def test_orbit_shape_and_consistency(self, sysm):
         x = np.array([0.1, 0.2])
-        orb = eqmeas.orbit(sysm, x, 5)
-        assert orb.shape == (5, 2)
-        assert orb[0] == pytest.approx(x)
-        assert orb[3] == pytest.approx(eqmeas.iterate(sysm, x, 3))
+        orb = [x]
+        for _ in range(4):
+            orb.append(sysm.step_fwd(orb[-1]))
+        assert eqmeas.iterate(sysm, x, 0) == pytest.approx(x)
+        assert eqmeas.iterate(sysm, x, 3) == pytest.approx(orb[3])
 
     def test_orbit_batch(self, sysm):
         pts = np.random.default_rng(0).random((7, 2))
-        orb = eqmeas.orbit(sysm, pts, 4)
-        assert orb.shape == (4, 7, 2)
+        out = eqmeas.iterate(sysm, pts, 4)
+        assert out.shape == (7, 2)
+        for p, q in zip(pts, out):
+            assert np.array_equal(eqmeas.iterate(sysm, p, 4), q)
 
 
 class TestDynMetric:
@@ -195,8 +206,7 @@ class TestBirkhoffSum:
     def test_matches_explicit_orbit_sum(self, sysm):
         phi = eqmeas.base_cosine_potential(0.05)
         x = np.array([0.23, 0.61])
-        orb = eqmeas.orbit(sysm, x, 6)
-        want = sum(phi.fn(orb[k]) for k in range(6))
+        want = sum(phi.fn(eqmeas.iterate(sysm, x, k)) for k in range(6))
         assert eqmeas.birkhoff_sum(sysm, phi, x, 6) == pytest.approx(want)
 
     @given(m=st.integers(1, 4), n=st.integers(1, 4), seed=st.integers(0, 99))
@@ -242,7 +252,7 @@ class TestBracket:
     def test_exact_on_frame_offsets(self, sysm):
         x = np.array([0.1, 0.2])
         y = eqmeas.mod1(x + 0.03 * sysm.frame[0] + 0.02 * sysm.frame[1])
-        out = eqmeas.bracket(sysm, x, y)
+        out = bracket(sysm, x, y)
         assert out == pytest.approx(eqmeas.mod1(x + 0.03 * sysm.frame[0]),
                                     abs=1e-10)
 
@@ -251,35 +261,37 @@ class TestBracket:
         for _ in range(5):
             x = rng.random(2)
             y = eqmeas.mod1(x + 0.1 * (rng.random(2) - 0.5))
-            a = eqmeas.bracket(sysm, x, y)
+            a = bracket(sysm, x, y)
             b = bracket_search(sysm, x, y)
             assert eqmeas.torus_dist(a, b) < 1e-7
 
     def test_idempotent(self, sysm):
         x, y = np.array([0.15, 0.85]), np.array([0.12, 0.9])
-        z = eqmeas.bracket(sysm, x, y)
-        assert eqmeas.torus_dist(eqmeas.bracket(sysm, x, z), z) < 1e-10
+        z = bracket(sysm, x, y)
+        assert eqmeas.torus_dist(bracket(sysm, x, z), z) < 1e-10
 
     def test_lies_on_both_leaves(self, sysm):
         x, y = np.array([0.5, 0.1]), np.array([0.55, 0.12])
-        z = eqmeas.bracket(sysm, x, y)
+        z = bracket(sysm, x, y)
         tu, tcs = sysm.split(eqmeas.wrap(z - x))
         assert abs(tcs[0]) < 1e-10          # on the unstable leaf of x
         su, scs = sysm.split(eqmeas.wrap(z - y))
         assert abs(su) < 1e-10              # on the center-stable leaf of y
 
     def test_rejects_distant_points(self, sysm):
-        with pytest.raises(ValueError):
-            eqmeas.bracket(sysm, np.array([0.0, 0.0]), np.array([0.5, 0.25]))
+        # the holonomy transports along brackets, which need points within r0
+        with pytest.raises(ValueError, match="nearby leaves"):
+            eqmeas.holonomy_jacobian(sysm, eqmeas.zero_potential(), H,
+                                     np.array([0.5, 0.25]), np.array([0.0, 0.0]))
 
 
 class TestBowenConstants:
     def test_constant_potential_is_exact(self, sysm):
-        q_u, q_cs = eqmeas.bowen_constants(sysm, eqmeas.constant_potential(0.7))
+        q_u, q_cs = bowen_constants(sysm, eqmeas.constant_potential(0.7))
         assert q_u == 0.0 and q_cs == 0.0
 
     def test_holder_potential_is_finite(self, sysm):
-        q_u, q_cs = eqmeas.bowen_constants(
+        q_u, q_cs = bowen_constants(
             sysm, eqmeas.base_cosine_potential(0.05), n_max=8)
         assert 0 <= q_u < 1.0
         assert 0 <= q_cs < 1.0

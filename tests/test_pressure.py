@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import eqmeas
+from eqmeas import pressure
+from oracles import pressure_oracle
 
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
@@ -29,7 +31,8 @@ class TestLogPartitionSum:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_bounds_ordered(self, cat, phi0):
-        lo, hi = eqmeas.partition_bounds(cat.system, phi0, X0, 6, 0.05)
+        lo, _ = eqmeas.log_partition_sum(cat.system, phi0, X0, 6, 0.05)
+        hi, _ = eqmeas.log_partition_sum(cat.system, phi0, X0, 6, 0.025)
         assert lo <= hi
 
 
@@ -70,12 +73,6 @@ class TestPressureEstimate:
         ns = [row[0] for row in est.table]
         assert ns == [6, 7, 8, 9]
 
-    def test_jobs_deterministic(self, cat, phi0):
-        a = eqmeas.estimate_pressure(cat.system, phi0, X0, jobs=1)
-        b = eqmeas.estimate_pressure(cat.system, phi0, X0, jobs=4)
-        assert a.value == b.value
-        assert a.table == b.table
-
     def test_default_base_point(self, cat, phi0):
         est = eqmeas.estimate_pressure(cat.system, phi0)
         assert abs(est.value - H) < 0.05
@@ -96,7 +93,8 @@ class TestSandwich:
     def test_sandwich_gap_is_bounded(self, cat, phi0):
         # the r vs r/2 gap stays within log(2)+slack per Bowen-ball overlap
         for n in (5, 7, 9):
-            lo, hi = eqmeas.partition_bounds(cat.system, phi0, X0, n, 0.05)
+            lo, _ = eqmeas.log_partition_sum(cat.system, phi0, X0, n, 0.05)
+            hi, _ = eqmeas.log_partition_sum(cat.system, phi0, X0, n, 0.025)
             assert hi - lo <= np.log(2) + 0.1
 
 
@@ -116,16 +114,73 @@ class TestSubmultiplicativity:
 
 
 class TestUniformity:
+    # the slope of log Z_n should not depend on the base point
+    @staticmethod
+    def spread(sysm, phi, base_points, window=(6, 12)):
+        slopes = [eqmeas.estimate_pressure(sysm, phi, x, window=window,
+                                           radii=(0.05,)).value
+                  for x in base_points]
+        return max(slopes) - min(slopes)
+
     def test_constant_potential_spread_is_zero(self, cat, phi0):
         rng = np.random.default_rng(0)
-        out = eqmeas.check_uniformity(cat.system, phi0, rng.random((5, 2)))
-        assert out["spread"] < 1e-12
-        assert out["ok"]
+        assert self.spread(cat.system, phi0, rng.random((5, 2))) < 1e-12
 
     def test_holder_potential_spread_is_small(self, cat):
         phi = eqmeas.base_cosine_potential(0.05)
         rng = np.random.default_rng(1)
-        out = eqmeas.check_uniformity(cat.system, phi, rng.random((5, 2)),
-                                      window=(6, 10))
-        assert out["spread"] < 0.02
-        assert out["ok"]
+        assert self.spread(cat.system, phi, rng.random((5, 2)),
+                           window=(6, 10)) < 0.02
+
+
+class TestOnePass:
+    """estimate_pressure reads the coarser radii off the finest net."""
+
+    POTENTIALS = {
+        "zero": lambda sysm: eqmeas.zero_potential(),
+        "cos": lambda sysm: eqmeas.base_cosine_potential(0.05),
+        "geom": lambda sysm: eqmeas.geometric_potential(sysm, 1.0),
+    }
+
+    @pytest.mark.parametrize("leaf_radius", [0.1, 0.005])
+    @pytest.mark.parametrize("pot", ["zero", "cos", "geom"])
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod"])
+    def test_matches_one_net_per_radius(self, key, pot, leaf_radius):
+        sysm = eqmeas.get_system(key).system
+        phi = self.POTENTIALS[pot](sysm)
+        x = np.array([0.2, 0.7, 0.13, 0.86])[:sysm.dim]
+        est = eqmeas.estimate_pressure(sysm, phi, x, leaf_radius=leaf_radius)
+        table, per_radius, value, spread = pressure_oracle(
+            sysm, phi, x, leaf_radius=leaf_radius)
+        assert est.table == table
+        assert est.per_radius == per_radius
+        assert est.value == value
+        assert est.spread == spread
+
+    def test_one_orbit_sum_per_order(self, cat, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return eqmeas.core.leaf_birkhoff_sum(*args)
+
+        monkeypatch.setattr(pressure, "leaf_birkhoff_sum", counted)
+        eqmeas.estimate_pressure(cat.system, eqmeas.base_cosine_potential(0.05), X0)
+        assert calls == list(range(6, 13))
+
+    @pytest.mark.parametrize("pot", ["zero", "const", "geom"])
+    def test_constant_potential_builds_no_net(self, cat, pot, monkeypatch):
+        phi = {"zero": eqmeas.zero_potential(),
+               "const": eqmeas.constant_potential(-0.3),
+               "geom": eqmeas.geometric_potential(cat.system, 0.5)}[pot]
+        table = pressure_oracle(cat.system, phi, X0)[0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a constant potential needs no net")
+
+        monkeypatch.setattr(pressure, "separated_net", refuse)
+        assert eqmeas.estimate_pressure(cat.system, phi, X0).table == table
+
+    def test_radii_must_be_powers_of_two_apart(self, cat, phi0):
+        with pytest.raises(ValueError, match="powers of two"):
+            eqmeas.estimate_pressure(cat.system, phi0, X0, radii=(0.05, 0.03))
