@@ -14,6 +14,10 @@ import numpy as np
 
 from .core import leaf_point
 
+# Most atoms of one net or cover that a non-constant potential is summed
+# over; each one costs an order-n Birkhoff sum.
+MAX_CENTERS = 2 ** 22
+
 
 @dataclasses.dataclass(eq=False)
 class SeparatedNet:

@@ -28,12 +28,8 @@ import dataclasses
 import numpy as np
 
 from .core import leaf_birkhoff_sum, leaf_point
-from .bowen import ball_width, separated_net
+from .bowen import MAX_CENTERS, ball_width, separated_net
 from .pressure import _leaf_log_sum
-
-# Most centers priced per order for a non-constant potential; each one
-# costs an order-n Birkhoff sum.
-MAX_CENTERS = 2 ** 22
 
 
 @dataclasses.dataclass(eq=False)

@@ -11,7 +11,6 @@ including the exact stretch factor of its straight unstable leaves.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Callable
 
 import numpy as np
@@ -82,6 +81,10 @@ class SystemSpec:
         self.inverse = np.rint(inv)
         if not np.allclose(inv, self.inverse, atol=1e-9):
             raise ValueError("matrix is not invertible over the integers")
+        # contiguous transposes for the step products: by the view matrix.T
+        # numpy takes slower loops, and maps a single (1-d) point with a
+        # kernel that can round unlike the same point in a batch
+        self._transposed = (self.matrix.T.copy(), self.inverse.T.copy())
         if (self.fiber is None) != (self.dim == 2):
             raise ValueError(f"fiber must be None exactly when dim == 2, got dim {self.dim}")
         self.frame = np.asarray(self.frame, dtype=float)
@@ -104,15 +107,15 @@ class SystemSpec:
 
     def step_fwd(self, pts):
         """One forward step of points of shape (..., dim)."""
-        return self._step(pts, self.matrix, 0)
+        return self._step(pts, 0)
 
     def step_back(self, pts):
         """One backward step of points of shape (..., dim)."""
-        return self._step(pts, self.inverse, 1)
+        return self._step(pts, 1)
 
-    def _step(self, pts, matrix, direction):
+    def _step(self, pts, direction):
         pts = np.asarray(pts, dtype=float)
-        base = mod1(pts[..., :2] @ matrix.T)
+        base = mod1(pts[..., :2] @ self._transposed[direction])
         if self.fiber is None:
             return base
         return np.concatenate((base, self.fiber[direction](pts[..., 2:])), axis=-1)
@@ -184,34 +187,23 @@ def birkhoff_sum(sys, phi, x, n):
     return total
 
 
-def _shared_fiber_orbit(sys, base, fib, n):
-    """Yield the first n forward images of points with one fiber point.
-
-    base is an (N, 2) array of base coordinates and fib the fiber point
-    they share; each image is a (base, fib) pair holding the bits of
-    step_fwd on the full points, as the fiber map ignores the base.
-    """
-    for k in range(n):
-        if k:
-            base = mod1(base @ sys.matrix.T)
-            if sys.fiber is not None:
-                fib = sys.fiber[0](fib)
-        yield base, fib
-
-
 def leaf_birkhoff_sum(sys, phi, x, t, n):
     """S_n phi at the leaf points leaf_point(sys, x, t), for a 1-d array t.
 
     The same numbers as birkhoff_sum on those points, bit for bit.  The
     unstable direction lies in the base plane, so the points share one
-    fiber point, which is mapped once per step.
+    fiber point, which is mapped once per step, as the fiber map ignores
+    the base.
     """
     if n < 1:
         raise ValueError("birkhoff order must be >= 1")
     pts = mod1(leaf_point(sys, x, t))  # reduced twice, as birkhoff_sum does
     total = np.asarray(phi(pts), dtype=float).copy()
-    images = _shared_fiber_orbit(sys, pts[:, :2], pts[0, 2:], n)
-    for base, fib in itertools.islice(images, 1, None):
+    base, fib = pts[:, :2], pts[0, 2:]
+    for _ in range(n - 1):
+        base = mod1(base @ sys._transposed[0])
+        if sys.fiber is not None:
+            fib = sys.fiber[0](fib)
         pts = base if sys.fiber is None else np.column_stack(
             (base, np.broadcast_to(fib, (len(base), len(fib)))))
         total += phi(pts)

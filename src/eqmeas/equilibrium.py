@@ -10,10 +10,14 @@ import dataclasses
 import numpy as np
 
 from .bowen import ball_width
-from .core import _shared_fiber_orbit, birkhoff_sum, iterate, leaf_point, mod1, torus_dist
+from .core import birkhoff_sum, iterate, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, reference_measure
 
 MASS_TOL = 1e-9
+# Atoms per block of evolve_average's step and binning passes, and most
+# cloud points gibbs_ratio steps at once (at least one centre's n_mc).
+EVOLVE_BLOCK = 2 ** 14
+GIBBS_POINTS = 2 ** 15
 
 
 # -- binned measures on the torus -------------------------------------------
@@ -83,8 +87,10 @@ class PhaseMeasure:
         return (coords + jitter) / np.asarray(self.grid, dtype=float)
 
 
-def _bin_index(points, grid):
-    idx = np.zeros(len(points), dtype=np.int64)
+def _bin_index(points, grid, out=None):
+    """Flat C-order bin index of (N, d) points, written into out when given."""
+    idx = np.empty(len(points), dtype=np.int64) if out is None else out
+    idx.fill(0)
     ij = np.empty_like(idx)
     for j, g in enumerate(grid):
         g = int(g)
@@ -199,9 +205,14 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     weights up to the reported thinning factor.
 
     The leaf through x runs in the base plane, so its atoms share x's fiber
-    point at every step: the base coordinates are pushed as an (N, 2)
-    array and the fiber as one point, and the bin of an atom is its base
-    bin times the number of fiber cells plus the fiber point's cell.
+    point at every step: the base coordinates are held as one (2, N) array
+    and the fiber as one point, and the bin of an atom is its base bin
+    times the number of fiber cells plus the fiber point's cell.  Each step
+    maps and bins the atoms EVOLVE_BLOCK at a time into one (N,) index
+    array, and one bincount per step adds each cell's weights in atom
+    order.  An atom's image and bin depend on that atom alone (the 2x2
+    product rounds the same in every block), so the result does not depend
+    on EVOLVE_BLOCK.
     """
     grid = (32,) * sysm.dim if grid is None else tuple(int(g) for g in grid)
     if len(grid) != sysm.dim:
@@ -213,16 +224,26 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
         thin = int(np.ceil(len(t) / atom_budget))
         t, w = t[::thin], w[::thin]
     w = w / w.sum()
-    base = mod1(lm.base[:2] + t[:, None] * sysm.frame[0, :2])  # unstable_chart's base
-    images = _shared_fiber_orbit(sysm, base, mod1(lm.base[2:]), steps)
+    base = mod1(lm.base[:2, None] + sysm.frame[0, :2, None] * t)  # unstable_chart's base
+    fib, cells = mod1(lm.base[2:]), []
+    for k in range(steps):
+        if k and sysm.fiber is not None:
+            fib = sysm.fiber[0](fib)
+        cells.append(_bin_index(fib[None], grid[2:])[0])
     # (base cell, fiber cell); raveled in C order, the flat index of _bin_index
     acc = np.zeros((int(np.prod(grid[:2])), int(np.prod(grid[2:]))))
+    idx = np.empty(len(t), dtype=np.int64)
+    buf = np.empty((2, min(EVOLVE_BLOCK, len(t))))
     snaps = {}
     marks = set(int(c) for c in checkpoints)
-    for k, (base, fib) in enumerate(images):
-        cell = _bin_index(fib[None], grid[2:])[0]
-        acc[:, cell] += np.bincount(_bin_index(base, grid[:2]), weights=w,
-                                    minlength=len(acc))
+    for k, cell in enumerate(cells):
+        for start in range(0, len(t), EVOLVE_BLOCK):
+            b = base[:, start:start + EVOLVE_BLOCK]
+            if k:
+                p = np.matmul(sysm.matrix, b, out=buf[:, :b.shape[1]])
+                np.subtract(p, np.floor(p, out=b), out=b)  # b = mod1(p)
+            _bin_index(b.T, grid[:2], out=idx[start:start + EVOLVE_BLOCK])
+        acc[:, cell] += np.bincount(idx, weights=w, minlength=len(acc))
         if (k + 1) in marks:
             snaps[k + 1] = PhaseMeasure(grid, acc / (k + 1))
     return EvolveResult(
@@ -282,6 +303,12 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
     fires get their estimate floored at one Monte Carlo quantum and are
     flagged; the floor is a resolution statement, not a measurement.
 
+    Centres are taken in groups of up to GIBBS_POINTS // n_mc, whose clouds
+    are drawn by one rng call (the stream of one call per centre) and
+    stepped with their centres as one array, one step_fwd per order.  The
+    step, the distances and the per-centre means are computed row by row,
+    so the report does not depend on GIBBS_POINTS.
+
     The report aggregates per-order medians m_n over centers,
     qhat_n = max(m_n, 1/m_n), and the least-squares trend of log qhat_n.
     """
@@ -294,28 +321,31 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
     exts = np.full(sysm.dim, r * pad)
     exts[0] = ball_width(sysm, n_min, r) * pad
     volume = float(np.prod(2 * exts)) * abs(float(np.linalg.det(sysm.frame)))
+    pos = {n: j for j, n in enumerate(orders)}
     ratios = np.full((n_centers, len(orders)), np.nan)
     floored = np.zeros((n_centers, len(orders)), dtype=bool)
-    for i, x in enumerate(centers):
-        coeff = (2 * rng.random((n_mc, sysm.dim)) - 1) * exts
+    group = max(1, GIBBS_POINTS // n_mc)
+    for lo in range(0, n_centers, group):
+        x = centers[lo:lo + group, None]
+        coeff = (2 * rng.random((len(x), n_mc, sysm.dim)) - 1) * exts
         cloud = mod1(x + coeff @ sysm.frame)
-        dens = mu.density(cloud)
+        dens = mu.density(cloud.reshape(-1, sysm.dim)).reshape(len(x), n_mc)
         dmax = torus_dist(x, cloud)
-        zx, zc = x.copy(), cloud
-        pos = {n: j for j, n in enumerate(orders)}
+        z = np.concatenate((x, cloud), axis=1)  # row 0 of each: the centre
         for n in range(1, n_max + 1):
             if n > 1:
-                zx, zc = sysm.step_fwd(zx), sysm.step_fwd(zc)
-                dmax = np.maximum(dmax, torus_dist(zx, zc))
+                z = sysm.step_fwd(z)
+                dmax = np.maximum(dmax, torus_dist(z[:, :1], z[:, 1:]))
             if n in pos:
                 j = pos[n]
                 hits = dmax < r
-                est = volume * float(np.mean(dens * hits))
-                if not hits.any() or est <= 0:
-                    est = volume * max(float(np.mean(dens)), 1e-300) / n_mc
-                    floored[i, j] = True
-                sn = float(birkhoff_sum(sysm, phi, x, n))
-                ratios[i, j] = est * np.exp(n * pressure - sn)
+                est = volume * np.mean(dens * hits, axis=1)
+                low = ~hits.any(axis=1) | (est <= 0)
+                if low.any():
+                    est[low] = volume * np.maximum(np.mean(dens[low], axis=1), 1e-300) / n_mc
+                    floored[lo:lo + group, j] = low
+                sn = birkhoff_sum(sysm, phi, x[:, 0], n)
+                ratios[lo:lo + group, j] = est * np.exp(n * pressure - sn)
     med = np.median(ratios, axis=0)
     qhat = np.maximum(med, 1.0 / med)
     clean = ratios[~floored] if (~floored).any() else ratios

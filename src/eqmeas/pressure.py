@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bowen import net_size, separated_net
+from .bowen import MAX_CENTERS, net_size, separated_net
 from .core import leaf_birkhoff_sum, mod1
 
 
@@ -77,7 +77,9 @@ def estimate_pressure(sysm, phi, x=None, *, window=(6, 12),
     be the finest one times a power of two 2^j: its net is then every
     2^j-th atom of the finest net, bit for bit, so one net and one set of
     orbit sums per order serve all radii.  table rows are
-    (n, r, count, log_z), radius by radius.
+    (n, r, count, log_z), radius by radius.  A non-constant potential
+    raises ArithmeticError, before any net is built, when the finest net
+    of some order holds more than MAX_CENTERS atoms.
     """
     if x is None:
         x = _default_point(sysm)
@@ -87,6 +89,10 @@ def estimate_pressure(sysm, phi, x=None, *, window=(6, 12),
     if any(s < 1 or s & (s - 1) or r_min * s != r for s, r in zip(strides, radii)):
         raise ValueError(f"radii must be a positive radius times powers of two, got {radii}")
     ns = range(window[0], window[1] + 1)
+    over = [(n, k) for n in ns if (k := net_size(sysm, n, r_min, leaf_radius)) > MAX_CENTERS]
+    if getattr(phi, "constant_value", None) is None and over:
+        raise ArithmeticError(f"net of order {over[0][0]} needs {over[0][1]} atoms "
+                              f"(limit {MAX_CENTERS})")
     logs = {}
     for n in ns:
         fine = functools.cache(functools.partial(_net_sums, sysm, phi, x, n, r_min,

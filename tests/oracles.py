@@ -4,8 +4,12 @@ The step maps here are opaque closures over full (..., dim) points, the
 slowed product mapping the fiber of every row; evolve_oracle pushes the
 full (N, dim) atom array through a step map and bins every axis.  The
 package computes the same numbers from a system's base matrix and fiber
-map, and the tests compare the two bit for bit.
+map, and the tests compare the two bit for bit.  The closures multiply by
+contiguous transposes, as the package does: by the view m.T numpy maps a
+single point with another kernel, which rounds 3x + 2y (M32) unlike the
+same point in a batch.
 
+gibbs_ratio_oracle estimates the Bowen-ball masses one centre at a time.
 pressure_oracle builds one separated net and one partition sum per
 (order, radius), as the package did before reading coarser radii by
 stride; check_separation and is_spanning certify separated nets in the
@@ -18,7 +22,7 @@ import numpy as np
 import eqmeas
 from eqmeas.catalog import CAT_MATRIX, GOLDEN_ROTATION
 from eqmeas.core import leaf_birkhoff_sum
-from eqmeas.equilibrium import EvolveResult, PhaseMeasure
+from eqmeas.equilibrium import EvolveResult, GibbsReport, PhaseMeasure
 
 # a hyperbolic matrix with an entry (3) whose products are not all exact
 M32 = [[3, 2], [1, 1]]
@@ -28,34 +32,38 @@ def _inverse(m):
     return np.rint(np.linalg.inv(m))
 
 
-def toral_steps(matrix):
+def _transposes(matrix):
+    """Contiguous transposes of matrix and of its integer inverse."""
     m = np.asarray(matrix, dtype=float)
-    minv = _inverse(m)
+    return m.T.copy(), _inverse(m).T.copy()
+
+
+def toral_steps(matrix):
+    mt, minvt = _transposes(matrix)
 
     def fwd(pts):
-        return eqmeas.mod1(np.asarray(pts, dtype=float) @ m.T)
+        return eqmeas.mod1(np.asarray(pts, dtype=float) @ mt)
 
     def back(pts):
-        return eqmeas.mod1(np.asarray(pts, dtype=float) @ minv.T)
+        return eqmeas.mod1(np.asarray(pts, dtype=float) @ minvt)
 
     return fwd, back
 
 
 def skew_steps(matrix, rot):
-    m = np.asarray(matrix, dtype=float)
-    minv = _inverse(m)
+    mt, minvt = _transposes(matrix)
 
     def fwd(pts):
         pts = np.asarray(pts, dtype=float)
         out = np.empty_like(pts)
-        out[..., :2] = pts[..., :2] @ m.T
+        out[..., :2] = pts[..., :2] @ mt
         out[..., 2] = pts[..., 2] + rot
         return eqmeas.mod1(out)
 
     def back(pts):
         pts = np.asarray(pts, dtype=float)
         out = np.empty_like(pts)
-        out[..., :2] = pts[..., :2] @ minv.T
+        out[..., :2] = pts[..., :2] @ minvt
         out[..., 2] = pts[..., 2] - rot
         return eqmeas.mod1(out)
 
@@ -63,18 +71,18 @@ def skew_steps(matrix, rot):
 
 
 def slowprod_steps(profile, matrix):
-    m = np.asarray(matrix, dtype=float)
+    mt, minvt = _transposes(matrix)
 
-    def every_row(mat, sign):
+    def every_row(matt, sign):
         def step(pts):
             pts = np.asarray(pts, dtype=float)
             out = np.empty_like(pts)
-            out[..., :2] = eqmeas.mod1(pts[..., :2] @ mat.T)
+            out[..., :2] = eqmeas.mod1(pts[..., :2] @ matt)
             out[..., 2:] = eqmeas.flow_time_one(profile, pts[..., 2:], sign=sign)
             return out
         return step
 
-    return every_row(m, 1.0), every_row(_inverse(m), -1.0)
+    return every_row(mt, 1.0), every_row(minvt, -1.0)
 
 
 def systems_with_oracles():
@@ -116,6 +124,52 @@ def evolve_oracle(sysm, step, phi, pressure, x, *, steps=40, grid=None, order=10
     return EvolveResult(measure=PhaseMeasure(tuple(grid), acc / steps), snapshots=snaps,
                         steps=steps, atom_count=len(pts), initial_mass=lm.mass(),
                         thin=thin)
+
+
+def gibbs_ratio_oracle(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
+                       n_centers=12, n_mc=8192, pad=1.05, seed=0):
+    """gibbs_ratio one centre at a time: one rng call per cloud, the centre
+    stepped as one point and its cloud as an (n_mc, dim) array, and S_n phi
+    from birkhoff_sum at each order."""
+    orders = list(orders)
+    n_min, n_max = min(orders), max(orders)
+    rng = np.random.default_rng(seed)
+    centers = mu.sample(n_centers, rng)
+    exts = np.full(sysm.dim, r * pad)
+    exts[0] = eqmeas.ball_width(sysm, n_min, r) * pad
+    volume = float(np.prod(2 * exts)) * abs(float(np.linalg.det(sysm.frame)))
+    ratios = np.full((n_centers, len(orders)), np.nan)
+    floored = np.zeros((n_centers, len(orders)), dtype=bool)
+    pos = {n: j for j, n in enumerate(orders)}
+    for i, x in enumerate(centers):
+        coeff = (2 * rng.random((n_mc, sysm.dim)) - 1) * exts
+        cloud = eqmeas.mod1(x + coeff @ sysm.frame)
+        dens = mu.density(cloud)
+        dmax = eqmeas.torus_dist(x, cloud)
+        zx, zc = x.copy(), cloud
+        for n in range(1, n_max + 1):
+            if n > 1:
+                zx, zc = sysm.step_fwd(zx), sysm.step_fwd(zc)
+                dmax = np.maximum(dmax, eqmeas.torus_dist(zx, zc))
+            if n in pos:
+                j = pos[n]
+                hits = dmax < r
+                est = volume * float(np.mean(dens * hits))
+                if not hits.any() or est <= 0:
+                    est = volume * max(float(np.mean(dens)), 1e-300) / n_mc
+                    floored[i, j] = True
+                sn = float(eqmeas.birkhoff_sum(sysm, phi, x, n))
+                ratios[i, j] = est * np.exp(n * pressure - sn)
+    med = np.median(ratios, axis=0)
+    qhat = np.maximum(med, 1.0 / med)
+    clean = ratios[~floored] if (~floored).any() else ratios
+    return GibbsReport(
+        orders=orders, median_ratios=med, qhat=qhat, qhat_max=float(qhat.max()),
+        trend=float(np.polyfit(orders, np.log(qhat), 1)[0]),
+        floored=floored.sum(axis=0),
+        ratio_range=(float(np.min(clean)), float(np.max(clean))),
+        centers=centers,
+        params={"r": r, "n_mc": n_mc, "n_centers": n_centers, "seed": seed})
 
 
 def bin_index_oracle(points, grid):

@@ -342,6 +342,13 @@ class TestSlowedProduct:
         assert res.atom_count > 1
         assert mapped_rows == [1] * 4
 
+    def test_gibbs_maps_each_order_once(self, slowprod, mapped_rows, phi0):
+        # the 4 centres and their clouds of 256 points take each step together
+        mu = eqmeas.PhaseMeasure.uniform((4,) * 4)
+        eqmeas.gibbs_ratio(slowprod.system, phi0, mu, slowprod.h_top,
+                           orders=range(1, 6), n_centers=4, n_mc=256)
+        assert mapped_rows == [4 * 257] * 4
+
     def test_evolve_matches_mapping_every_row(self, slowprod, phi0):
         sysm = slowprod.system
         fwd, _ = slowprod_steps(sysm.profile, CAT_MATRIX)
@@ -374,6 +381,16 @@ class TestStepsMatchClosures:
         for x in np.random.default_rng(9).random((20, sysm.dim)):
             assert np.array_equal(sysm.step_fwd(x), fwd(x))
             assert np.array_equal(sysm.step_back(x), back(x))
+
+    def test_single_point_is_its_row(self, oracles, key):
+        # alone or in a batch, a point has one image (by the view matrix.T a
+        # lone point of toral32 rounded differently at 245 of 2,000 points)
+        sysm = oracles[key][0]
+        pts = np.random.default_rng(11).random((2000 if key != "slowprod" else 50,
+                                                 sysm.dim))
+        for step in (sysm.step_fwd, sysm.step_back):
+            batch = step(pts)
+            assert all(np.array_equal(step(x), row) for x, row in zip(pts, batch))
 
     def test_shared_fiber_point(self, oracles, key):
         sysm, (fwd, back) = oracles[key]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from eqmeas import cli
+from eqmeas import cli, equilibrium
 
 
 def _write(tmp_path, body, name="run.ini"):
@@ -186,6 +186,14 @@ class TestMain:
         assert ("numeric failure: cover of order 10 needs 5778000 centers "
                 "(limit 4194304)") in text
 
+    def test_press_net_size_limit_exits_3(self, tmp_path, capsys):
+        # the finest net at n = 20 would hold 699,230,425 atoms; order 15 is the first over
+        path = _write(tmp_path, BASE + "potential = cos\nn_hi = 20\n")
+        code = cli.main(["press", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert ("numeric failure: net of order 15 needs 5685176 atoms "
+                "(limit 4194304)") in capsys.readouterr().out
+
     def test_cdim_cover_size_limit_skips_pressure(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "estimate_pressure",
@@ -292,3 +300,30 @@ class TestSeededVerdicts:
         assert got == want
         assert got[(pipeline, check)] is WORKLOADS.SEED_VERDICTS[key]
         assert code == (0 if all(got.values()) else 2)
+
+
+class TestBlockSizes:
+    """Output bytes do not depend on evolve's atom blocks or on how many
+    Gibbs centres are stepped together."""
+
+    @pytest.mark.parametrize("label", ["cat.fullsuite", "slowprod.gibbs",
+                                       "slowprod.probe"])
+    def test_outputs_do_not_depend_on_block_sizes(self, tmp_path, capsys,
+                                                  monkeypatch, label):
+        call = next(c for calls in WORKLOADS.WORKLOADS.values() for c in calls
+                    if c.label == label)
+        path = tmp_path / "run.ini"
+        path.write_text(call.ini())
+        runs = []
+        # small: ragged evolve blocks; one cat centre, or 3 + 1 slowprod centres, per group
+        for evolve_block, gibbs_points in ((equilibrium.EVOLVE_BLOCK,
+                                            equilibrium.GIBBS_POINTS), (1000, 3 * 256)):
+            monkeypatch.setattr(equilibrium, "EVOLVE_BLOCK", evolve_block)
+            monkeypatch.setattr(equilibrium, "GIBBS_POINTS", gibbs_points)
+            out = tmp_path / str(evolve_block)
+            code = cli.main([call.pipeline, "--config", str(path), "--out", str(out),
+                             "--check", "--seed", "0"])
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            runs.append((code, capsys.readouterr().out, files))
+        assert "summary.json" in runs[0][2] and len(runs[0][2]) > 1
+        assert runs[0] == runs[1]

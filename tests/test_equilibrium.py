@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import eqmeas
+from eqmeas import equilibrium
 from eqmeas.equilibrium import _bin_index
-from oracles import bin_index_oracle, evolve_oracle, systems_with_oracles
+from oracles import (bin_index_oracle, evolve_oracle, gibbs_ratio_oracle,
+                     systems_with_oracles)
 
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
@@ -192,6 +194,38 @@ class TestEvolveAverage:
         for n, snap in want.snapshots.items():
             assert np.array_equal(got.snapshots[n].masses, snap.masses)
 
+    @pytest.mark.parametrize("leaf", ["generic", "edge"])
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("key,x,grid", [
+        ("cat", [0.2, 0.7], (8, 8)),
+        ("skew", [0.2, 0.7, 0.37], (8, 8, 4)),
+        ("slowprod", [0.2, 0.7, 0.13, 0.86], (4, 4, 4, 4)),
+        ("toral32", [0.2, 0.7], (8, 8))])
+    def test_matches_oracle_across_blocks(self, phi0, monkeypatch, key, x, grid,
+                                          block, leaf):
+        sysm, (fwd, _) = systems_with_oracles()[key]
+        h = float(np.log(sysm.leaf_rate))
+        monkeypatch.setattr(equilibrium, "EVOLVE_BLOCK", block)
+        kw = dict(steps=6, grid=grid, r=0.05, leaf_radius=0.5, checkpoints=(1, 2, 5, 6))
+        if leaf == "generic":  # 359 atoms (1,040 on toral32): a ragged last block
+            x, kw["order"] = np.array(x), 4
+        else:
+            # order 1 puts an atom at t = 0, whose coordinates all reduce to
+            # 1.0 and take the clamp of _bin_index
+            x, kw["order"] = np.full(sysm.dim, -1e-20), 1
+            assert (eqmeas.mod1(x) == 1.0).all()
+            assert 0.0 in eqmeas.reference_measure(sysm, phi0, h, x, 1, r=0.05,
+                                                   leaf_radius=0.5).params
+        got = eqmeas.evolve_average(sysm, phi0, h, x, **kw)
+        want = evolve_oracle(sysm, fwd, phi0, h, x, **kw)
+        assert got.atom_count == want.atom_count
+        if leaf == "generic":
+            assert got.atom_count > block and got.atom_count % block
+        assert np.array_equal(got.measure.masses, want.measure.masses)
+        assert sorted(got.snapshots) == sorted(want.snapshots) == [1, 2, 5, 6]
+        for n, snap in want.snapshots.items():
+            assert np.array_equal(got.snapshots[n].masses, snap.masses)
+
     @pytest.mark.parametrize("grid", [(8, 8), (8, 8, 8, 8)])
     def test_rejects_grid_of_wrong_length(self, skew, phi0, grid):
         with pytest.raises(ValueError, match=f"grid has {len(grid)} axes.*dim 3"):
@@ -238,6 +272,36 @@ class TestGibbsRatio:
                                orders=range(3, 5), n_centers=3, n_mc=512,
                                seed=7)
         assert a.qhat == pytest.approx(b.qhat)
+
+
+    @staticmethod
+    def _assert_same_report(got, want):
+        for f in dataclasses.fields(eqmeas.GibbsReport):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+    @pytest.mark.parametrize("pot", ["cos", "geom"])
+    @pytest.mark.parametrize("points", [1, 3 * 64, 7 * 64], ids=["1", "3", "all"])
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
+    def test_matches_per_centre_oracle(self, monkeypatch, key, points, pot):
+        # 7 centres of 64 cloud points: groups of 1, of 3 (3 + 3 + 1) or all 7
+        sysm = systems_with_oracles()[key][0]
+        masses = np.random.default_rng(4).random(6 ** sysm.dim)
+        mu = eqmeas.PhaseMeasure((6,) * sysm.dim, masses / masses.sum())
+        phi = (eqmeas.base_cosine_potential(0.3) if pot == "cos"
+               else eqmeas.geometric_potential(sysm, 0.7))
+        kw = dict(orders=[1, 2, 4, 5], n_centers=7, n_mc=64, seed=5)
+        monkeypatch.setattr(equilibrium, "GIBBS_POINTS", points)
+        self._assert_same_report(eqmeas.gibbs_ratio(sysm, phi, mu, 0.9, **kw),
+                                 gibbs_ratio_oracle(sysm, phi, mu, 0.9, **kw))
+
+    def test_matches_per_centre_oracle_with_floored_cells(self, cat, phi0, cat_mu40,
+                                                          monkeypatch):
+        kw = dict(orders=range(3, 17), n_centers=5, n_mc=256, seed=2)
+        monkeypatch.setattr(equilibrium, "GIBBS_POINTS", 2 * 256)
+        want = gibbs_ratio_oracle(cat.system, phi0, cat_mu40.measure, H, **kw)
+        assert want.floored.any()
+        self._assert_same_report(
+            eqmeas.gibbs_ratio(cat.system, phi0, cat_mu40.measure, H, **kw), want)
 
 
 class TestHolonomy:

@@ -181,6 +181,20 @@ class TestOnePass:
         monkeypatch.setattr(pressure, "separated_net", refuse)
         assert eqmeas.estimate_pressure(cat.system, phi, X0).table == table
 
+    def test_net_size_limit_before_any_net(self, cat, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no net past the size limit")
+
+        monkeypatch.setattr(pressure, "separated_net", refuse)
+        with pytest.raises(ArithmeticError,
+                           match=r"net of order 15 needs 5685176 atoms \(limit 4194304\)"):
+            eqmeas.estimate_pressure(cat.system, eqmeas.base_cosine_potential(0.05), X0,
+                                     window=(6, 15))
+        # a constant potential counts its nets in closed form and is not limited
+        est = eqmeas.estimate_pressure(cat.system, eqmeas.zero_potential(), X0,
+                                       window=(6, 15))
+        assert est.table[-1][2] == 5685176
+
     def test_radii_must_be_powers_of_two_apart(self, cat, phi0):
         with pytest.raises(ValueError, match="powers of two"):
             eqmeas.estimate_pressure(cat.system, phi0, X0, radii=(0.05, 0.03))
