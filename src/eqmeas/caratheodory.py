@@ -8,7 +8,7 @@ arithmetic one, k_n = ceil(length / 2 w_n) abutting intervals.  Its log
 price is L_n - n alpha, where L_n = log k_n + n c for a constant potential
 c and the logsumexp of S_n phi over the centers otherwise; L_n does not
 depend on alpha.  The cost of the truncated problem with base order N is
-the cheapest of these covers over orders N..N+span.
+the cheapest of these covers over orders N..N+SPAN.
 
 A single-order cover keeps the critical exponent.  By bounded distortion,
 S_n phi varies by at most a constant over a d_n ball, so the optimal
@@ -31,6 +31,8 @@ from .core import leaf_birkhoff_sum, leaf_point
 from .bowen import MAX_CENTERS, ball_width, separated_net
 from .pressure import _leaf_log_sum
 
+# Orders a truncated cover problem looks past its base order.
+SPAN = 6
 
 @dataclasses.dataclass(eq=False)
 class CoverSolution:
@@ -43,8 +45,6 @@ class CoverSolution:
 
     log_cost: float
     log_lower_bound: float | None
-    alpha: float
-    order_min: int
     span: int
     table: list
     strategy = "chain"  # the only cover; bench/tracer.py counts covers by it
@@ -79,20 +79,20 @@ def _log_sums(sysm, phi, x, segment, orders, r):
     return sums
 
 
-def cover_cost(sysm, phi, x, segment, alpha, order_min, *, span=6, r=0.05):
+def cover_cost(sysm, phi, x, segment, alpha, order_min, *, r=0.05):
     """Cheapest arithmetic single-order cover of a leaf-parameter segment.
 
     segment is a parameter interval (a, b) on the unstable leaf through x.
-    Orders range over [order_min, order_min + span]; each is priced as in
+    Orders range over [order_min, order_min + SPAN]; each is priced as in
     the module docstring, in log scale, so any alpha gives a finite cost.
     The result bounds the optimal mixed-order cover from above, within a
     factor bounded in order_min (equal to it for constant potentials).
     Non-constant potentials raise ArithmeticError beyond MAX_CENTERS
     centers at one order.
     """
-    if order_min < 1 or span < 0:
-        raise ValueError("bad order window")
-    orders = range(order_min, order_min + span + 1)
+    if order_min < 1:
+        raise ValueError("order_min must be >= 1")
+    orders = range(order_min, order_min + SPAN + 1)
     sums = _log_sums(sysm, phi, x, segment, orders, r)
     table = [(n, k, log_z - n * alpha) for n, (k, log_z) in sums.items()]
     log_lower = None
@@ -101,39 +101,36 @@ def cover_cost(sysm, phi, x, segment, alpha, order_min, *, span=6, r=0.05):
         log_lower = np.log(segment[1] - segment[0]) + min(
             n * (phi.constant_value - alpha) - np.log(2 * ball_width(sysm, n, r))
             for n in orders)
-    return CoverSolution(min(row[2] for row in table), log_lower, alpha,
-                         order_min, span, table)
+    return CoverSolution(min(row[2] for row in table), log_lower, SPAN, table)
 
 
-def caratheodory_dim(sysm, phi, x, segment, *, order_range=(4, 8), r=0.05,
-                     span=6, tol=0.02, bracket=None):
+def caratheodory_dim(sysm, phi, x, segment, *, r=0.05, tol=0.02):
     """Critical exponent of the truncated cover costs, by bisection.
 
     trend(alpha) is the least-squares slope of log cost over the base
-    orders in order_range; the returned bracket [lo, hi] pins the sign
-    change to width <= tol.  The per-order log sums are computed once, so
-    each trend evaluation is a minimum over the window per base order.
-    The default starting bracket is widened by doubling until the trend
-    signs differ (a few attempts), since a wrong user bracket is the common
-    failure.
+    orders 4..8; the returned bracket [lo, hi] pins the sign change to
+    width <= tol.  The per-order log sums are computed once, so each trend
+    evaluation is a minimum over the window per base order.
+
+    The start is [c + 0.001, c + 2 log(leaf_rate) + 0.5], with c = 0 unless
+    phi is the constant c.  The root lies near c + log(leaf_rate) for a
+    constant phi and within max |phi| of log(leaf_rate) otherwise, so the
+    start holds it for every config the CLI schema accepts (amplitude <=
+    0.5) whose segment spans a few base-order balls.  Else a side is
+    widened by doubling, up to 8 times, until the trend signs differ: cos
+    with amplitude 5 on cat widens hi from 2.42 to 9.70, and a segment
+    inside one ball (leaf_radius 1e-9) can widen lo and return about c.
     """
-    orders = list(range(order_range[0], order_range[1] + 1))
-    if len(orders) < 3:
-        raise ValueError("need at least three base orders for a trend")
-    if orders[0] < 1 or span < 0:
-        raise ValueError("bad order window")
-    sums = _log_sums(sysm, phi, x, segment, range(orders[0], orders[-1] + span + 1), r)
+    orders = list(range(4, 9))
+    sums = _log_sums(sysm, phi, x, segment, range(orders[0], orders[-1] + SPAN + 1), r)
 
     def trend(alpha):
-        logs = [min(sums[m][1] - m * alpha for m in range(n, n + span + 1))
+        logs = [min(sums[m][1] - m * alpha for m in range(n, n + SPAN + 1))
                 for n in orders]
         return float(np.polyfit(orders, logs, 1)[0])
 
-    if bracket is None:
-        c = phi.constant_value if phi.constant_value is not None else 0.0
-        lo, hi = c + 1e-3, c + 2.0 * np.log(sysm.leaf_rate) + 0.5
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
+    c = phi.constant_value if phi.constant_value is not None else 0.0
+    lo, hi = c + 1e-3, c + 2.0 * np.log(sysm.leaf_rate) + 0.5
     t_lo, t_hi = trend(lo), trend(hi)
     for _ in range(8):
         if t_lo > 0:
@@ -156,8 +153,7 @@ def caratheodory_dim(sysm, phi, x, segment, *, order_range=(4, 8), r=0.05,
             lo = mid
         else:
             hi = mid
-    return {"dim": 0.5 * (lo + hi), "lo": lo, "hi": hi, "evals": evals,
-            "orders": orders, "tol": tol}
+    return {"dim": 0.5 * (lo + hi), "lo": lo, "hi": hi, "evals": evals, "tol": tol}
 
 
 # -- reference measures -----------------------------------------------------
@@ -174,7 +170,6 @@ class LeafMeasure:
     sys: object
     base: np.ndarray
     order: int
-    radius: float
     leaf_radius: float
     params: np.ndarray
     weights: np.ndarray
@@ -202,24 +197,23 @@ def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1)
     if order < 1:
         raise ValueError("order must be >= 1")
     net = separated_net(sysm, x, order, r, leaf_radius)
-    c = getattr(phi, "constant_value", None)
+    c = phi.constant_value
     if c is not None:  # birkhoff_sum's closed form, without the leaf points
         sn = np.full(net.params.shape, float(order) * c)
     else:
         sn = leaf_birkhoff_sum(sysm, phi, net.base, net.params, order)
     weights = np.exp(sn - order * pressure)
     return LeafMeasure(sys=sysm, base=np.asarray(x, dtype=float), order=order,
-                       radius=r, leaf_radius=leaf_radius,
-                       params=net.params, weights=weights)
+                       leaf_radius=leaf_radius, params=net.params, weights=weights)
 
 
 def mass_diagnostics(sysm, phi, pressure, base_points, *, orders=range(6, 13),
                      r=0.05, leaf_radius=0.1):
     """Reference-measure masses across base points and orders.
 
-    Returns the global max/min mass ratio and the worst per-base-point
-    log-mass slope in the order; a pressure value fitted off by delta
-    shows up here as a slope of about +-delta.
+    Returns the masses, the global max/min mass ratio and the worst
+    per-base-point log-mass slope in the order; a pressure value fitted off
+    by delta shows up here as a slope of about +-delta.
     """
     orders = list(orders)
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
@@ -234,5 +228,4 @@ def mass_diagnostics(sysm, phi, pressure, base_points, *, orders=range(6, 13),
         "orders": orders,
         "ratio": float(masses.max() / masses.min()),
         "worst_slope": float(max(np.abs(slopes))),
-        "slopes": slopes,
     }

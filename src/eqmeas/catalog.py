@@ -50,13 +50,13 @@ def _hyperbolic_eigendata(m):
     return float(lam_u), out[0], float(lam_s), out[1]
 
 
-def make_toral_automorphism(matrix=None, *, r0=0.2, tau=1.0, label="toral"):
+def make_toral_automorphism(matrix=None, *, label="toral"):
     """Hyperbolic automorphism of T^2 from an integer matrix.
 
     Defaults to [[2, 1], [1, 1]].  Raises ValueError when the matrix is
     not an integer unimodular hyperbolic matrix.
     """
-    return _toral_product(matrix, None, 2, label=label, r0=r0, tau=tau)
+    return _toral_product(matrix, None, 2, label=label)
 
 
 def _toral_product(matrix, fiber, dim, **kwargs):
@@ -69,21 +69,21 @@ def _toral_product(matrix, fiber, dim, **kwargs):
     # E^cs holds the fiber axes, which the fiber maps do not expand
     nu = abs(lam_s) if fiber is None else 1.0
     return SystemSpec(dim=dim, matrix=m, fiber=fiber, frame=frame,
-                      leaf_rate=abs(lam_u), nu=nu, **kwargs)
+                      leaf_rate=abs(lam_u), nu=nu, r0=0.2, **kwargs)
 
 
-def as_rational(x, max_den=10**6, tol=1e-12):
-    """Best rational approximation p/q with q <= max_den, or None.
+def as_rational(x):
+    """Best rational approximation p/q with q <= 10^6, or None.
 
     Walks the continued-fraction convergents of x and returns the first
-    one within tol.  Used to reject resonant rotation numbers.
+    one within 1e-12.  Used to reject resonant rotation numbers.
     """
     x = float(x)
     p0, q0 = 1, 0
     p1, q1 = int(np.floor(x)), 1
     frac = x - np.floor(x)
-    while q1 <= max_den:
-        if abs(x - p1 / q1) < tol:
+    while q1 <= 10**6:
+        if abs(x - p1 / q1) < 1e-12:
             return p1, q1
         if frac == 0.0:
             return None
@@ -94,9 +94,8 @@ def as_rational(x, max_den=10**6, tol=1e-12):
     return None
 
 
-def make_skew_product(matrix=None, rotation=GOLDEN_ROTATION, *,
-                      r0=0.2, tau=1.0, allow_resonant=False, label="skew"):
-    """Circle extension (x, theta) -> (Mx, theta + rotation) over a torus map.
+def make_skew_product(rotation=GOLDEN_ROTATION, *, allow_resonant=False, label="skew"):
+    """Circle extension (x, theta) -> (Mx, theta + rotation) over the cat map.
 
     The fiber rotation must be irrational for the product to be
     transitive; a rotation that is rational (or indistinguishable from a
@@ -112,8 +111,7 @@ def make_skew_product(matrix=None, rotation=GOLDEN_ROTATION, *,
             "the skew product is not transitive (pass allow_resonant=True to "
             "build it anyway)")
     fiber = (lambda th: mod1(th + rot), lambda th: mod1(th - rot))
-    return _toral_product(matrix, fiber, 3, label=label, r0=r0, tau=tau,
-                          transitive=res is None)
+    return _toral_product(CAT_MATRIX, fiber, 3, label=label, transitive=res is None)
 
 
 # -- slowed linear flow on the fiber torus ---------------------------------
@@ -269,19 +267,18 @@ def flow_time_one(profile, pts, sign=1.0):
     return mod1(flat + sign * s[:, None] * np.array([a, b])).reshape(pts.shape)
 
 
-def make_slowed_product(profile=None, matrix=None, *, r0=0.2, tau=1.0, label="slowprod"):
-    """Product of a hyperbolic torus map and a slowed-flow time-one map.
+def make_slowed_product(*, label="slowprod"):
+    """Product of the cat map and the time-one map of the default SlowFlowProfile.
 
     Phase space is T^2 x T^2 with coordinates (base, fiber).  The fiber
     map fixes profile.center and creeps in its vicinity, which destroys
     the uniform-contraction property of centre-stable curves while
     keeping the unstable geometry identical to the plain product.
     """
-    prof = SlowFlowProfile() if profile is None else profile
+    prof = SlowFlowProfile()
     # flow_time_one is looked up when called, so a patched one is seen
     fiber = (lambda y: flow_time_one(prof, y), lambda y: flow_time_one(prof, y, sign=-1.0))
-    sysm = _toral_product(matrix, fiber, 4, label=label, r0=r0, tau=tau,
-                          satisfies_c1=False)
+    sysm = _toral_product(CAT_MATRIX, fiber, 4, label=label, satisfies_c1=False)
     sysm.profile = prof
     return sysm
 
@@ -317,17 +314,17 @@ def base_cosine_potential(amplitude=0.05):
 # -- invariant fiber measures of the slowed product ------------------------
 
 
-def fiber_speed_density(profile, bins=16, sub=64):
+def fiber_speed_density(profile, bins=16):
     """Binned invariant density of the slowed fiber flow, proportional to 1/psi.
 
-    Each of the bins x bins cells is averaged over sub x sub midpoint
+    Each of the bins x bins cells is averaged over 64 x 64 midpoint
     subsamples; the result sums to 1.
     """
-    n = bins * sub
+    n = bins * 64
     g = (np.arange(n) + 0.5) / n
     xx, yy = np.meshgrid(g, g, indexing="ij")
     dens = 1.0 / profile.psi(np.stack([xx, yy], axis=-1))
-    cell = dens.reshape(bins, sub, bins, sub).mean(axis=(1, 3))
+    cell = dens.reshape(bins, 64, bins, 64).mean(axis=(1, 3))
     return cell / cell.sum()
 
 
@@ -348,25 +345,21 @@ class CatalogEntry:
     key: str
     system: SystemSpec
     h_top: float
-    notes: dict
 
 
 def _entry_cat():
     s = make_toral_automorphism(label="cat")
-    return CatalogEntry("cat", s, float(np.log(s.leaf_rate)),
-                        {"matrix": CAT_MATRIX.tolist()})
+    return CatalogEntry("cat", s, float(np.log(s.leaf_rate)))
 
 
 def _entry_skew():
     s = make_skew_product(label="skew")
-    return CatalogEntry("skew", s, float(np.log(s.leaf_rate)),
-                        {"rotation": GOLDEN_ROTATION})
+    return CatalogEntry("skew", s, float(np.log(s.leaf_rate)))
 
 
 def _entry_slowprod():
     s = make_slowed_product(label="slowprod")
-    return CatalogEntry("slowprod", s, float(np.log(s.leaf_rate)),
-                        {"t0": s.profile.t0, "exponent": s.profile.exponent})
+    return CatalogEntry("slowprod", s, float(np.log(s.leaf_rate)))
 
 
 _BUILDERS = {"cat": _entry_cat, "skew": _entry_skew, "slowprod": _entry_slowprod}

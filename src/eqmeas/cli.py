@@ -182,10 +182,9 @@ def write_csv(path, pipeline, cols, rows):
 class Run:
     """One invocation's config, system and shared stages, each computed on first use."""
 
-    def __init__(self, cfg, sysm, pipelines):
+    def __init__(self, cfg, sysm):
         self.cfg = cfg
         self.sys = sysm
-        self.pipelines = pipelines
 
     @functools.cached_property
     def phi(self):
@@ -208,9 +207,8 @@ class Run:
     @functools.cached_property
     def evolved(self):
         # snapshots serve only run_evolve; the averaged measure does not depend on them
-        cfg, marks = self.cfg, ()
-        if "evolve" in self.pipelines:
-            marks = sorted({max(1, cfg["steps"] // 4), cfg["steps"] // 2, cfg["steps"]})
+        cfg = self.cfg
+        marks = sorted({max(1, cfg["steps"] // 4), cfg["steps"] // 2, cfg["steps"]})
         return evolve_average(self.sys, self.phi, self.pressure.value,
                               np.array(cfg["base_x"]), steps=cfg["steps"],
                               grid=tuple(cfg["grid"]), order=cfg["evolve_order"],
@@ -267,7 +265,7 @@ def run_refmeas(run):
 
 def run_evolve(run):
     res, sysm = run.evolved, run.sys
-    prof = convergence_profile(res)
+    rows = convergence_profile(res)
     unif = PhaseMeasure.uniform(tuple(run.cfg["grid"]))
     tv_unif = res.measure.tv(unif)
     checks = []
@@ -275,7 +273,7 @@ def run_evolve(run):
         checks.append(("tv_to_uniform", tv_unif < 0.1, f"tv={tv_unif:.4g}"))
     summary = {"tv_to_uniform": tv_unif, "atoms": res.atom_count,
                "steps": res.steps, "pressure": run.pressure.value, "thin": res.thin}
-    return prof["rows"], ("checkpoint", "tv_to_final"), summary, checks
+    return rows, ("checkpoint", "tv_to_final"), summary, checks
 
 
 def run_gibbs(run):
@@ -391,7 +389,7 @@ def main(argv=None):
                "system": cfg["system"], "pipelines": {}, "checks": []}
     all_ok = True
     try:
-        run = Run(cfg, catalog.get_system(cfg["system"]).system, names)
+        run = Run(cfg, catalog.get_system(cfg["system"]).system)
         for name in names:
             rows, cols, part, checks = _RUNNERS[name](run)
             write_csv(os.path.join(args.out, f"{name}.csv"), name, cols, rows)

@@ -34,8 +34,10 @@ def wrap(delta):
 
 
 def torus_dist(x, y):
-    """Flat-torus distance ||x - y||, vectorized over leading axes."""
-    return np.linalg.norm(wrap(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)), axis=-1)
+    """Flat-torus distance ||x - y||, vectorized over leading axes: bit for bit
+    np.linalg.norm(..., axis=-1), without its extra temporary."""
+    d = wrap(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 @dataclasses.dataclass(eq=False)
@@ -58,7 +60,8 @@ class SystemSpec:
     leaf_rate is the exact per-step stretch factor of unstable leaf
     parameters (so also the unstable Jacobian), which gives Bowen balls,
     nets and covers their closed forms; nu is the growth upper bound on
-    E^cs (nu < leaf_rate), r0 the bracket radius and tau the chart radius.
+    E^cs (nu < leaf_rate), and r0 the centre-stable distance within which
+    the holonomy between two unstable leaves is defined.
     """
 
     label: str
@@ -69,7 +72,6 @@ class SystemSpec:
     leaf_rate: float
     nu: float
     r0: float
-    tau: float
     satisfies_c1: bool = True
     transitive: bool = True
 
@@ -175,7 +177,7 @@ def birkhoff_sum(sys, phi, x, n):
     """S_n phi(x) = sum of phi along the first n orbit points."""
     if n < 1:
         raise ValueError("birkhoff order must be >= 1")
-    c = getattr(phi, "constant_value", None)
+    c = phi.constant_value
     if c is not None:
         shape = np.shape(x)[:-1]
         return float(n) * c if shape == () else np.full(shape, float(n) * c)

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 
 from .bowen import ball_width
-from .core import birkhoff_sum, iterate, leaf_point, mod1, torus_dist
+from .core import iterate, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, reference_measure
 
 MASS_TOL = 1e-9
@@ -18,6 +18,8 @@ MASS_TOL = 1e-9
 # cloud points gibbs_ratio steps at once (at least one centre's n_mc).
 EVOLVE_BLOCK = 2 ** 14
 GIBBS_POINTS = 2 ** 15
+# Most atoms evolve_average follows; larger nets are thinned to this.
+ATOM_BUDGET = 10 ** 6
 
 
 # -- binned measures on the torus -------------------------------------------
@@ -152,33 +154,30 @@ def pushforward(sysm, lm):
         sys=sysm,
         base=sysm.step_fwd(lm.base),
         order=lm.order,
-        radius=lm.radius,
         leaf_radius=lm.leaf_radius * sysm.leaf_rate,
         params=lm.params * sysm.leaf_rate,
         weights=lm.weights.copy(),
     )
 
 
-def scaling_check(sysm, phi, pressure, x, *, order=10, window=(-0.05, 0.05),
-                  r=0.05, leaf_radius=0.1):
+def scaling_check(sysm, phi, pressure, x, *, order=10):
     """Compare m_{f(x)}(f(A)) with the integral of e^(pressure - phi) dm_x.
 
-    A is the parameter window on x's leaf.  Both sides are built from
-    independent reference measures; their ratio is the report.
+    A is the parameter window [-0.05, 0.05] on x's leaf.  Both sides are
+    built from independent reference measures (r = 0.05, leaf radius 0.1
+    and its image); the report is their ratio's deviation from 1.
     """
-    a, b = window
+    a, b = -0.05, 0.05
     lam = sysm.leaf_rate
-    m_x = reference_measure(sysm, phi, pressure, x, order, r=r, leaf_radius=leaf_radius)
+    m_x = reference_measure(sysm, phi, pressure, x, order)
     fx = sysm.step_fwd(np.asarray(x, dtype=float))
-    m_fx = reference_measure(sysm, phi, pressure, fx, order, r=r,
-                             leaf_radius=leaf_radius * lam)
+    m_fx = reference_measure(sysm, phi, pressure, fx, order, leaf_radius=0.1 * lam)
     lhs = m_fx.segment_mass(min(lam * a, lam * b), max(lam * a, lam * b))
     sel = (m_x.params >= a) & (m_x.params <= b)
     pts = leaf_point(sysm, x, m_x.params[sel])
     rhs = float(np.sum(np.exp(pressure - phi(pts)) * m_x.weights[sel]))
     ratio = lhs / rhs if rhs > 0 else np.inf
-    return {"lhs": lhs, "rhs": rhs, "ratio": ratio,
-            "deviation": abs(ratio - 1.0), "order": order, "window": window}
+    return {"deviation": abs(ratio - 1.0)}
 
 
 # -- evolve and average -------------------------------------------------------
@@ -195,12 +194,12 @@ class EvolveResult:
 
 
 def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
-                   r=0.05, leaf_radius=1.0, checkpoints=(), atom_budget=10**6):
+                   r=0.05, leaf_radius=1.0, checkpoints=()):
     """Birkhoff average of pushforwards of a leaf reference measure.
 
     Bins the normalized reference measure at each of its first `steps`
     forward images (the measure itself included) and averages the binned
-    snapshots.  Nets larger than atom_budget are decimated
+    snapshots.  Nets larger than ATOM_BUDGET are decimated
     deterministically (every k-th atom), which preserves the closed-form
     weights up to the reported thinning factor.
 
@@ -220,8 +219,8 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     lm = reference_measure(sysm, phi, pressure, x, order, r=r, leaf_radius=leaf_radius)
     t, w = lm.params, lm.weights
     thin = 1
-    if len(t) > atom_budget:
-        thin = int(np.ceil(len(t) / atom_budget))
+    if len(t) > ATOM_BUDGET:
+        thin = int(np.ceil(len(t) / ATOM_BUDGET))
         t, w = t[::thin], w[::thin]
     w = w / w.sum()
     base = mod1(lm.base[:2, None] + sysm.frame[0, :2, None] * t)  # unstable_chart's base
@@ -257,9 +256,8 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
 
 
 def convergence_profile(result):
-    """TV distance of each checkpoint average to the final average."""
-    rows = [(n, result.measure.tv(snap)) for n, snap in sorted(result.snapshots.items())]
-    return {"rows": rows, "final_steps": result.steps}
+    """(checkpoint, TV distance of its average to the final average) rows."""
+    return [(n, result.measure.tv(snap)) for n, snap in sorted(result.snapshots.items())]
 
 
 def pairwise_evolve_tv(sysm, phi, pressure, base_points, **kwargs):
@@ -269,8 +267,7 @@ def pairwise_evolve_tv(sysm, phi, pressure, base_points, **kwargs):
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
             tvs.append(((i, j), results[i].measure.tv(results[j].measure)))
-    return {"tvs": tvs, "max_tv": max(t for _, t in tvs) if tvs else 0.0,
-            "measures": [res.measure for res in results]}
+    return {"tvs": tvs, "max_tv": max(t for _, t in tvs) if tvs else 0.0}
 
 
 # -- Gibbs-type bounds --------------------------------------------------------
@@ -284,7 +281,6 @@ class GibbsReport:
     qhat_max: float
     trend: float
     floored: np.ndarray
-    ratio_range: tuple
     centers: np.ndarray
     params: dict
 
@@ -293,21 +289,24 @@ class GibbsReport:
 
 
 def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
-                n_centers=12, n_mc=8192, pad=1.05, seed=0):
+                n_centers=12, n_mc=8192, seed=0):
     """Ratios mu(B_n(x, r)) / exp(-n * pressure + S_n phi(x)).
 
     Ball masses are Monte Carlo integrals of mu's binned density over an
     adapted box around each center (unstable extent matched to the widest
-    requested order, the other frame directions at r), with the d_n
-    indicator evaluated on true orbits.  Orders whose indicator never
-    fires get their estimate floored at one Monte Carlo quantum and are
-    flagged; the floor is a resolution statement, not a measurement.
+    requested order, the other frame directions at r, both padded by 5%),
+    with the d_n indicator evaluated on true orbits.  Orders whose
+    indicator never fires get their estimate floored at one Monte Carlo
+    quantum and are flagged; the floor is a resolution statement, not a
+    measurement.
 
     Centres are taken in groups of up to GIBBS_POINTS // n_mc, whose clouds
     are drawn by one rng call (the stream of one call per centre) and
     stepped with their centres as one array, one step_fwd per order.  The
     step, the distances and the per-centre means are computed row by row,
-    so the report does not depend on GIBBS_POINTS.
+    so the report does not depend on GIBBS_POINTS.  S_n phi of a centre is
+    summed along its stepped row (n c for a constant phi = c), which is
+    birkhoff_sum's value unless a centre coordinate is exactly 1.0.
 
     The report aggregates per-order medians m_n over centers,
     qhat_n = max(m_n, 1/m_n), and the least-squares trend of log qhat_n.
@@ -318,13 +317,14 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
         raise ValueError("orders must be >= 1")
     rng = np.random.default_rng(seed)
     centers = mu.sample(n_centers, rng)
-    exts = np.full(sysm.dim, r * pad)
-    exts[0] = ball_width(sysm, n_min, r) * pad
+    exts = np.full(sysm.dim, r * 1.05)
+    exts[0] = ball_width(sysm, n_min, r) * 1.05
     volume = float(np.prod(2 * exts)) * abs(float(np.linalg.det(sysm.frame)))
     pos = {n: j for j, n in enumerate(orders)}
     ratios = np.full((n_centers, len(orders)), np.nan)
     floored = np.zeros((n_centers, len(orders)), dtype=bool)
     group = max(1, GIBBS_POINTS // n_mc)
+    c = phi.constant_value
     for lo in range(0, n_centers, group):
         x = centers[lo:lo + group, None]
         coeff = (2 * rng.random((len(x), n_mc, sysm.dim)) - 1) * exts
@@ -336,6 +336,8 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
             if n > 1:
                 z = sysm.step_fwd(z)
                 dmax = np.maximum(dmax, torus_dist(z[:, :1], z[:, 1:]))
+            if c is None:
+                sn = phi(z[:, 0]) if n == 1 else sn + phi(z[:, 0])
             if n in pos:
                 j = pos[n]
                 hits = dmax < r
@@ -344,11 +346,10 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
                 if low.any():
                     est[low] = volume * np.maximum(np.mean(dens[low], axis=1), 1e-300) / n_mc
                     floored[lo:lo + group, j] = low
-                sn = birkhoff_sum(sysm, phi, x[:, 0], n)
-                ratios[lo:lo + group, j] = est * np.exp(n * pressure - sn)
+                ratios[lo:lo + group, j] = est * np.exp(
+                    n * pressure - (sn if c is None else n * c))
     med = np.median(ratios, axis=0)
     qhat = np.maximum(med, 1.0 / med)
-    clean = ratios[~floored] if (~floored).any() else ratios
     return GibbsReport(
         orders=orders,
         median_ratios=med,
@@ -356,7 +357,6 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
         qhat_max=float(qhat.max()),
         trend=float(np.polyfit(orders, np.log(qhat), 1)[0]),
         floored=floored.sum(axis=0),
-        ratio_range=(float(np.min(clean)), float(np.max(clean))),
         centers=centers,
         params={"r": r, "n_mc": n_mc, "n_centers": n_centers, "seed": seed},
     )
@@ -366,10 +366,10 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
 
 
 def holonomy_jacobian(sysm, phi, pressure, y, z, *, order=8, r=0.05,
-                      leaf_radius=0.1, n_cells=16, window=0.8):
+                      leaf_radius=0.1, n_cells=16):
     """Cell-mass ratios of reference measures across the holonomy.
 
-    Bins a centered window of y's leaf into n_cells, transports the cell
+    Bins the middle 80% of y's leaf segment into n_cells, transports the cell
     edges to z's leaf, and compares reference masses cell by cell.  On
     straight leaves the centre-stable holonomy is a parameter translation
     by offset, the unstable coordinate of y - z; it is defined only when
@@ -383,7 +383,7 @@ def holonomy_jacobian(sysm, phi, pressure, y, z, *, order=8, r=0.05,
     if np.max(np.abs(cs0)) > sysm.r0:
         raise ValueError("holonomy defined only between nearby leaves")
     m_y = reference_measure(sysm, phi, pressure, y, order, r=r, leaf_radius=leaf_radius)
-    span = window * leaf_radius
+    span = 0.8 * leaf_radius
     m_z = reference_measure(sysm, phi, pressure, z, order, r=r,
                             leaf_radius=span + abs(float(u0)) + 4 * r)
     edges = np.linspace(-span, span, n_cells + 1)
@@ -394,7 +394,7 @@ def holonomy_jacobian(sysm, phi, pressure, y, z, *, order=8, r=0.05,
         raise ArithmeticError("empty holonomy cells; enlarge the window or order")
     ratios = cells_z / cells_y
     return {"ratios": ratios, "min": float(ratios.min()), "max": float(ratios.max()),
-            "offset": float(u0), "edges": edges}
+            "offset": float(u0)}
 
 
 # -- conditionals on rectangles ----------------------------------------------
@@ -436,17 +436,15 @@ def _plaque_shape(ncs, total):
     return (k,) * ncs
 
 
-def disintegrate(sysm, mu, rect, *, n_u=16, n_plaques=32, plaque_shape=None,
-                 subsplit=4):
+def disintegrate(sysm, mu, rect, *, n_u=16, n_plaques=32):
     """Split mu inside a rectangle into plaque conditionals.
 
-    Bins of mu are refined into subsplit^d equal subcells to soften bin
+    Bins of mu are refined into 4^d equal subcells to soften bin
     boundaries against the rectangle's frame-aligned faces; each subcell
     lands in one (u-cell, plaque) slot.
     """
-    d = sysm.dim
-    shape = plaque_shape or _plaque_shape(d - 1, n_plaques)
-    sub_pts, sub_w = _subcells(mu, subsplit)
+    shape = _plaque_shape(sysm.dim - 1, n_plaques)
+    sub_pts, sub_w = _subcells(mu, 4)
     inside = rect.contains(sub_pts)
     if not inside.any():
         raise ValueError("rectangle carries no mass")
@@ -478,29 +476,24 @@ def _subcells(mu, subsplit):
     return pts, w
 
 
-def product_structure_check(sysm, mu, rect, *, n_u=8, n_plaques=None,
-                            plaque_shape=None, subsplit=4):
-    """TV distance between the joint (u, plaque) histogram and the product
-    of its marginals.  On straight leaves holonomy is a parameter
-    translation, so local product structure is exactly independence of
-    the two coordinates."""
-    fam = disintegrate(sysm, mu, rect, n_u=n_u,
-                       n_plaques=n_plaques or 4 ** (sysm.dim - 1),
-                       plaque_shape=plaque_shape, subsplit=subsplit)
+def product_structure_check(sysm, mu, rect, *, n_u=8):
+    """TV distance between the joint (u, plaque) histogram, with 4^(dim-1)
+    plaques, and the product of its marginals.  On straight leaves holonomy
+    is a parameter translation, so local product structure is exactly
+    independence of the two coordinates."""
+    fam = disintegrate(sysm, mu, rect, n_u=n_u, n_plaques=4 ** (sysm.dim - 1))
     prod = np.outer(fam.u_marginal(), fam.factor())
-    tv = 0.5 * float(np.abs(fam.joint - prod).sum())
-    return {"tv": tv, "family": fam, "mass_inside": fam.mass_inside}
+    return {"tv": 0.5 * float(np.abs(fam.joint - prod).sum())}
 
 
-def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8,
-                         min_cell_mass=1e-4):
+def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8):
     """Conditional u-densities against leaf reference measures.
 
     For each plaque, builds the reference measure on the leaf through the
     plaque's center and compares cell masses: the reported constant is
     the worst multiplicative deviation of
-    conditional / (reference / reference window mass) over populated
-    cells.
+    conditional / (reference / reference window mass) over cells with
+    conditional mass above 1e-4.
     """
     rect = fam.rect
     npl = fam.joint.shape[1]
@@ -516,7 +509,7 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8,
                                 leaf_radius=rect.du * 1.05)
         cells = ref.cell_masses(fam.u_edges)
         window = ref.segment_mass(-rect.du, rect.du)
-        use = (cond > min_cell_mass) & (cells > 0)
+        use = (cond > 1e-4) & (cells > 0)
         if not use.any():
             continue
         ratio = (cond[use] / cells[use]) * window
@@ -525,7 +518,7 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8,
         rows.append((k, c0))
     if not rows:
         raise ArithmeticError("no populated plaques to compare")
-    return {"c0": worst, "per_plaque": rows, "order": order}
+    return {"c0": worst, "per_plaque": rows}
 
 
 # -- ergodicity and transitivity probes ---------------------------------------
@@ -534,14 +527,14 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8,
 PROBE_BLOCK = 256
 
 
-def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200,
-                   seed=0, tol=0.05):
+def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=0):
     """Forward and backward Birkhoff averages of an observable from mu-samples.
 
     observable maps (..., dim) arrays to (...) arrays; it sees PROBE_BLOCK
     orbit points of both directions per call.  A unique ergodic average
     shows up as small dispersion across starting points and
-    forward/backward agreement; the returned fractions use tol.
+    forward/backward agreement: agree_fraction is the share of starting
+    points whose two averages differ by at most 0.05.
     """
     rng = np.random.default_rng(seed)
     pts = mu.sample(n_samples, rng)
@@ -575,7 +568,7 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200,
         "backward": bwd,
         "dispersion": float(np.std(fwd)),
         "mean": float(np.mean(fwd)),
-        "agree_fraction": float(np.mean(np.abs(fwd - bwd) <= tol)),
+        "agree_fraction": float(np.mean(np.abs(fwd - bwd) <= 0.05)),
     }
 
 

@@ -162,12 +162,10 @@ def gibbs_ratio_oracle(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
                 ratios[i, j] = est * np.exp(n * pressure - sn)
     med = np.median(ratios, axis=0)
     qhat = np.maximum(med, 1.0 / med)
-    clean = ratios[~floored] if (~floored).any() else ratios
     return GibbsReport(
         orders=orders, median_ratios=med, qhat=qhat, qhat_max=float(qhat.max()),
         trend=float(np.polyfit(orders, np.log(qhat), 1)[0]),
         floored=floored.sum(axis=0),
-        ratio_range=(float(np.min(clean)), float(np.max(clean))),
         centers=centers,
         params={"r": r, "n_mc": n_mc, "n_centers": n_centers, "seed": seed})
 

@@ -24,9 +24,9 @@ def sysm(cat):
 def bisect_width(sysm, x, n, r, iters=60):
     """Half-width of the d_n ball on the leaf by bisection on |t|."""
     # d_n along the leaf is monotone in |t| for dominated expansion
-    if eqmeas.dyn_metric(sysm, x, eqmeas.leaf_point(sysm, x, sysm.tau), n) < r:
-        return sysm.tau
-    lo, hi = 0.0, sysm.tau
+    if eqmeas.dyn_metric(sysm, x, eqmeas.leaf_point(sysm, x, 1.0), n) < r:
+        return 1.0
+    lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if eqmeas.dyn_metric(sysm, x, eqmeas.leaf_point(sysm, x, mid), n) < r:

@@ -175,6 +175,17 @@ class TestCriticalExponent:
         assert evals[out["lo"]] > 0
         assert evals[out["hi"]] < 0
 
+    def test_bracket_widens_to_a_pressure_above_it(self, cat):
+        # amplitude 5 is past the CLI schema's 0.5: the pressure lies above
+        # the starting bracket's hi, which is doubled until the trend turns
+        phi = eqmeas.base_cosine_potential(5.0)
+        start_hi = 2 * H + 0.5
+        est = eqmeas.estimate_pressure(cat.system, phi, X0)
+        assert start_hi == pytest.approx(2.42, abs=0.01) and start_hi < est.value
+        out = eqmeas.caratheodory_dim(cat.system, phi, X0, SEG)
+        assert out["evals"][1][0] == pytest.approx(9.70, abs=0.01)
+        assert abs(out["dim"] - est.value) < 0.07
+
 
 class TestReferenceMeasure:
     def test_frozen_mass(self, cat, phi0):

@@ -349,6 +349,14 @@ class TestSlowedProduct:
                            orders=range(1, 6), n_centers=4, n_mc=256)
         assert mapped_rows == [4 * 257] * 4
 
+    def test_gibbs_sums_a_nonconstant_potential_along_the_centre_rows(
+            self, slowprod, mapped_rows):
+        # S_n phi comes from the stepped centre rows; no centre orbit is walked again
+        mu = eqmeas.PhaseMeasure.uniform((4,) * 4)
+        eqmeas.gibbs_ratio(slowprod.system, eqmeas.base_cosine_potential(0.05), mu,
+                           slowprod.h_top, orders=range(1, 6), n_centers=4, n_mc=256)
+        assert mapped_rows == [4 * 257] * 4
+
     def test_evolve_matches_mapping_every_row(self, slowprod, phi0):
         sysm = slowprod.system
         fwd, _ = slowprod_steps(sysm.profile, CAT_MATRIX)

@@ -125,6 +125,30 @@ class TestTorusReduction:
         assert m < 1.0 or x < 0
 
 
+class TestTorusDist:
+    # 0.5 against 0.0, and 0.75 against 0.25, are offsets of exactly 1/2
+    EDGE = [0.0, 1.0, -1e-20, 0.25, 0.5, 0.75]
+
+    @staticmethod
+    def check(x, y):
+        got = eqmeas.torus_dist(x, y)
+        want = np.linalg.norm(eqmeas.wrap(x - y), axis=-1)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("shape", [(3,), (1000, 3), (7, 1000, 3), (7, 100, 4)])
+    def test_matches_norm_on_random_points(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        self.check(rng.uniform(-2, 2, shape), rng.uniform(-2, 2, shape))
+
+    def test_matches_norm_on_edges(self):
+        pts = np.array(np.meshgrid(*[self.EDGE] * 3, indexing="ij")).reshape(3, -1).T
+        self.check(pts[:, None], pts[None, :])
+        self.check(pts, pts[::-1])
+        for x, y in zip(pts, pts[::-1]):
+            self.check(x, y)
+
+
 class TestFrame:
     def test_unstable_direction(self, sysm):
         want = unit([1.0, (S5 - 1) / 2])
