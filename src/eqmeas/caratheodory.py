@@ -213,12 +213,16 @@ def mass_diagnostics(sysm, phi, pressure, base_points, *, orders=range(6, 13),
 
     Returns the masses, the global max/min mass ratio and the worst
     per-base-point log-mass slope in the order; a pressure value fitted off
-    by delta shows up here as a slope of about +-delta.
+    by delta shows up here as a slope of about +-delta.  A constant phi's
+    masses do not depend on the base point, so each order is priced once.
     """
     orders = list(orders)
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     masses = np.empty((len(base_points), len(orders)))
     for i, x in enumerate(base_points):
+        if i and phi.constant_value is not None:
+            masses[i] = masses[0]
+            continue
         for j, n in enumerate(orders):
             masses[i, j] = reference_measure(
                 sysm, phi, pressure, x, n, r=r, leaf_radius=leaf_radius).mass()

@@ -528,21 +528,21 @@ PROBE_BLOCK = 256
 
 
 def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=0):
-    """Forward and backward Birkhoff averages of an observable from mu-samples.
+    """Forward and backward Birkhoff averages of a base observable from mu-samples.
 
-    observable maps (..., dim) arrays to (...) arrays; it sees PROBE_BLOCK
-    orbit points of both directions per call.  A unique ergodic average
-    shows up as small dispersion across starting points and
-    forward/backward agreement: agree_fraction is the share of starting
-    points whose two averages differ by at most 0.05.
+    observable maps (..., 2) arrays of base points to (...) arrays and sees
+    PROBE_BLOCK orbit points of both directions per call.  The base map
+    ignores the fiber, so only the base is stepped.  A unique ergodic average
+    shows up as small dispersion across starting points and forward/backward
+    agreement: agree_fraction is the share of starting points whose two
+    averages differ by at most 0.05.
     """
     rng = np.random.default_rng(seed)
-    pts = mu.sample(n_samples, rng)
-    # the two orbits advance together, block[i, 0] forward and block[i, 1]
-    # backward, each stored coordinates first, (dim, n_samples): one stacked
-    # product maps both bases, and mod1 runs along contiguous rows
+    pts = mu.sample(n_samples, rng)[:, :2]  # mu is binned on the full grid; keep the base
+    # base points only (a fiber index raises IndexError): forward block[i, 0]
+    # and backward block[i, 1] advance together, each stored (2, n_samples)
     mats = np.stack([sysm.matrix, sysm.inverse])
-    block = np.empty((min(n_steps, PROBE_BLOCK), 2, sysm.dim, n_samples))
+    block = np.empty((min(n_steps, PROBE_BLOCK), 2, 2, n_samples))
     p = np.stack([pts.T, pts.T])
     total = np.zeros((2, n_samples))
     for start in range(0, n_steps, PROBE_BLOCK):
@@ -550,16 +550,12 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=
         for i in range(m):
             q = block[i]
             if start + i:
-                b = q[:, :2]
-                np.matmul(mats, p[:, :2], out=b)
-                b -= np.floor(b)  # mod1 in place
-                if sysm.fiber is not None:
-                    for d in (0, 1):
-                        q[d, 2:] = sysm.fiber[d](p[d, 2:].T).T
+                np.matmul(mats, p, out=q)
+                q -= np.floor(q)  # mod1 in place
             else:
                 q[...] = p
             p = q
-        # (m, 2, n_samples, dim) points; rows added in step order, as per-step sums round
+        # (m, 2, n_samples, 2) points; rows added in step order, as per-step sums round
         for row in observable(block[:m].transpose(0, 1, 3, 2)):
             total += row
     fwd, bwd = total / n_steps

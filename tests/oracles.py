@@ -12,7 +12,9 @@ same point in a batch.
 gibbs_ratio_oracle estimates the Bowen-ball masses one centre at a time.
 pressure_oracle builds one separated net and one partition sum per
 (order, radius), as the package did before reading coarser radii by
-stride; check_separation and is_spanning certify separated nets in the
+stride; mass_diagnostics_masses_oracle builds one reference measure per
+(base point, order), as mass_diagnostics still does for a non-constant
+potential; check_separation and is_spanning certify separated nets in the
 d_n metric, and bowen_constants measures the distortion constants the
 closed forms rest on.
 """
@@ -209,6 +211,19 @@ def pressure_oracle(sysm, phi, x, *, window=(6, 12), radii=(0.1, 0.05, 0.025),
         per_radius[r] = float(np.polyfit(ns_r, lz_r, 1)[0])
     slopes = np.array(list(per_radius.values()))
     return table, per_radius, float(slopes.mean()), float(slopes.max() - slopes.min())
+
+
+def mass_diagnostics_masses_oracle(sysm, phi, pressure, base_points, *,
+                                   orders=range(6, 13), r=0.05, leaf_radius=0.1):
+    """mass_diagnostics' masses, one reference measure per (base point, order)."""
+    orders = list(orders)
+    base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
+    masses = np.empty((len(base_points), len(orders)))
+    for i, x in enumerate(base_points):
+        for j, n in enumerate(orders):
+            masses[i, j] = eqmeas.reference_measure(
+                sysm, phi, pressure, x, n, r=r, leaf_radius=leaf_radius).mass()
+    return masses
 
 
 def check_separation(net, sample=64):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import eqmeas
+from eqmeas import caratheodory
+from oracles import mass_diagnostics_masses_oracle
 
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
@@ -260,3 +262,27 @@ class TestMassDiagnostics:
         assert diag["ratio"] < 1.001
         assert diag["worst_slope"] <= 1e-4
         assert diag["masses"].shape == (8, 7)
+
+    @pytest.mark.parametrize("key,phi", [
+        ("cat", eqmeas.zero_potential()), ("skew", eqmeas.constant_potential(0.3)),
+        ("skew", eqmeas.base_cosine_potential())])
+    def test_masses_match_per_base_oracle(self, key, phi):
+        sysm = eqmeas.get_system(key).system
+        bases = np.random.default_rng(1).random((5, sysm.dim))
+        kw = dict(orders=range(4, 8), r=0.1, leaf_radius=0.05)
+        diag = eqmeas.mass_diagnostics(sysm, phi, H, bases, **kw)
+        ref = mass_diagnostics_masses_oracle(sysm, phi, H, bases, **kw)
+        assert np.array_equal(diag["masses"], ref)
+
+    def test_constant_potential_prices_each_order_once(self, cat, phi0, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return eqmeas.reference_measure(*args, **kwargs)
+
+        monkeypatch.setattr(caratheodory, "reference_measure", counted)
+        bases = np.random.default_rng(0).random((20, 2))
+        diag = eqmeas.mass_diagnostics(cat.system, phi0, H, bases)
+        assert calls == list(range(6, 13))
+        assert diag["masses"].shape == (20, 7)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from eqmeas import cli, equilibrium
+from eqmeas import catalog, cli, equilibrium
 
 
 def _write(tmp_path, body, name="run.ini"):
@@ -217,6 +217,24 @@ class TestMain:
                   if not c["passed"]]
         assert failed == [("probe", "transitivity")]
         assert "[probe] transitivity: FAIL (no k)" in capsys.readouterr().out
+
+    def test_slowprod_default_probe_steps_no_fiber_orbits(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the probe's observable reads the base, so the slowed flow is called
+        # only for the evolved leaf's fiber point and the transitivity search
+        calls = []
+        flow = catalog.flow_time_one
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "flow_time_one", counted)
+        path = _write(tmp_path, "schema_version = 1\nsystem = slowprod\n")
+        assert cli.main(["probe", "--config", path, "--out", str(tmp_path / "o"),
+                         "--check"]) == 2
+        assert "[probe] transitivity: FAIL (no k)" in capsys.readouterr().out
+        assert 0 < len(calls) <= 100
 
     @pytest.mark.parametrize("seed", [-1, 2**31])
     def test_seed_flag_out_of_range_exits_1(self, tmp_path, capsys, seed):

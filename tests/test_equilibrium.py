@@ -430,11 +430,19 @@ class TestBirkhoffProbe:
         assert np.array_equal(out["backward"], ref["backward"])
         for k in ("dispersion", "mean", "agree_fraction"):
             assert out[k] == ref[k]
-        # no step past the last observed point; one observable call per block
-        # of both directions
+        # the observable reads the base, so no fiber is stepped; one observable
+        # call per block of both directions
         if sysm.fiber is not None:
-            assert calls["fwd"] == calls["back"] == n_steps - 1
+            assert calls["fwd"] == calls["back"] == 0
         assert calls["obs"] == -(-n_steps // B)
+
+    @pytest.mark.parametrize("key", ["skew", "slowprod"])
+    def test_fiber_coordinate_is_not_observable(self, key):
+        sysm = eqmeas.get_system(key).system
+        mu = eqmeas.PhaseMeasure.uniform((4,) * sysm.dim)
+        with pytest.raises(IndexError):
+            eqmeas.birkhoff_probe(sysm, mu, lambda pts: pts[..., 2],
+                                  n_steps=3, n_samples=5)
 
     def test_time_averages_agree_with_space_average(self, cat, cat_mu40):
         obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
