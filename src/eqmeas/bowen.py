@@ -67,6 +67,8 @@ def separated_net(sysm, x, n, r, leaf_radius=0.5):
     """
     count = net_size(sysm, n, r, leaf_radius)
     spacing = ball_width(sysm, n, r)
-    params = -leaf_radius + spacing * np.arange(count)
+    params = np.arange(count, dtype=float)  # built in place: one (count,) array
+    params *= spacing
+    params += -leaf_radius
     return SeparatedNet(sys=sysm, base=np.asarray(x, dtype=float), order=n, radius=r,
                         leaf_radius=leaf_radius, params=params, spacing=float(spacing))

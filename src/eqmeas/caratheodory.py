@@ -202,7 +202,8 @@ def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1)
         sn = np.full(net.params.shape, float(order) * c)
     else:
         sn = leaf_birkhoff_sum(sysm, phi, net.base, net.params, order)
-    weights = np.exp(sn - order * pressure)
+    sn -= order * pressure
+    weights = np.exp(sn, out=sn)  # built in place, in sn
     return LeafMeasure(sys=sysm, base=np.asarray(x, dtype=float), order=order,
                        leaf_radius=leaf_radius, params=net.params, weights=weights)
 

@@ -99,7 +99,7 @@ _DEFAULT_GRID = {
     "skew": [16, 16, 8],
     "slowprod": [16, 16, 16, 16],
 }
-# evolve holds a float array of one entry per cell, plus one per bincount
+# evolve holds a float array of one entry per cell, plus a chunk of per-step sums
 _MAX_GRID_CELLS = 65_536
 
 

@@ -18,8 +18,13 @@ MASS_TOL = 1e-9
 # cloud points gibbs_ratio steps at once (at least one centre's n_mc).
 EVOLVE_BLOCK = 2 ** 14
 GIBBS_POINTS = 2 ** 15
+# Most per-step base-cell sums evolve_average holds at once (one chunk of
+# steps; a chunk has at least one step).
+EVOLVE_SUMS = 2 ** 16
 # Most atoms evolve_average follows; larger nets are thinned to this.
 ATOM_BUDGET = 10 ** 6
+# Non-empty bins of a measure disintegrate refines into subcells at a time.
+SUBCELL_BINS = 2 ** 8
 
 
 # -- binned measures on the torus -------------------------------------------
@@ -89,10 +94,9 @@ class PhaseMeasure:
         return (coords + jitter) / np.asarray(self.grid, dtype=float)
 
 
-def _bin_index(points, grid, out=None):
-    """Flat C-order bin index of (N, d) points, written into out when given."""
-    idx = np.empty(len(points), dtype=np.int64) if out is None else out
-    idx.fill(0)
+def _bin_index(points, grid):
+    """Flat C-order bin index of (N, d) points."""
+    idx = np.zeros(len(points), dtype=np.int64)
     ij = np.empty_like(idx)
     for j, g in enumerate(grid):
         g = int(g)
@@ -204,53 +208,78 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     weights up to the reported thinning factor.
 
     The leaf through x runs in the base plane, so its atoms share x's fiber
-    point at every step: the base coordinates are held as one (2, N) array
-    and the fiber as one point, and the bin of an atom is its base bin
-    times the number of fiber cells plus the fiber point's cell.  Each step
-    maps and bins the atoms EVOLVE_BLOCK at a time into one (N,) index
-    array, and one bincount per step adds each cell's weights in atom
-    order.  An atom's image and bin depend on that atom alone (the 2x2
-    product rounds the same in every block), so the result does not depend
-    on EVOLVE_BLOCK.
+    point at every step, and the bin of an atom is its base bin times the
+    number of fiber cells plus the fiber point's cell.  The atoms are built
+    from their leaf parameters EVOLVE_BLOCK at a time, and each block runs
+    through a chunk of steps as one (2, B) array of base coordinates, binned
+    in float and added into per-step base-cell sums by np.add.at.  Blocks
+    come in atom order, so each sum is added in atom order from zero, as one
+    bincount over all atoms adds it.  A chunk holds at most EVOLVE_SUMS
+    sums; the (2, N) base coordinates are kept between chunks only when
+    there are several.  An atom's image and bin depend on that atom alone
+    (the 2x2 product rounds the same in every block), so the result depends
+    on neither constant.
     """
     grid = (32,) * sysm.dim if grid is None else tuple(int(g) for g in grid)
     if len(grid) != sysm.dim:
         raise ValueError(f"grid has {len(grid)} axes, the system has dim {sysm.dim}")
     lm = reference_measure(sysm, phi, pressure, x, order, r=r, leaf_radius=leaf_radius)
+    initial_mass = lm.mass()
     t, w = lm.params, lm.weights
     thin = 1
     if len(t) > ATOM_BUDGET:
         thin = int(np.ceil(len(t) / ATOM_BUDGET))
         t, w = t[::thin], w[::thin]
-    w = w / w.sum()
-    base = mod1(lm.base[:2, None] + sysm.frame[0, :2, None] * t)  # unstable_chart's base
+    w /= w.sum()  # in place, in lm.weights
     fib, cells = mod1(lm.base[2:]), []
     for k in range(steps):
         if k and sysm.fiber is not None:
             fib = sysm.fiber[0](fib)
         cells.append(_bin_index(fib[None], grid[2:])[0])
+    n_base = grid[0] * grid[1]
     # (base cell, fiber cell); raveled in C order, the flat index of _bin_index
-    acc = np.zeros((int(np.prod(grid[:2])), int(np.prod(grid[2:]))))
-    idx = np.empty(len(t), dtype=np.int64)
-    buf = np.empty((2, min(EVOLVE_BLOCK, len(t))))
+    acc = np.zeros((n_base, int(np.prod(grid[2:]))))
+    chunk = max(1, EVOLVE_SUMS // n_base)
+    size = min(EVOLVE_BLOCK, len(t))
+    keep = steps > chunk  # the (2, N) base coordinates outlive a chunk
+    base = np.empty((2, len(t) if keep else size))
+    scratch, idx = np.empty((2, size)), np.empty(size, dtype=np.int64)
+    g = np.array(grid[:2], dtype=float)[:, None]
+    place = np.array([g[1, 0], 1.0])  # C order: base cell i0 * g1 + i1
     snaps = {}
     marks = set(int(c) for c in checkpoints)
-    for k, cell in enumerate(cells):
+    chunk_sums = np.empty((min(chunk, steps), n_base))
+    for k0 in range(0, steps, chunk):
+        sums = chunk_sums[:steps - k0]
+        sums.fill(0.0)
         for start in range(0, len(t), EVOLVE_BLOCK):
-            b = base[:, start:start + EVOLVE_BLOCK]
-            if k:
-                p = np.matmul(sysm.matrix, b, out=buf[:, :b.shape[1]])
+            blk = slice(start, start + EVOLVE_BLOCK)
+            m = len(t[blk])
+            b = base[:, blk] if keep else base[:, :m]
+            p = scratch[:, :m]
+            if not k0:  # unstable_chart's base
+                np.multiply(sysm.frame[0, :2, None], t[blk], out=p)
+                p += lm.base[:2, None]
                 np.subtract(p, np.floor(p, out=b), out=b)  # b = mod1(p)
-            _bin_index(b.T, grid[:2], out=idx[start:start + EVOLVE_BLOCK])
-        acc[:, cell] += np.bincount(idx, weights=w, minlength=len(acc))
-        if (k + 1) in marks:
-            snaps[k + 1] = PhaseMeasure(grid, acc / (k + 1))
+            for j in range(len(sums)):
+                if k0 + j:
+                    np.matmul(sysm.matrix, b, out=p)
+                    np.subtract(p, np.floor(p, out=b), out=b)
+                # the float form of _bin_index: clamped, floored, placed
+                np.multiply(b, g, out=p)
+                np.minimum(p, g - 1, out=p)
+                np.matmul(place, np.floor(p, out=p), out=idx[:m], casting="unsafe")
+                np.add.at(sums[j], idx[:m], w[blk])
+        for j, row in enumerate(sums, start=k0):
+            acc[:, cells[j]] += row
+            if (j + 1) in marks:
+                snaps[j + 1] = PhaseMeasure(grid, acc / (j + 1))
     return EvolveResult(
-        measure=PhaseMeasure(grid, acc / steps),
+        measure=PhaseMeasure(grid, np.divide(acc, steps, out=acc)),
         snapshots=snaps,
         steps=steps,
         atom_count=len(t),
-        initial_mass=lm.mass(),
+        initial_mass=initial_mass,
         thin=thin,
     )
 
@@ -441,15 +470,18 @@ def disintegrate(sysm, mu, rect, *, n_u=16, n_plaques=32):
 
     Bins of mu are refined into 4^d equal subcells to soften bin
     boundaries against the rectangle's frame-aligned faces; each subcell
-    lands in one (u-cell, plaque) slot.
+    lands in one (u-cell, plaque) slot.  Subcells are made SUBCELL_BINS
+    bins at a time and only those inside the rectangle are kept, in bin
+    order, so the result does not depend on SUBCELL_BINS.
     """
     shape = _plaque_shape(sysm.dim - 1, n_plaques)
-    sub_pts, sub_w = _subcells(mu, 4)
-    inside = rect.contains(sub_pts)
-    if not inside.any():
+    parts = []
+    for pts, w in _subcells(mu, 4):
+        inside = rect.contains(pts)
+        parts.append((*rect.coords(pts[inside]), w[inside]))
+    u, cs, w = (np.concatenate(a) for a in zip(*parts))
+    if not len(w):
         raise ValueError("rectangle carries no mass")
-    u, cs = rect.coords(sub_pts[inside])
-    w = sub_w[inside]
     iu = np.clip(((u + rect.du) / (2 * rect.du / n_u)).astype(int), 0, n_u - 1)
     ipl = np.zeros(len(w), dtype=np.int64)
     for j, pj in enumerate(shape):
@@ -457,23 +489,24 @@ def disintegrate(sysm, mu, rect, *, n_u=16, n_plaques=32):
         ij = np.clip(((cs[:, j] + rect.dcs) / step).astype(int), 0, pj - 1)
         ipl = ipl * pj + ij
     npl = int(np.prod(shape))
-    joint = np.zeros((n_u, npl))
-    np.add.at(joint, (iu, ipl), w)
+    joint = np.bincount(iu * npl + ipl, weights=w, minlength=n_u * npl).reshape(n_u, npl)
     mass = float(w.sum())
     return ConditionalFamily(rect=rect, joint=joint / mass, u_edges=np.linspace(
         -rect.du, rect.du, n_u + 1), plaque_shape=tuple(shape), mass_inside=mass)
 
 
 def _subcells(mu, subsplit):
+    """(points, weights) of the subcells of SUBCELL_BINS non-empty bins at a time."""
     d = len(mu.grid)
     grid = np.asarray(mu.grid, dtype=float)
     nz = np.nonzero(mu.masses)[0]
-    coords = np.column_stack(np.unravel_index(nz, mu.grid)).astype(float)
     offs = (np.array(np.meshgrid(*[np.arange(subsplit)] * d, indexing="ij"))
             .reshape(d, -1).T + 0.5) / subsplit
-    pts = (coords[:, None, :] + offs[None, :, :]).reshape(-1, d) / grid
-    w = np.repeat(mu.masses[nz] / subsplit ** d, subsplit ** d)
-    return pts, w
+    for lo in range(0, len(nz), SUBCELL_BINS):
+        part = nz[lo:lo + SUBCELL_BINS]
+        coords = np.column_stack(np.unravel_index(part, mu.grid)).astype(float)
+        pts = (coords[:, None, :] + offs[None, :, :]).reshape(-1, d) / grid
+        yield pts, np.repeat(mu.masses[part] / subsplit ** d, subsplit ** d)
 
 
 def product_structure_check(sysm, mu, rect, *, n_u=8):

@@ -9,7 +9,9 @@ contiguous transposes, as the package does: by the view m.T numpy maps a
 single point with another kernel, which rounds 3x + 2y (M32) unlike the
 same point in a batch.
 
-gibbs_ratio_oracle estimates the Bowen-ball masses one centre at a time.
+gibbs_ratio_oracle estimates the Bowen-ball masses one centre at a time,
+and disintegrate_oracle refines every bin of a measure into subcells at
+once.
 pressure_oracle builds one separated net and one partition sum per
 (order, radius), as the package did before reading coarser radii by
 stride; mass_diagnostics_masses_oracle builds one reference measure per
@@ -24,7 +26,9 @@ import numpy as np
 import eqmeas
 from eqmeas.catalog import CAT_MATRIX, GOLDEN_ROTATION
 from eqmeas.core import leaf_birkhoff_sum
-from eqmeas.equilibrium import EvolveResult, GibbsReport, PhaseMeasure
+from eqmeas import equilibrium
+from eqmeas.equilibrium import (ConditionalFamily, EvolveResult, GibbsReport,
+                                PhaseMeasure)
 
 # a hyperbolic matrix with an entry (3) whose products are not all exact
 M32 = [[3, 2], [1, 1]]
@@ -126,6 +130,36 @@ def evolve_oracle(sysm, step, phi, pressure, x, *, steps=40, grid=None, order=10
     return EvolveResult(measure=PhaseMeasure(tuple(grid), acc / steps), snapshots=snaps,
                         steps=steps, atom_count=len(pts), initial_mass=lm.mass(),
                         thin=thin)
+
+
+def disintegrate_oracle(sysm, mu, rect, *, n_u=16, n_plaques=32):
+    """disintegrate with every subcell of every non-empty bin made at once,
+    and the joint table filled by np.add.at."""
+    shape = equilibrium._plaque_shape(sysm.dim - 1, n_plaques)
+    d = len(mu.grid)
+    nz = np.nonzero(mu.masses)[0]
+    coords = np.column_stack(np.unravel_index(nz, mu.grid)).astype(float)
+    offs = (np.array(np.meshgrid(*[np.arange(4)] * d, indexing="ij"))
+            .reshape(d, -1).T + 0.5) / 4
+    sub_pts = (coords[:, None, :] + offs[None, :, :]).reshape(-1, d) / np.asarray(
+        mu.grid, dtype=float)
+    sub_w = np.repeat(mu.masses[nz] / 4 ** d, 4 ** d)
+    inside = rect.contains(sub_pts)
+    if not inside.any():
+        raise ValueError("rectangle carries no mass")
+    u, cs = rect.coords(sub_pts[inside])
+    w = sub_w[inside]
+    iu = np.clip(((u + rect.du) / (2 * rect.du / n_u)).astype(int), 0, n_u - 1)
+    ipl = np.zeros(len(w), dtype=np.int64)
+    for j, pj in enumerate(shape):
+        step = 2 * rect.dcs / pj
+        ij = np.clip(((cs[:, j] + rect.dcs) / step).astype(int), 0, pj - 1)
+        ipl = ipl * pj + ij
+    joint = np.zeros((n_u, int(np.prod(shape))))
+    np.add.at(joint, (iu, ipl), w)
+    mass = float(w.sum())
+    return ConditionalFamily(rect=rect, joint=joint / mass, u_edges=np.linspace(
+        -rect.du, rect.du, n_u + 1), plaque_shape=tuple(shape), mass_inside=mass)
 
 
 def gibbs_ratio_oracle(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,

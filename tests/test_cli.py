@@ -321,8 +321,9 @@ class TestSeededVerdicts:
 
 
 class TestBlockSizes:
-    """Output bytes do not depend on evolve's atom blocks or on how many
-    Gibbs centres are stepped together."""
+    """Output bytes do not depend on evolve's atom blocks or step chunks, on
+    how many Gibbs centres are stepped together, or on how many bins
+    disintegrate refines at once."""
 
     @pytest.mark.parametrize("label", ["cat.fullsuite", "slowprod.gibbs",
                                        "slowprod.probe"])
@@ -333,12 +334,14 @@ class TestBlockSizes:
         path = tmp_path / "run.ini"
         path.write_text(call.ini())
         runs = []
-        # small: ragged evolve blocks; one cat centre, or 3 + 1 slowprod centres, per group
-        for evolve_block, gibbs_points in ((equilibrium.EVOLVE_BLOCK,
-                                            equilibrium.GIBBS_POINTS), (1000, 3 * 256)):
-            monkeypatch.setattr(equilibrium, "EVOLVE_BLOCK", evolve_block)
-            monkeypatch.setattr(equilibrium, "GIBBS_POINTS", gibbs_points)
-            out = tmp_path / str(evolve_block)
+        # small: ragged evolve blocks; one cat centre, or 3 + 1 slowprod centres,
+        # per group; evolve chunks of one cat step, or of 3 + 3 + 2 slowprod steps
+        sizes = ("EVOLVE_BLOCK", "GIBBS_POINTS", "EVOLVE_SUMS", "SUBCELL_BINS")
+        for values in ([getattr(equilibrium, name) for name in sizes],
+                       (1000, 3 * 256, 3 * 256, 3)):
+            for name, value in zip(sizes, values):
+                monkeypatch.setattr(equilibrium, name, value)
+            out = tmp_path / str(values[0])
             code = cli.main([call.pipeline, "--config", str(path), "--out", str(out),
                              "--check", "--seed", "0"])
             files = {f.name: f.read_bytes() for f in out.iterdir()}

@@ -1,6 +1,7 @@
 """Evolved measures, Gibbs ratios, holonomy, disintegration, probes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 import eqmeas
 from eqmeas import equilibrium
 from eqmeas.equilibrium import _bin_index
-from oracles import (bin_index_oracle, evolve_oracle, gibbs_ratio_oracle,
-                     systems_with_oracles)
+from oracles import (bin_index_oracle, disintegrate_oracle, evolve_oracle,
+                     gibbs_ratio_oracle, systems_with_oracles)
 
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
@@ -143,6 +144,20 @@ class TestScaling:
         assert out["deviation"] < 1e-6
 
 
+def step_chunk_sums(grid):
+    """EVOLVE_SUMS values for 6 steps: one chunk, chunks of 4 and 2 steps,
+    and one step a chunk (a constant below the base cell count)."""
+    base_cells = grid[0] * grid[1]
+    return equilibrium.EVOLVE_SUMS, 4 * base_cells, base_cells - 1
+
+
+def assert_same_evolve(got, want):
+    assert np.array_equal(got.measure.masses, want.measure.masses)
+    assert sorted(got.snapshots) == sorted(want.snapshots) == [1, 2, 5, 6]
+    for n, snap in want.snapshots.items():
+        assert np.array_equal(got.snapshots[n].masses, snap.masses)
+
+
 class TestEvolveAverage:
     def test_cat_limit_is_near_lebesgue(self, cat_mu40):
         unif = eqmeas.PhaseMeasure.uniform((32, 32))
@@ -184,15 +199,14 @@ class TestEvolveAverage:
         monkeypatch.setattr(equilibrium, "ATOM_BUDGET", 64)
         kw = dict(steps=6, grid=grid, order=4, r=0.05, leaf_radius=0.5,
                   checkpoints=(1, 2, 5, 6))
-        got = eqmeas.evolve_average(sysm, phi0, h, np.array(x), **kw)
         want = evolve_oracle(sysm, fwd, phi0, h, np.array(x), atom_budget=64, **kw)
-        assert got.thin == want.thin > 1
-        assert got.atom_count == want.atom_count
-        assert got.measure.grid == want.measure.grid == grid
-        assert np.array_equal(got.measure.masses, want.measure.masses)
-        assert sorted(got.snapshots) == sorted(want.snapshots) == [1, 2, 5, 6]
-        for n, snap in want.snapshots.items():
-            assert np.array_equal(got.snapshots[n].masses, snap.masses)
+        for sums in step_chunk_sums(grid):
+            monkeypatch.setattr(equilibrium, "EVOLVE_SUMS", sums)
+            got = eqmeas.evolve_average(sysm, phi0, h, np.array(x), **kw)
+            assert got.thin == want.thin > 1
+            assert got.atom_count == want.atom_count
+            assert got.measure.grid == want.measure.grid == grid
+            assert_same_evolve(got, want)
 
     @pytest.mark.parametrize("leaf", ["generic", "edge"])
     @pytest.mark.parametrize("block", [7, 64])
@@ -216,15 +230,14 @@ class TestEvolveAverage:
             assert (eqmeas.mod1(x) == 1.0).all()
             assert 0.0 in eqmeas.reference_measure(sysm, phi0, h, x, 1, r=0.05,
                                                    leaf_radius=0.5).params
-        got = eqmeas.evolve_average(sysm, phi0, h, x, **kw)
         want = evolve_oracle(sysm, fwd, phi0, h, x, **kw)
-        assert got.atom_count == want.atom_count
-        if leaf == "generic":
-            assert got.atom_count > block and got.atom_count % block
-        assert np.array_equal(got.measure.masses, want.measure.masses)
-        assert sorted(got.snapshots) == sorted(want.snapshots) == [1, 2, 5, 6]
-        for n, snap in want.snapshots.items():
-            assert np.array_equal(got.snapshots[n].masses, snap.masses)
+        for sums in step_chunk_sums(grid):
+            monkeypatch.setattr(equilibrium, "EVOLVE_SUMS", sums)
+            got = eqmeas.evolve_average(sysm, phi0, h, x, **kw)
+            assert got.atom_count == want.atom_count
+            if leaf == "generic":
+                assert got.atom_count > block and got.atom_count % block
+            assert_same_evolve(got, want)
 
     @pytest.mark.parametrize("grid", [(8, 8), (8, 8, 8, 8)])
     def test_rejects_grid_of_wrong_length(self, skew, phi0, grid):
@@ -372,6 +385,32 @@ class TestDisintegration:
         assert out["c0"] < 3.0
         assert all(c >= 1.0 for _, c in out["per_plaque"])
 
+    @pytest.mark.parametrize("bins", [1, 3, equilibrium.SUBCELL_BINS])
+    @pytest.mark.parametrize("key,grid,anchor", [
+        ("cat", (32, 32), [0.61, 0.13]),
+        ("skew", (16, 16, 8), [0.61, 0.13, 0.37]),
+        ("slowprod", (6, 6, 6, 6), [0.61, 0.13, 0.5, 0.5])])
+    def test_matches_whole_array_oracle(self, monkeypatch, key, grid, anchor, bins):
+        sysm = systems_with_oracles()[key][0]
+        rng = np.random.default_rng(len(grid))
+        masses = rng.random(grid) * (rng.random(grid) < 0.7)  # some empty bins
+        mu = eqmeas.PhaseMeasure(grid, masses / masses.sum())
+        rect = eqmeas.Rectangle(sys=sysm, anchor=np.array(anchor), du=0.15, dcs=0.15)
+        monkeypatch.setattr(equilibrium, "SUBCELL_BINS", bins)
+        for n_u, n_plaques in ((8, 32), (8, 4 ** (sysm.dim - 1)), (16, 7)):
+            got = eqmeas.disintegrate(sysm, mu, rect, n_u=n_u, n_plaques=n_plaques)
+            want = disintegrate_oracle(sysm, mu, rect, n_u=n_u, n_plaques=n_plaques)
+            assert np.array_equal(got.joint, want.joint)
+            assert got.mass_inside == want.mass_inside
+            assert got.plaque_shape == want.plaque_shape
+
+    def test_rejects_rectangle_without_mass(self, cat):
+        mu = eqmeas.PhaseMeasure.from_points(np.array([[0.1, 0.1]]), (8, 8))
+        rect = eqmeas.Rectangle(sys=cat.system, anchor=np.array([0.6, 0.6]),
+                                du=0.05, dcs=0.05)
+        with pytest.raises(ValueError, match="carries no mass"):
+            eqmeas.disintegrate(cat.system, mu, rect)
+
 
 def birkhoff_probe_oracle(sysm, mu, observable, *, n_steps=10_000, n_samples=200,
                           seed=0, tol=0.05):
@@ -405,36 +444,40 @@ class TestBirkhoffProbe:
         *((n, key) for n in (1, B - 1, B, B + 1, 2 * B + 3)
           for key in ("cat", "skew", "toral32")),
         (1, "slowprod"), (B + 1, "slowprod")])
-    def test_matches_per_step_oracle(self, key, n_steps):
+    def test_matches_per_step_oracle(self, monkeypatch, key, n_steps):
         sysm = systems_with_oracles()[key][0]
         n_samples = 8 if key == "slowprod" else 40
         mu = eqmeas.PhaseMeasure.uniform((8,) * sysm.dim)
-        calls = {"fwd": 0, "back": 0, "obs": 0}
+        mixed = lambda pts: np.cos(2 * np.pi * pts[..., 0]) + 0.3 * pts[..., 1]
+        view = lambda pts: pts[..., 1]  # a view of the probe's orbit block
+        # blocks of one step make every block's one row the point stepped next
+        for obs, block in ((mixed, B), (view, B), (view, 1)):
+            monkeypatch.setattr(equilibrium, "PROBE_BLOCK", block)
+            calls = {"fwd": 0, "back": 0, "obs": 0}
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+            def counted(name, fn):
+                def wrapper(*args):
+                    calls[name] += 1
+                    return fn(*args)
+                return wrapper
 
-        obs = lambda pts: np.cos(2 * np.pi * pts[..., 0]) + 0.3 * pts[..., 1]
-        spied = sysm
-        if sysm.fiber is not None:
-            spied = dataclasses.replace(sysm, fiber=(counted("fwd", sysm.fiber[0]),
-                                                     counted("back", sysm.fiber[1])))
-        out = eqmeas.birkhoff_probe(spied, mu, counted("obs", obs),
-                                    n_steps=n_steps, n_samples=n_samples, seed=3)
-        ref = birkhoff_probe_oracle(sysm, mu, obs, n_steps=n_steps,
-                                    n_samples=n_samples, seed=3)
-        assert np.array_equal(out["forward"], ref["forward"])
-        assert np.array_equal(out["backward"], ref["backward"])
-        for k in ("dispersion", "mean", "agree_fraction"):
-            assert out[k] == ref[k]
-        # the observable reads the base, so no fiber is stepped; one observable
-        # call per block of both directions
-        if sysm.fiber is not None:
-            assert calls["fwd"] == calls["back"] == 0
-        assert calls["obs"] == -(-n_steps // B)
+            spied = sysm
+            if sysm.fiber is not None:
+                spied = dataclasses.replace(sysm, fiber=(counted("fwd", sysm.fiber[0]),
+                                                         counted("back", sysm.fiber[1])))
+            out = eqmeas.birkhoff_probe(spied, mu, counted("obs", obs),
+                                        n_steps=n_steps, n_samples=n_samples, seed=3)
+            ref = birkhoff_probe_oracle(sysm, mu, obs, n_steps=n_steps,
+                                        n_samples=n_samples, seed=3)
+            assert np.array_equal(out["forward"], ref["forward"])
+            assert np.array_equal(out["backward"], ref["backward"])
+            for k in ("dispersion", "mean", "agree_fraction"):
+                assert out[k] == ref[k]
+            # the observable reads the base, so no fiber is stepped; one observable
+            # call per block of both directions
+            if sysm.fiber is not None:
+                assert calls["fwd"] == calls["back"] == 0
+            assert calls["obs"] == -(-n_steps // block)
 
     @pytest.mark.parametrize("key", ["skew", "slowprod"])
     def test_fiber_coordinate_is_not_observable(self, key):
@@ -513,3 +556,35 @@ class TestTransitivityProbe:
                                         np.array([0.61, 0.13, 0.8]), k_max=2)
         assert hit is None
         assert len(calls) == 2
+
+
+def traced_peak_mb(fn):
+    """Peak of the memory numpy and Python allocate while fn runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """Evolve and disintegrate work in blocks: their peaks do not grow with
+    the atoms or subcells beyond the arrays the result is built from."""
+
+    @pytest.mark.parametrize("order,grid,steps,marks,limit_mb", [
+        (10, (32, 32), 40, (10, 20, 40), 6.0),  # the CLI default (12.3 MB unblocked)
+        (6, (256, 256), 200, (), 2.0),          # most base cells: one step a chunk
+        (10, (256, 256), 200, (), 12.3)])       # and the (2, N) state between chunks
+    def test_evolve_peak(self, cat, phi0, order, grid, steps, marks, limit_mb):
+        peak = traced_peak_mb(lambda: eqmeas.evolve_average(
+            cat.system, phi0, H, X0, steps=steps, grid=grid, order=order,
+            leaf_radius=1.0, checkpoints=marks))
+        assert peak <= limit_mb
+
+    def test_skew_disintegrate_peak(self, skew, skew_mu40):
+        rect = eqmeas.Rectangle(sys=skew.system, anchor=np.array([0.61, 0.13, 0.37]),
+                                du=0.15, dcs=0.15)
+        peak = traced_peak_mb(lambda: eqmeas.disintegrate(
+            skew.system, skew_mu40.measure, rect, n_u=8))
+        assert peak <= 3.0  # 13.0 MB with every subcell made at once
