@@ -17,6 +17,7 @@ from .core import Potential, SystemSpec, mod1, wrap
 
 CAT_MATRIX = np.array([[2, 1], [1, 1]], dtype=float)
 GOLDEN_ROTATION = np.sqrt(2.0) - 1.0
+CHORD_ROWS = 2 ** 9  # rows per chord quadrature: its (rows, 32) temporaries stay in cache
 
 
 def _hyperbolic_eigendata(m):
@@ -159,10 +160,10 @@ class SlowFlowProfile:
     def kappa(self, t):
         """Scalar speed factor as a function of straightened distance."""
         t = np.asarray(t, dtype=float)
-        base = np.where(t > 0, (np.clip(t, 1e-300, None) / self.t0) ** self.exponent, 0.0)
-        u = np.clip((t - 0.9 * self.t0) / (0.1 * self.t0), 0.0, 1.0)
+        base = np.where(t > 0, (np.maximum(t, 1e-300) / self.t0) ** self.exponent, 0.0)
+        u = np.minimum(np.maximum((t - 0.9 * self.t0) / (0.1 * self.t0), 0.0), 1.0)
         s = u ** 3 * (10 + u * (6 * u - 15))
-        return np.where(t >= self.t0, 1.0, (1 - s) * base + s)
+        return (1 - s) * base + s  # exactly 1.0 for t >= t0
 
     def psi(self, pts):
         """Speed field on the fiber torus, shape (..., 2) -> (...)."""
@@ -189,8 +190,12 @@ def _chord_delay(profile, c, u):
     z = 20) by Gauss-Legendre on z <= 20, so c = 0 needs no special case.
     The smooth blend ring (0.9*t0 <= t < t0) is integrated by
     Gauss-Legendre in v.  Both sums run within each row (not as a matrix
-    product, which rounds by batch size), so D does not depend on the batch.
+    product, which rounds by batch size), so D does not depend on the batch,
+    and CHORD_ROWS rows at a time bound the (rows, 32) temporaries.
     """
+    if len(c) > CHORD_ROWS:
+        return np.concatenate([_chord_delay(profile, c[i:i + CHORD_ROWS], u[i:i + CHORD_ROWS])
+                               for i in range(0, len(c), CHORD_ROWS)])
     x, w = _gauss_legendre()
     t0, e = profile.t0, profile.exponent
     g = 1.0 - e
@@ -213,25 +218,42 @@ def _arc_length(profile, c, u):
 
     Newton steps ds = -kappa * residual, replaced by bisection when they
     leave the bracket or fail to halve (as next to the centre, where kappa
-    vanishes); a point is done once its step is below 1e-14.
+    vanishes); a point is done once its step is below 1e-14, and only the
+    rows not done are carried to the next round.  Off the disk (|w| >= h)
+    D(c, w) is sign(w) D(c, h) bit for bit, so the quadrature runs once
+    for the whole chord and then only at points inside the disk.
     """
-    goal = 1.0 + _chord_delay(profile, c, u)
+    def delay(c, w, h, full):
+        d = np.sign(w) * full
+        inner = np.abs(w) < h
+        if inner.any():
+            d[inner] = _chord_delay(profile, c[inner], w[inner])
+        return d
+
+    h = np.sqrt(np.maximum(profile.t0 ** 2 - c ** 2, 0.0))
+    full = _chord_delay(profile, c, h)
+    goal = 1.0 + delay(c, u, h, full)
+    out, rows = np.empty_like(u), np.arange(len(u))
     s = np.ones_like(u)
     lo, hi, last = np.zeros_like(u), np.ones_like(u), np.full_like(u, 2.0)
-    live = np.arange(len(u))
     for _ in range(200):  # bisection alone would reach 2^-200
-        sl, cl, ul = s[live], c[live], u[live]
-        f = sl + _chord_delay(profile, cl, ul + sl) - goal[live]
-        lo[live] = np.where(f <= 0, sl, lo[live])
-        hi[live] = np.where(f >= 0, sl, hi[live])
-        nxt = sl - profile.kappa(np.hypot(cl, ul + sl)) * f
-        ok = (lo[live] < nxt) & (nxt < hi[live]) & (2 * np.abs(nxt - sl) < last[live])
-        s[live] = np.where(ok | (f == 0), nxt, (lo[live] + hi[live]) / 2)
-        last[live] = np.abs(s[live] - sl)
-        live = live[last[live] > 1e-14]
-        if not len(live):
+        us = u + s
+        f = s + delay(c, us, h, full) - goal
+        lo = np.where(f <= 0, s, lo)
+        hi = np.where(f >= 0, s, hi)
+        nxt = s - profile.kappa(np.hypot(c, us)) * f
+        ok = (lo < nxt) & (nxt < hi) & (2 * np.abs(nxt - s) < last)
+        nxt = np.where(ok | (f == 0), nxt, (lo + hi) / 2)
+        last, s = np.abs(nxt - s), nxt
+        live = last > 1e-14
+        if not live.all():
+            out[rows[~live]] = s[~live]
+            rows, c, u, h, full, goal, s, lo, hi, last = (
+                v[live] for v in (rows, c, u, h, full, goal, s, lo, hi, last))
+        if not len(rows):
             break
-    return s
+    out[rows] = s
+    return out
 
 
 def flow_time_one(profile, pts, sign=1.0):
@@ -259,11 +281,12 @@ def flow_time_one(profile, pts, sign=1.0):
     h = np.sqrt(np.maximum(profile.t0 ** 2 - cx ** 2, 0.0))
     meets = (cx < profile.t0) & (u < h) & (u + 1 > -h)
     idx = np.nonzero(meets.any(axis=1))[0]
-    k = meets[idx].argmax(axis=1)
-    c, u0 = cx[idx, k], u[idx, k]
     s = np.ones(len(flat))
-    s[idx] = _arc_length(profile, c, u0)
-    s[idx[profile.kappa(np.hypot(c, u0)) == 0]] = 0.0  # the centre stays fixed
+    if len(idx):
+        k = meets[idx].argmax(axis=1)
+        c, u0 = cx[idx, k], u[idx, k]
+        s[idx] = _arc_length(profile, c, u0)
+        s[idx[(c == 0) & (u0 == 0)]] = 0.0  # the centre, where kappa = 0, stays fixed
     return mod1(flat + sign * s[:, None] * np.array([a, b])).reshape(pts.shape)
 
 
@@ -308,6 +331,7 @@ def base_cosine_potential(amplitude=0.05):
     return Potential(
         fn=lambda x: amp * np.cos(2 * np.pi * x[..., 0]),
         label=f"cos[{amp:g}]",
+        base_only=True,
     )
 
 

@@ -199,18 +199,20 @@ def leaf_birkhoff_sum(sys, phi, x, t, n):
     The same numbers as birkhoff_sum on those points, bit for bit.  The
     unstable direction lies in the base plane, so the points share one
     fiber point, which is mapped once per step, as the fiber map ignores
-    the base.
+    the base; a base-only potential is handed the base points alone, and
+    the fiber point is not mapped for it.
     """
     if n < 1:
         raise ValueError("birkhoff order must be >= 1")
     pts = mod1(leaf_point(sys, x, t))  # reduced twice, as birkhoff_sum does
     total = np.asarray(phi(pts), dtype=float).copy()
     base, fib = pts[:, :2], pts[0, 2:]
+    fiber = None if phi.base_only else sys.fiber
     for _ in range(n - 1):
         base = mod1(base @ sys._transposed[0])
-        if sys.fiber is not None:
-            fib = sys.fiber[0](fib)
-        pts = base if sys.fiber is None else np.column_stack(
+        if fiber is not None:
+            fib = fiber[0](fib)
+        pts = base if fiber is None else np.column_stack(
             (base, np.broadcast_to(fib, (len(base), len(fib)))))
         total += phi(pts)
     return total
@@ -230,12 +232,15 @@ class Potential:
 
     fn maps (..., dim) arrays to (...) arrays.  constant_value, when not
     None, certifies phi == constant_value everywhere and lets orbit sums
-    and partition sums take the closed form.
+    and partition sums take the closed form.  base_only certifies that fn
+    reads only the two base coordinates, so it also takes (..., 2) arrays
+    and leaf sums need not map the fiber.
     """
 
     fn: Callable
     label: str = "phi"
     constant_value: float | None = None
+    base_only: bool = False
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))

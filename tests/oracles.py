@@ -12,6 +12,10 @@ same point in a batch.
 gibbs_ratio_oracle estimates the Bowen-ball masses one centre at a time,
 and disintegrate_oracle refines every bin of a measure into subcells at
 once.
+flow_time_one_oracle is the slowed-flow time-one map as it was before it
+skipped the arc solve for points that need none: it solves on every call,
+evaluates the chord quadrature for every live row in every round and for
+all rows at once, and carries full-size arrays from round to round.
 pressure_oracle builds one separated net and one partition sum per
 (order, radius), as the package did before reading coarser radii by
 stride; mass_diagnostics_masses_oracle builds one reference measure per
@@ -24,8 +28,8 @@ closed forms rest on.
 import numpy as np
 
 import eqmeas
-from eqmeas.catalog import CAT_MATRIX, GOLDEN_ROTATION
-from eqmeas.core import leaf_birkhoff_sum
+from eqmeas.catalog import CAT_MATRIX, GOLDEN_ROTATION, _gauss_legendre
+from eqmeas.core import leaf_birkhoff_sum, mod1, wrap
 from eqmeas import equilibrium
 from eqmeas.equilibrium import (ConditionalFamily, EvolveResult, GibbsReport,
                                 PhaseMeasure)
@@ -89,6 +93,77 @@ def slowprod_steps(profile, matrix):
         return step
 
     return every_row(mt, 1.0), every_row(minvt, -1.0)
+
+
+def _kappa_oracle(profile, t):
+    t = np.asarray(t, dtype=float)
+    base = np.where(t > 0, (np.clip(t, 1e-300, None) / profile.t0) ** profile.exponent, 0.0)
+    u = np.clip((t - 0.9 * profile.t0) / (0.1 * profile.t0), 0.0, 1.0)
+    s = u ** 3 * (10 + u * (6 * u - 15))
+    return np.where(t >= profile.t0, 1.0, (1 - s) * base + s)
+
+
+def _chord_delay_oracle(profile, c, u):
+    """D(c, u) with every row's (rows, 32) quadrature temporaries at once."""
+    x, w = _gauss_legendre()
+    t0, e = profile.t0, profile.exponent
+    g = 1.0 - e
+    h = np.sqrt(np.maximum(t0 ** 2 - c ** 2, 0.0))
+    h9 = np.sqrt(np.maximum((0.9 * t0) ** 2 - c ** 2, 0.0))
+    v = np.minimum(np.abs(u), h)
+    core = np.minimum(v, h9)
+    zmax = np.minimum(np.arcsinh(core / np.maximum(c, 1e-300)), 20.0)
+    z = zmax[:, None] * x
+    rest = (np.exp(g * z) * ((1 + np.exp(-2 * z)) ** g - 1) * w).sum(axis=1) * zmax
+    lead = ((core + np.hypot(c, core)) ** g - c ** g) / g
+    ring = np.maximum(v - h9, 0.0)
+    t = np.hypot(c[:, None], h9[:, None] + ring[:, None] * x)
+    ring_delay = ((1 / _kappa_oracle(profile, t) - 1) * w).sum(axis=1) * ring
+    return np.sign(u) * (t0 ** e * 2 ** -g * (lead + c ** g * rest) - core + ring_delay)
+
+
+def _arc_length_oracle(profile, c, u):
+    """The arc solve on full-size arrays, gathering and scattering the live rows."""
+    goal = 1.0 + _chord_delay_oracle(profile, c, u)
+    s = np.ones_like(u)
+    lo, hi, last = np.zeros_like(u), np.ones_like(u), np.full_like(u, 2.0)
+    live = np.arange(len(u))
+    for _ in range(200):
+        sl, cl, ul = s[live], c[live], u[live]
+        f = sl + _chord_delay_oracle(profile, cl, ul + sl) - goal[live]
+        lo[live] = np.where(f <= 0, sl, lo[live])
+        hi[live] = np.where(f >= 0, sl, hi[live])
+        nxt = sl - _kappa_oracle(profile, np.hypot(cl, ul + sl)) * f
+        ok = (lo[live] < nxt) & (nxt < hi[live]) & (2 * np.abs(nxt - sl) < last[live])
+        s[live] = np.where(ok | (f == 0), nxt, (lo[live] + hi[live]) / 2)
+        last[live] = np.abs(s[live] - sl)
+        live = live[last[live] > 1e-14]
+        if not len(live):
+            break
+    return s
+
+
+def flow_time_one_oracle(profile, pts, sign=1.0):
+    """The slowed-flow time-one map, the arc solve run on every call and the
+    fixed centre found by a kappa evaluation."""
+    pts = np.asarray(pts, dtype=float)
+    flat = pts.reshape(-1, 2)
+    a, b = (float(v) for v in profile.drift)
+    d = wrap(flat - np.asarray(profile.center))
+    span = int(0.5 + abs(b) * (1 + profile.t0)) + 1
+    dy = d[:, 1:] - np.arange(-span, span + 1)
+    cx = d[:, :1] - dy * a / b
+    cx = np.abs(cx - np.rint(cx))
+    u = sign * dy / b
+    h = np.sqrt(np.maximum(profile.t0 ** 2 - cx ** 2, 0.0))
+    meets = (cx < profile.t0) & (u < h) & (u + 1 > -h)
+    idx = np.nonzero(meets.any(axis=1))[0]
+    k = meets[idx].argmax(axis=1)
+    c, u0 = cx[idx, k], u[idx, k]
+    s = np.ones(len(flat))
+    s[idx] = _arc_length_oracle(profile, c, u0)
+    s[idx[_kappa_oracle(profile, np.hypot(c, u0)) == 0]] = 0.0
+    return mod1(flat + sign * s[:, None] * np.array([a, b])).reshape(pts.shape)
 
 
 def systems_with_oracles():

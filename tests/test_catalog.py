@@ -8,7 +8,8 @@ import pytest
 import eqmeas
 import eqmeas.catalog as catalog
 from eqmeas.catalog import CAT_MATRIX, SlowFlowProfile
-from oracles import evolve_oracle, slowprod_steps, systems_with_oracles
+from oracles import (evolve_oracle, flow_time_one_oracle, slowprod_steps,
+                     systems_with_oracles)
 
 LAM = (3 + np.sqrt(5.0)) / 2
 
@@ -285,6 +286,42 @@ class TestSlowFlowMap:
             alone = eqmeas.flow_time_one(prof, p, sign=sign)
             got = eqmeas.flow_time_one(prof, batch, sign=sign)[row]
             assert np.array_equal(got, alone), (p.tolist(), n, row)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_full_solve_oracle(self, slowprod, sign):
+        # 6,601 of the uniform points solve for their arc, in chunks of CHORD_ROWS
+        prof = slowprod.system.profile
+        line = SlowFlowProfile(drift=(0.5, 1.0))
+        rng = np.random.default_rng(23)
+        t = np.concatenate([-2.0 ** -np.arange(1, 60), 2.0 ** -np.arange(1, 60),
+                            np.linspace(-0.5, 0.5, 257)])
+        cases = [(prof, rng.random((20_000, 2))),
+                 (prof, prof.center + (2 * rng.random((2_000, 2)) - 1) * 1e-6),
+                 (prof, np.array([prof.center])),
+                 (line, line.center + t[:, None] * np.array(line.drift))]
+        for p, pts in cases:
+            want = flow_time_one_oracle(p, pts, sign=sign)
+            assert np.array_equal(eqmeas.flow_time_one(p, pts, sign=sign), want)
+            for x, row in zip(pts[:100], want):
+                assert np.array_equal(eqmeas.flow_time_one(p, x, sign=sign), row)
+
+    def test_quadrature_runs_only_where_needed(self, slowprod, monkeypatch):
+        prof = slowprod.system.profile
+        drift = np.array(prof.drift)
+        calls = []
+
+        def counting(profile, c, u):
+            calls.append(len(c))
+            return chord_delay(profile, c, u)
+
+        chord_delay = catalog._chord_delay
+        monkeypatch.setattr(catalog, "_chord_delay", counting)
+        # its unit arc misses the disk, so no D is needed
+        eqmeas.flow_time_one(prof, np.array([0.1231, 0.2644]))
+        assert calls == []
+        # it crosses the disk, through the centre: D of the whole chord, once
+        eqmeas.flow_time_one(prof, prof.center - 0.5 * drift)
+        assert calls == [1]
 
     def test_backward_inverts(self, slowprod):
         prof = slowprod.system.profile

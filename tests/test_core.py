@@ -353,21 +353,22 @@ class TestSystemSpec:
 
 class TestLeafBirkhoffSum:
     PHI = eqmeas.Potential(fn=lambda x: np.cos(2 * np.pi * x[..., 0]) + 0.3 * x[..., -1])
+    COS = eqmeas.base_cosine_potential(0.5)  # base_only: handed base points alone
 
-    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
-    def test_matches_birkhoff_sum_of_leaf_points(self, key):
+    @staticmethod
+    def assert_matches_birkhoff_sum(key, phi):
         sysm = systems_with_oracles()[key][0]
         rng = np.random.default_rng(12)
         # t = -1e-20 from a zero coordinate puts 1.0 in the leaf point
         t = np.concatenate([[-1e-20, 0.0, 1e-20], rng.uniform(-0.5, 0.5, 200)])
         for x in (rng.random(sysm.dim), np.full(sysm.dim, -1e-20), np.zeros(sysm.dim)):
             for n in (1, 2, 7):
-                got = leaf_birkhoff_sum(sysm, self.PHI, x, t, n)
-                want = eqmeas.birkhoff_sum(sysm, self.PHI, eqmeas.leaf_point(sysm, x, t), n)
+                got = leaf_birkhoff_sum(sysm, phi, x, t, n)
+                want = eqmeas.birkhoff_sum(sysm, phi, eqmeas.leaf_point(sysm, x, t), n)
                 assert np.array_equal(got, want), (x, n)
 
-    @pytest.mark.parametrize("key", ["skew", "slowprod"])
-    def test_maps_the_shared_fiber_point_once_per_step(self, key):
+    @staticmethod
+    def mapped_fiber_points(key, phi):
         sysm = systems_with_oracles()[key][0]
         rows = []
 
@@ -376,5 +377,22 @@ class TestLeafBirkhoffSum:
             return sysm.fiber[0](fib)
 
         spied = dataclasses.replace(sysm, fiber=(counted, sysm.fiber[1]))
-        leaf_birkhoff_sum(spied, self.PHI, np.full(sysm.dim, 0.3), np.linspace(-0.1, 0.1, 50), 5)
-        assert rows == [(sysm.dim - 2,)] * 4
+        leaf_birkhoff_sum(spied, phi, np.full(sysm.dim, 0.3), np.linspace(-0.1, 0.1, 50), 5)
+        return rows
+
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
+    def test_matches_birkhoff_sum_of_leaf_points(self, key):
+        self.assert_matches_birkhoff_sum(key, self.PHI)
+
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
+    def test_base_only_potential_matches_birkhoff_sum(self, key):
+        self.assert_matches_birkhoff_sum(key, self.COS)
+
+    @pytest.mark.parametrize("key", ["skew", "slowprod"])
+    def test_maps_the_shared_fiber_point_once_per_step(self, key):
+        sysm = systems_with_oracles()[key][0]
+        assert self.mapped_fiber_points(key, self.PHI) == [(sysm.dim - 2,)] * 4
+
+    @pytest.mark.parametrize("key", ["skew", "slowprod"])
+    def test_base_only_potential_maps_no_fiber_point(self, key):
+        assert self.mapped_fiber_points(key, self.COS) == []

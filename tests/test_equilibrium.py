@@ -588,3 +588,12 @@ class TestWorkingMemory:
         peak = traced_peak_mb(lambda: eqmeas.disintegrate(
             skew.system, skew_mu40.measure, rect, n_u=8))
         assert peak <= 3.0  # 13.0 MB with every subcell made at once
+
+    def test_slow_flow_step_peak(self, slowprod):
+        # one default Gibbs group (4 x 8,193 points), every fiber point in
+        # reach of the slow disk, so every row solves for its arc
+        rng = np.random.default_rng(3)
+        pts = rng.random((4 * 8193, 4))
+        pts[:, 2:] = slowprod.system.profile.center + (2 * rng.random((len(pts), 2)) - 1) * 0.05
+        peak = traced_peak_mb(lambda: slowprod.system.step_fwd(pts))
+        assert peak <= 16.0  # 72 MB with the chord quadrature of every row at once

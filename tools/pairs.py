@@ -1,0 +1,120 @@
+"""Alternating pairs of bench/run.py: a git ref against the working tree.
+
+    python3 tools/pairs.py --workload slowprod-control --pairs 10 --seed 0 --seconds 30
+
+Run it from anywhere inside the repository.  Both sides run from fresh
+copies in one temporary directory: the ref (default HEAD) is extracted with
+`git archive`, and the working tree is copied from the files git tracks or
+would track (`git ls-files --cached --others --exclude-standard`), so
+neither side runs in the repository itself and nothing is written to .git.
+Each pair runs the two sides back to back with the same seed and
+--seconds, alternating which side goes first.
+
+For every end-to-end metric in the working tree's BENCHMARK.json it prints
+every run, each side's median and quartiles, and the change's win count
+(ties count for neither side).  A metric is marked "gain" when the change
+wins at least nine tenths of the pairs and the medians differ, in the
+better direction, by more than the distance between the ref's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", repo, *args], check=True,
+                          capture_output=True).stdout
+
+
+def extract_ref(repo, ref, dest):
+    os.makedirs(dest)
+    subprocess.run(["tar", "-x", "-C", dest], input=git(repo, "archive", ref), check=True)
+
+
+def copy_working_tree(repo, dest):
+    listed = git(repo, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split(b"\0")):
+        rel = os.fsdecode(name)
+        src = os.path.join(repo, rel)
+        if os.path.isfile(src):  # a tracked file deleted in the tree is left out
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel))
+
+
+def bench(checkout, args):
+    """One bench/run.py run in checkout: (correct, {metric: value})."""
+    cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    res = json.loads(lines[-1])
+    return res["correct"], {k: m["value"] for k, m in res["metrics"].items()}
+
+
+def spread(values):
+    """(median, distance between the quartiles, printed form) of values."""
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return med, q3 - q1, f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--ref", default="HEAD")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seconds", type=float, default=30.0)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    repo = os.fsdecode(git(os.getcwd(), "rev-parse", "--show-toplevel").strip())
+    sha = os.fsdecode(git(repo, "rev-parse", args.ref).strip())
+    with open(os.path.join(repo, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+
+    runs = {"ref": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        sides = {"ref": os.path.join(tmp, "ref"), "change": os.path.join(tmp, "change")}
+        extract_ref(repo, sha, sides["ref"])
+        copy_working_tree(repo, sides["change"])
+        print(f"# {args.workload}: ref {args.ref} ({sha[:12]}) against the working tree, "
+              f"{args.pairs} pairs, seed {args.seed}, --seconds {args.seconds:g}")
+        for i in range(args.pairs):
+            order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
+            for side in order:
+                correct, values = bench(sides[side], args)
+                runs[side].append(values)
+                shown = " ".join(f"{m['name']}={values[m['name']]:.6g}" for m in metrics)
+                print(f"pair {i + 1:2d} {side:6s} correct={correct} {shown}", flush=True)
+                if not correct:
+                    print(f"# {side} run of pair {i + 1} is not correct")
+
+    print(f"\n{'metric':16s} {'better':6s} {'ref median [q1, q3]':34s} "
+          f"{'change median [q1, q3]':34s} wins   verdict")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        ref = [r[name] for r in runs["ref"]]
+        new = [r[name] for r in runs["change"]]
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(ref, new))
+        (rmed, riqr, rtext), (cmed, _, ctext) = spread(ref), spread(new)
+        gain = rmed - cmed if lower else cmed - rmed
+        verdict = "gain" if wins >= 0.9 * args.pairs and gain > riqr else "-"
+        change = f" ({100 * (cmed / rmed - 1):+.1f}%)" if rmed else ""
+        print(f"{name:16s} {m['better']:6s} {rtext:34s} {ctext:34s} "
+              f"{wins:2d}/{args.pairs:<3d} {verdict}{change}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
