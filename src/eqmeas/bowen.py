@@ -58,6 +58,13 @@ def net_size(sysm, n, r, leaf_radius):
     return int(np.floor(2 * leaf_radius / ball_width(sysm, n, r))) + 1
 
 
+def net_params(sysm, n, r, leaf_radius, idx):
+    """Parameters of the net's atoms at the float indices idx, built in place in idx."""
+    idx *= ball_width(sysm, n, r)
+    idx += -leaf_radius
+    return idx
+
+
 def separated_net(sysm, x, n, r, leaf_radius=0.5):
     """Maximal (n, r)-separated net on [-leaf_radius, leaf_radius].
 
@@ -65,10 +72,8 @@ def separated_net(sysm, x, n, r, leaf_radius=0.5):
     arithmetic progression with spacing ball_width(sysm, n, r), which is
     emitted directly.
     """
-    count = net_size(sysm, n, r, leaf_radius)
-    spacing = ball_width(sysm, n, r)
-    params = np.arange(count, dtype=float)  # built in place: one (count,) array
-    params *= spacing
-    params += -leaf_radius
+    params = net_params(sysm, n, r, leaf_radius,
+                        np.arange(net_size(sysm, n, r, leaf_radius), dtype=float))
     return SeparatedNet(sys=sysm, base=np.asarray(x, dtype=float), order=n, radius=r,
-                        leaf_radius=leaf_radius, params=params, spacing=float(spacing))
+                        leaf_radius=leaf_radius, params=params,
+                        spacing=float(ball_width(sysm, n, r)))

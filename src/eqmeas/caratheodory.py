@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from .core import leaf_birkhoff_sum, leaf_point
-from .bowen import MAX_CENTERS, ball_width, separated_net
+from .bowen import MAX_CENTERS, ball_width, net_size, separated_net
 from .pressure import _leaf_log_sum
 
 # Orders a truncated cover problem looks past its base order.
@@ -192,6 +192,16 @@ class LeafMeasure:
                            minlength=len(edges) - 1)
 
 
+def atom_weight(c, pressure, order):
+    """exp(S_N phi - N * pressure) of every atom of an order-N net for phi = c."""
+    return float(np.exp(float(order) * c - order * pressure))
+
+
+def equal_mass(weight, count):
+    """Mass of count atoms of one weight, added as LeafMeasure.mass adds them."""
+    return float(np.add.reduce(np.broadcast_to(weight, (count,))))
+
+
 def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1):
     """Carathéodory-normalized leaf measure at the given order."""
     if order < 1:
@@ -199,11 +209,11 @@ def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1)
     net = separated_net(sysm, x, order, r, leaf_radius)
     c = phi.constant_value
     if c is not None:  # birkhoff_sum's closed form, without the leaf points
-        sn = np.full(net.params.shape, float(order) * c)
+        weights = np.full(net.params.shape, atom_weight(c, pressure, order))
     else:
         sn = leaf_birkhoff_sum(sysm, phi, net.base, net.params, order)
-    sn -= order * pressure
-    weights = np.exp(sn, out=sn)  # built in place, in sn
+        sn -= order * pressure
+        weights = np.exp(sn, out=sn)  # built in place, in sn
     return LeafMeasure(sys=sysm, base=np.asarray(x, dtype=float), order=order,
                        leaf_radius=leaf_radius, params=net.params, weights=weights)
 
@@ -215,18 +225,20 @@ def mass_diagnostics(sysm, phi, pressure, base_points, *, orders=range(6, 13),
     Returns the masses, the global max/min mass ratio and the worst
     per-base-point log-mass slope in the order; a pressure value fitted off
     by delta shows up here as a slope of about +-delta.  A constant phi's
-    masses do not depend on the base point, so each order is priced once.
+    masses do not depend on the base point: each order is priced once, no net built.
     """
     orders = list(orders)
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     masses = np.empty((len(base_points), len(orders)))
-    for i, x in enumerate(base_points):
-        if i and phi.constant_value is not None:
-            masses[i] = masses[0]
-            continue
-        for j, n in enumerate(orders):
-            masses[i, j] = reference_measure(
-                sysm, phi, pressure, x, n, r=r, leaf_radius=leaf_radius).mass()
+    c = phi.constant_value
+    if c is not None:
+        masses[:] = [equal_mass(atom_weight(c, pressure, n),
+                                net_size(sysm, n, r, leaf_radius)) for n in orders]
+    else:
+        for i, x in enumerate(base_points):
+            for j, n in enumerate(orders):
+                masses[i, j] = reference_measure(
+                    sysm, phi, pressure, x, n, r=r, leaf_radius=leaf_radius).mass()
     slopes = [float(np.polyfit(orders, np.log(row), 1)[0]) for row in masses]
     return {
         "masses": masses,

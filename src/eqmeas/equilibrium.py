@@ -9,9 +9,9 @@ import dataclasses
 
 import numpy as np
 
-from .bowen import ball_width
+from .bowen import MAX_CENTERS, ball_width, net_params, net_size
 from .core import iterate, leaf_point, mod1, torus_dist
-from .caratheodory import LeafMeasure, reference_measure
+from .caratheodory import LeafMeasure, atom_weight, equal_mass, reference_measure
 
 MASS_TOL = 1e-9
 # Atoms per block of evolve_average's step and binning passes, and most
@@ -136,7 +136,10 @@ class Rectangle:
 
     def contains(self, points):
         u, cs = self.coords(points)
-        return (np.abs(u) <= self.du) & (np.max(np.abs(cs), axis=-1) <= self.dcs)
+        inside = np.abs(u) <= self.du
+        for j in range(cs.shape[-1]):  # by column: np.max over one or two entries is slow
+            inside &= np.abs(cs[..., j]) <= self.dcs
+        return inside
 
     def volume(self):
         d = self.sys.dim
@@ -205,7 +208,9 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     forward images (the measure itself included) and averages the binned
     snapshots.  Nets larger than ATOM_BUDGET are decimated
     deterministically (every k-th atom), which preserves the closed-form
-    weights up to the reported thinning factor.
+    weights up to the reported thinning factor.  A constant phi's atoms
+    share one weight, so its net is never built; a non-constant phi raises
+    ArithmeticError on a net of more than MAX_CENTERS atoms before building it.
 
     The leaf through x runs in the base plane, so its atoms share x's fiber
     point at every step, and the bin of an atom is its base bin times the
@@ -223,15 +228,24 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     grid = (32,) * sysm.dim if grid is None else tuple(int(g) for g in grid)
     if len(grid) != sysm.dim:
         raise ValueError(f"grid has {len(grid)} axes, the system has dim {sysm.dim}")
-    lm = reference_measure(sysm, phi, pressure, x, order, r=r, leaf_radius=leaf_radius)
-    initial_mass = lm.mass()
-    t, w = lm.params, lm.weights
-    thin = 1
-    if len(t) > ATOM_BUDGET:
-        thin = int(np.ceil(len(t) / ATOM_BUDGET))
-        t, w = t[::thin], w[::thin]
-    w /= w.sum()  # in place, in lm.weights
-    fib, cells = mod1(lm.base[2:]), []
+    x = np.asarray(x, dtype=float)
+    count, c = net_size(sysm, order, r, leaf_radius), phi.constant_value
+    thin = -(-count // ATOM_BUDGET)
+    n_atoms = -(-count // thin)  # every thin-th atom of the net
+    if c is None:
+        if count > MAX_CENTERS:
+            raise ArithmeticError(f"net of order {order} needs {count} atoms "
+                                  f"(limit {MAX_CENTERS})")
+        w = reference_measure(sysm, phi, pressure, x, order, r=r,
+                              leaf_radius=leaf_radius).weights
+        initial_mass = float(w.sum())
+        w = w[::thin]
+        w /= w.sum()
+    else:
+        v = atom_weight(c, pressure, order)
+        initial_mass = equal_mass(v, count)
+        w = np.broadcast_to(v / equal_mass(v, n_atoms), (n_atoms,))
+    fib, cells = mod1(x[2:]), []
     for k in range(steps):
         if k and sysm.fiber is not None:
             fib = sysm.fiber[0](fib)
@@ -240,9 +254,9 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     # (base cell, fiber cell); raveled in C order, the flat index of _bin_index
     acc = np.zeros((n_base, int(np.prod(grid[2:]))))
     chunk = max(1, EVOLVE_SUMS // n_base)
-    size = min(EVOLVE_BLOCK, len(t))
+    size = min(EVOLVE_BLOCK, n_atoms)
     keep = steps > chunk  # the (2, N) base coordinates outlive a chunk
-    base = np.empty((2, len(t) if keep else size))
+    base = np.empty((2, n_atoms if keep else size))
     scratch, idx = np.empty((2, size)), np.empty(size, dtype=np.int64)
     g = np.array(grid[:2], dtype=float)[:, None]
     place = np.array([g[1, 0], 1.0])  # C order: base cell i0 * g1 + i1
@@ -252,14 +266,16 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     for k0 in range(0, steps, chunk):
         sums = chunk_sums[:steps - k0]
         sums.fill(0.0)
-        for start in range(0, len(t), EVOLVE_BLOCK):
+        for start in range(0, n_atoms, EVOLVE_BLOCK):
             blk = slice(start, start + EVOLVE_BLOCK)
-            m = len(t[blk])
+            m = min(EVOLVE_BLOCK, n_atoms - start)
             b = base[:, blk] if keep else base[:, :m]
             p = scratch[:, :m]
-            if not k0:  # unstable_chart's base
-                np.multiply(sysm.frame[0, :2, None], t[blk], out=p)
-                p += lm.base[:2, None]
+            if not k0:  # unstable_chart's base at every thin-th parameter of the net
+                t = net_params(sysm, order, r, leaf_radius, np.arange(
+                    start * thin, (start + m) * thin, thin, dtype=float))
+                np.multiply(sysm.frame[0, :2, None], t, out=p)
+                p += x[:2, None]
                 np.subtract(p, np.floor(p, out=b), out=b)  # b = mod1(p)
             for j in range(len(sums)):
                 if k0 + j:
@@ -278,7 +294,7 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
         measure=PhaseMeasure(grid, np.divide(acc, steps, out=acc)),
         snapshots=snaps,
         steps=steps,
-        atom_count=len(t),
+        atom_count=n_atoms,
         initial_mass=initial_mass,
         thin=thin,
     )
@@ -576,6 +592,7 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=
     # and backward block[i, 1] advance together, each stored (2, n_samples)
     mats = np.stack([sysm.matrix, sysm.inverse])
     block = np.empty((min(n_steps, PROBE_BLOCK), 2, 2, n_samples))
+    floor = np.empty((2, 2, n_samples))
     p = np.stack([pts.T, pts.T])
     total = np.zeros((2, n_samples))
     for start in range(0, n_steps, PROBE_BLOCK):
@@ -584,7 +601,7 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=
             q = block[i]
             if start + i:
                 np.matmul(mats, p, out=q)
-                q -= np.floor(q)  # mod1 in place
+                q -= np.floor(q, out=floor)  # mod1 in place
             else:
                 q[...] = p
             p = q

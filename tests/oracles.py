@@ -36,6 +36,9 @@ from eqmeas.equilibrium import (ConditionalFamily, EvolveResult, GibbsReport,
 
 # a hyperbolic matrix with an entry (3) whose products are not all exact
 M32 = [[3, 2], [1, 1]]
+# a hyperbolic matrix with negative entries: its steps can land a hair below
+# 0, where mod1 gives 1.0
+M_SIGNED = [[2, -1], [-1, 1]]
 
 
 def _inverse(m):
@@ -174,6 +177,7 @@ def systems_with_oracles():
         "skew": (eqmeas.get_system("skew").system, skew_steps(CAT_MATRIX, GOLDEN_ROTATION)),
         "slowprod": (slow, slowprod_steps(slow.profile, CAT_MATRIX)),
         "toral32": (eqmeas.make_toral_automorphism(M32), toral_steps(M32)),
+        "signed": (eqmeas.make_toral_automorphism(M_SIGNED), toral_steps(M_SIGNED)),
     }
 
 

@@ -224,6 +224,15 @@ class TestReferenceMeasure:
         expect = np.exp(np.full(lm.params.shape, order * c) - order * H)
         assert np.array_equal(lm.weights.view(np.int64), expect.view(np.int64))
 
+    @pytest.mark.parametrize("c,pressure", [(0.3, H), (-2.5, 0.1), (7.0, 3.3), (0.0, -1.0)])
+    def test_constant_weights_match_the_array_form(self, cat, c, pressure):
+        for order in range(1, 21):
+            lm = eqmeas.reference_measure(cat.system, eqmeas.constant_potential(c),
+                                          pressure, X0, order, leaf_radius=1e-3)
+            sn = np.full(lm.params.shape, float(order) * c)
+            sn -= order * pressure
+            assert np.array_equal(lm.weights.view(np.int64), np.exp(sn).view(np.int64))
+
     def test_segment_mass_adds_up(self, cat, phi0):
         lm = eqmeas.reference_measure(cat.system, phi0, H, X0, 8)
         total = lm.segment_mass(-0.1, 0.1)
@@ -274,14 +283,32 @@ class TestMassDiagnostics:
         ref = mass_diagnostics_masses_oracle(sysm, phi, H, bases, **kw)
         assert np.array_equal(diag["masses"], ref)
 
+    @pytest.mark.parametrize("phi", [eqmeas.zero_potential(),
+                                     eqmeas.constant_potential(-0.7)], ids=["zero", "const"])
+    def test_constant_potential_builds_no_net(self, cat, monkeypatch, phi):
+        bases = np.random.default_rng(2).random((4, 2))
+        want = mass_diagnostics_masses_oracle(cat.system, phi, H, bases)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("net built for a constant potential")
+
+        monkeypatch.setattr(caratheodory, "separated_net", refuse)
+        diag = eqmeas.mass_diagnostics(cat.system, phi, H, bases)
+        assert np.array_equal(diag["masses"], want)
+        # the order-20 net would hold 3.5e8 atoms
+        diag = eqmeas.mass_diagnostics(cat.system, phi, H, bases, orders=range(6, 21))
+        assert diag["masses"].shape == (4, 15)
+        assert np.array_equal(diag["masses"][:, :7], want)
+
     def test_constant_potential_prices_each_order_once(self, cat, phi0, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[4])
-            return eqmeas.reference_measure(*args, **kwargs)
+        def counted(c, pressure, order):
+            calls.append(order)
+            return weight(c, pressure, order)
 
-        monkeypatch.setattr(caratheodory, "reference_measure", counted)
+        weight = caratheodory.atom_weight
+        monkeypatch.setattr(caratheodory, "atom_weight", counted)
         bases = np.random.default_rng(0).random((20, 2))
         diag = eqmeas.mass_diagnostics(cat.system, phi0, H, bases)
         assert calls == list(range(6, 13))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from eqmeas import catalog, cli, equilibrium
+from eqmeas import caratheodory, catalog, cli, equilibrium
 
 
 def _write(tmp_path, body, name="run.ini"):
@@ -192,6 +192,19 @@ class TestMain:
         code = cli.main(["press", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 3
         assert ("numeric failure: net of order 15 needs 5685176 atoms "
+                "(limit 4194304)") in capsys.readouterr().out
+
+    def test_evolve_net_size_limit_exits_3(self, tmp_path, monkeypatch, capsys):
+        # 148,839,840 atoms and their leaf sums; the limit exits before any net is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("net built over the limit")
+
+        monkeypatch.setattr(caratheodory, "separated_net", refuse)
+        path = _write(tmp_path, BASE + "potential = cos\nevolve_order = 16\n"
+                      "evolve_leaf_radius = 2\n")
+        code = cli.main(["evolve", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert ("numeric failure: net of order 16 needs 148839840 atoms "
                 "(limit 4194304)") in capsys.readouterr().out
 
     def test_cdim_cover_size_limit_skips_pressure(self, tmp_path, monkeypatch):

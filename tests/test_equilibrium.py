@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eqmeas
-from eqmeas import equilibrium
+from eqmeas import caratheodory, equilibrium
 from eqmeas.equilibrium import _bin_index
 from oracles import (bin_index_oracle, disintegrate_oracle, evolve_oracle,
                      gibbs_ratio_oracle, systems_with_oracles)
@@ -191,7 +191,8 @@ class TestEvolveAverage:
         ("cat", [0.2, 0.7], (8, 8)),
         ("skew", [0.2, 0.7, 0.37], (8, 8, 4)),
         ("slowprod", [0.2, 0.7, 0.13, 0.86], (4, 4, 4, 4)),
-        ("toral32", [0.2, 0.7], (8, 8))])
+        ("toral32", [0.2, 0.7], (8, 8)),
+        ("signed", [0.2, 0.7], (8, 8))])
     def test_matches_full_atom_oracle(self, phi0, monkeypatch, key, x, grid):
         sysm, (fwd, _) = systems_with_oracles()[key]
         h = float(np.log(sysm.leaf_rate))
@@ -214,7 +215,8 @@ class TestEvolveAverage:
         ("cat", [0.2, 0.7], (8, 8)),
         ("skew", [0.2, 0.7, 0.37], (8, 8, 4)),
         ("slowprod", [0.2, 0.7, 0.13, 0.86], (4, 4, 4, 4)),
-        ("toral32", [0.2, 0.7], (8, 8))])
+        ("toral32", [0.2, 0.7], (8, 8)),
+        ("signed", [0.2, 0.7], (8, 8))])
     def test_matches_oracle_across_blocks(self, phi0, monkeypatch, key, x, grid,
                                           block, leaf):
         sysm, (fwd, _) = systems_with_oracles()[key]
@@ -238,6 +240,34 @@ class TestEvolveAverage:
             if leaf == "generic":
                 assert got.atom_count > block and got.atom_count % block
             assert_same_evolve(got, want)
+
+    def test_signed_matrix_clamps_after_the_first_step(self, phi0, monkeypatch):
+        # the order-1 atom at t = 0 sits at x; one step of M_SIGNED takes it to
+        # 2x0 - x1 = -2^-111, whose mod1 is 1.0 and takes the clamp of _bin_index
+        sysm, (fwd, _) = systems_with_oracles()["signed"]
+        x = np.array([2.0 ** -60, 2.0 ** -59 + 2.0 ** -111])
+        assert eqmeas.mod1(sysm.matrix @ x)[0] == 1.0
+        h = float(np.log(sysm.leaf_rate))
+        kw = dict(steps=6, grid=(8, 8), order=1, r=0.05, leaf_radius=0.5,
+                  checkpoints=(1, 2, 5, 6))
+        want = evolve_oracle(sysm, fwd, phi0, h, x, **kw)
+        for sums in step_chunk_sums(kw["grid"]):
+            monkeypatch.setattr(equilibrium, "EVOLVE_SUMS", sums)
+            assert_same_evolve(eqmeas.evolve_average(sysm, phi0, h, x, **kw), want)
+
+    @pytest.mark.parametrize("make", [
+        lambda sysm: eqmeas.zero_potential(),
+        lambda sysm: eqmeas.constant_potential(0.3),
+        lambda sysm: eqmeas.geometric_potential(sysm, 0.5),
+    ], ids=["zero", "const", "geom"])
+    def test_constant_potential_builds_no_net(self, cat, monkeypatch, make):
+        def refuse(*args, **kwargs):
+            raise AssertionError("net built for a constant potential")
+
+        monkeypatch.setattr(caratheodory, "separated_net", refuse)
+        res = eqmeas.evolve_average(cat.system, make(cat.system), H, X0, steps=3,
+                                    grid=(32, 32), order=10, leaf_radius=1.0)
+        assert res.atom_count == 231120
 
     @pytest.mark.parametrize("grid", [(8, 8), (8, 8, 8, 8)])
     def test_rejects_grid_of_wrong_length(self, skew, phi0, grid):
@@ -581,6 +611,22 @@ class TestWorkingMemory:
             cat.system, phi0, H, X0, steps=steps, grid=grid, order=order,
             leaf_radius=1.0, checkpoints=marks))
         assert peak <= limit_mb
+
+    def test_constant_evolve_peak_without_a_net(self, cat, phi0):
+        # the CLI default: 4.6 MB with the net's parameters and weights held
+        peak = traced_peak_mb(lambda: eqmeas.evolve_average(
+            cat.system, phi0, H, X0, steps=40, grid=(32, 32), order=10,
+            leaf_radius=1.0, checkpoints=(10, 20, 40)))
+        assert peak <= 2.0
+
+    def test_constant_evolve_of_the_largest_net(self, cat, phi0):
+        # the schema's largest evolve net: 148,839,840 atoms, every 149th followed
+        res = []
+        peak = traced_peak_mb(lambda: res.append(eqmeas.evolve_average(
+            cat.system, phi0, H, X0, steps=1, grid=(32, 32), order=16,
+            leaf_radius=2.0)))
+        assert (res[0].atom_count, res[0].thin) == (998926, 149)
+        assert peak <= 2.0
 
     def test_skew_disintegrate_peak(self, skew, skew_mu40):
         rect = eqmeas.Rectangle(sys=skew.system, anchor=np.array([0.61, 0.13, 0.37]),

@@ -1,0 +1,121 @@
+"""Byte-identical CLI outputs: a git ref against the working tree.
+
+    python3 tools/same_bytes.py --ref HEAD
+
+Run it from anywhere inside the repository.  Both sides run from fresh
+copies in one temporary directory, made as tools/pairs.py makes them (the
+ref by `git archive`, the working tree from the files git tracks or would
+track), so nothing is written to .git or bench/.  Every case below is one
+`eqmeas <pipeline> --check --seed N` call on the same INI file on both
+sides; a case is identical when the exit codes, stdout and every output
+file (the pipeline CSVs and summary.json) match byte for byte.  The
+slowprod-control and cdim-cos configs are read from the working tree's
+bench/workloads.py, imported in its copy.  The default slowprod fullsuite
+takes about 4 s a side.
+
+Exit status: 0 when every case is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+
+from pairs import copy_working_tree, extract_ref, git
+
+
+def _workloads(checkout):
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(checkout, "bench", "workloads.py"))
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def cases(checkout):
+    """(name, bench Call, seed) of every case; the Call gives the pipeline and INI."""
+    wl = _workloads(checkout)
+
+    def call(name, pipeline, system, config, seed=0):
+        return name, wl.Call(name, pipeline, system, config, ()), seed
+
+    cdim = wl.WORKLOADS["cdim-cos"][0]
+    return [
+        *(call(f"{s}.fullsuite.seed{seed}", "fullsuite", s, {}, seed)
+          for s in ("cat", "skew") for seed in (0, 11)),
+        *(call(f"slowprod-control.{p}.seed{seed}", p, "slowprod", wl.SLOWPROD_CONFIG, seed)
+          for p in ("gibbs", "probe") for seed in (0, 1, 5)),
+        call("cat.cos0.5.fullsuite", "fullsuite", "cat",
+             {"potential": "cos", "amplitude": 0.5}),
+        call("skew.cos.fullsuite", "fullsuite", "skew", {"potential": "cos"}),
+        call("cat.geom0.5.fullsuite", "fullsuite", "cat", {"potential": "geom", "q": 0.5}),
+        call("skew.const0.3.fullsuite", "fullsuite", "skew",
+             {"potential": "const", "const_value": 0.3}),
+        call("cdim-cos", cdim.pipeline, cdim.system, cdim.config),
+        call("slowprod.fullsuite", "fullsuite", "slowprod", {}),
+    ]
+
+
+def run_case(checkout, work, case):
+    """(exit code, stdout, {file name: bytes}) of one case in checkout."""
+    name, spec, seed = case
+    ini = os.path.join(work, f"{name}.ini")
+    with open(ini, "w") as f:
+        f.write(spec.ini())
+    out = os.path.join(work, name)
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "eqmeas.cli", spec.pipeline, "--config", ini,
+                           "--out", out, "--check", "--seed", str(seed)],
+                          cwd=work, env=env, capture_output=True)
+    files = {}
+    if os.path.isdir(out):
+        for fname in sorted(os.listdir(out)):
+            with open(os.path.join(out, fname), "rb") as f:
+                files[fname] = f.read()
+    return proc.returncode, proc.stdout, files
+
+
+def diff(a, b):
+    """Names of what differs between two run_case results."""
+    (code_a, out_a, files_a), (code_b, out_b, files_b) = a, b
+    bad = [] if code_a == code_b else [f"exit {code_a} vs {code_b}"]
+    bad += [] if out_a == out_b else ["stdout"]
+    bad += [f for f in sorted(files_a.keys() | files_b.keys())
+            if files_a.get(f) != files_b.get(f)]
+    return bad
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--ref", default="HEAD")
+    args = ap.parse_args(argv)
+    repo = os.fsdecode(git(os.getcwd(), "rev-parse", "--show-toplevel").strip())
+    sha = os.fsdecode(git(repo, "rev-parse", args.ref).strip())
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
+        sides = {"ref": os.path.join(tmp, "ref"), "change": os.path.join(tmp, "change")}
+        extract_ref(repo, sha, sides["ref"])
+        copy_working_tree(repo, sides["change"])
+        print(f"# ref {args.ref} ({sha[:12]}) against the working tree")
+        todo = cases(sides["change"])  # its bench/workloads.py, imported in the copy
+        for case in todo:
+            got = {}
+            for side, checkout in sides.items():
+                work = os.path.join(tmp, f"{side}-out")
+                os.makedirs(work, exist_ok=True)
+                got[side] = run_case(checkout, work, case)
+            bad = diff(got["ref"], got["change"])
+            differ += bool(bad)
+            print(f"{case[0]:36s} exit {got['change'][0]}  "
+                  f"{'identical' if not bad else 'DIFFERS: ' + ', '.join(bad)}", flush=True)
+    print(f"# {differ} of {len(todo)} cases differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
