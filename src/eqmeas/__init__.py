@@ -14,7 +14,7 @@ from .catalog import (CatalogEntry, SlowFlowProfile, as_rational,
                       fiber_speed_density, flow_time_one, geometric_potential,
                       get_system, make_skew_product, make_slowed_product,
                       make_toral_automorphism)
-from .bowen import SeparatedNet, ball_width, net_size, separated_net
+from .bowen import ball_width, net_size, separated_net
 from .pressure import (PressureEstimate, check_submultiplicativity,
                        estimate_pressure, log_partition_sum)
 from .caratheodory import (CoverSolution, LeafMeasure, caratheodory_dim,
@@ -37,7 +37,7 @@ __all__ = [
     "catalog_keys", "fiber_point_mass", "fiber_speed_density",
     "flow_time_one", "geometric_potential", "get_system", "make_skew_product",
     "make_slowed_product", "make_toral_automorphism",
-    "SeparatedNet", "ball_width", "net_size", "separated_net",
+    "ball_width", "net_size", "separated_net",
     "PressureEstimate", "check_submultiplicativity", "estimate_pressure",
     "log_partition_sum",
     "CoverSolution", "LeafMeasure", "caratheodory_dim", "cover_cost",

@@ -8,40 +8,11 @@ r * lam^-(n-1), so nets and balls have closed forms.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
-
-from .core import leaf_point
 
 # Most atoms of one net or cover that a non-constant potential is summed
 # over; each one costs an order-n Birkhoff sum.
 MAX_CENTERS = 2 ** 22
-
-
-@dataclasses.dataclass(eq=False)
-class SeparatedNet:
-    """Maximal (n, r)-separated parameters on a leaf segment.
-
-    params are sorted ascending, spaced so that consecutive atoms are
-    exactly d_n-distance r apart on linear leaves.  Maximality makes the
-    same net an (n, r)-spanning set, which is what partition sums of both
-    kinds evaluate on.
-    """
-
-    sys: object
-    base: np.ndarray
-    order: int
-    radius: float
-    leaf_radius: float
-    params: np.ndarray
-    spacing: float
-
-    def __len__(self):
-        return len(self.params)
-
-    def points(self):
-        return leaf_point(self.sys, self.base, self.params)
 
 
 def ball_width(sysm, n, r):
@@ -65,15 +36,16 @@ def net_params(sysm, n, r, leaf_radius, idx):
     return idx
 
 
-def separated_net(sysm, x, n, r, leaf_radius=0.5):
-    """Maximal (n, r)-separated net on [-leaf_radius, leaf_radius].
+def separated_net(sysm, n, r, leaf_radius=0.5):
+    """Parameters, ascending, of the maximal (n, r)-separated net on [-leaf_radius, leaf_radius].
 
     On straight leaves a greedy sweep from the lowest parameter keeps an
-    arithmetic progression with spacing ball_width(sysm, n, r), which is
-    emitted directly.
+    arithmetic progression with spacing ball_width(sysm, n, r), so
+    consecutive atoms are exactly d_n-distance r apart; it is built
+    directly.  Maximality makes the same net an (n, r)-spanning set,
+    which is what partition sums of both kinds evaluate on.  The net is
+    the same on every leaf: its atoms on the leaf through x are
+    leaf_point(sysm, x, params).
     """
-    params = net_params(sysm, n, r, leaf_radius,
-                        np.arange(net_size(sysm, n, r, leaf_radius), dtype=float))
-    return SeparatedNet(sys=sysm, base=np.asarray(x, dtype=float), order=n, radius=r,
-                        leaf_radius=leaf_radius, params=params,
-                        spacing=float(ball_width(sysm, n, r)))
+    return net_params(sysm, n, r, leaf_radius,
+                      np.arange(net_size(sysm, n, r, leaf_radius), dtype=float))

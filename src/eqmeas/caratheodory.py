@@ -206,16 +206,17 @@ def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1)
     """Carathéodory-normalized leaf measure at the given order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    net = separated_net(sysm, x, order, r, leaf_radius)
+    x = np.asarray(x, dtype=float)
+    params = separated_net(sysm, order, r, leaf_radius)
     c = phi.constant_value
     if c is not None:  # birkhoff_sum's closed form, without the leaf points
-        weights = np.full(net.params.shape, atom_weight(c, pressure, order))
+        weights = np.full(params.shape, atom_weight(c, pressure, order))
     else:
-        sn = leaf_birkhoff_sum(sysm, phi, net.base, net.params, order)
+        sn = leaf_birkhoff_sum(sysm, phi, x, params, order)
         sn -= order * pressure
         weights = np.exp(sn, out=sn)  # built in place, in sn
-    return LeafMeasure(sys=sysm, base=np.asarray(x, dtype=float), order=order,
-                       leaf_radius=leaf_radius, params=net.params, weights=weights)
+    return LeafMeasure(sys=sysm, base=x, order=order, leaf_radius=leaf_radius,
+                       params=params, weights=weights)
 
 
 def mass_diagnostics(sysm, phi, pressure, base_points, *, orders=range(6, 13),

@@ -20,57 +20,13 @@ GOLDEN_ROTATION = np.sqrt(2.0) - 1.0
 CHORD_ROWS = 2 ** 9  # rows per chord quadrature: its (rows, 32) temporaries stay in cache
 
 
-def _hyperbolic_eigendata(m):
-    """(lam_u, e_u, lam_s, e_s) for a 2x2 integer hyperbolic matrix.
-
-    Eigenvectors are unit vectors with a deterministic sign (first
-    nonzero component positive).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError("only 2x2 base matrices are supported")
-    if not np.allclose(m, np.rint(m), atol=1e-12):
-        raise ValueError("base matrix must have integer entries")
-    if abs(abs(np.linalg.det(m)) - 1.0) > 1e-12:
-        raise ValueError("base matrix must have determinant +-1")
-    vals, vecs = np.linalg.eig(m)
-    if np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
-        raise ValueError("base matrix has non-real spectrum, not hyperbolic")
-    vals = vals.real
-    vecs = vecs.real
-    if np.any(np.abs(np.abs(vals) - 1.0) < 1e-9):
-        raise ValueError("base matrix has an eigenvalue on the unit circle")
-    order = np.argsort(-np.abs(vals))
-    lam_u, lam_s = vals[order[0]], vals[order[1]]
-    e_u, e_s = vecs[:, order[0]], vecs[:, order[1]]
-    out = []
-    for v in (e_u, e_s):
-        v = v / np.linalg.norm(v)
-        lead = v[np.nonzero(np.abs(v) > 1e-14)[0][0]]
-        out.append(v if lead > 0 else -v)
-    return float(lam_u), out[0], float(lam_s), out[1]
-
-
 def make_toral_automorphism(matrix=None, *, label="toral"):
     """Hyperbolic automorphism of T^2 from an integer matrix.
 
     Defaults to [[2, 1], [1, 1]].  Raises ValueError when the matrix is
     not an integer unimodular hyperbolic matrix.
     """
-    return _toral_product(matrix, None, 2, label=label)
-
-
-def _toral_product(matrix, fiber, dim, **kwargs):
-    """The automorphism of matrix (default CAT_MATRIX) times a fiber map on
-    dim - 2 more coordinates, with the fiber axes completing the frame."""
-    m = CAT_MATRIX if matrix is None else np.asarray(matrix, dtype=float)
-    lam_u, e_u, lam_s, e_s = _hyperbolic_eigendata(m)
-    frame = np.eye(dim)
-    frame[:2, :2] = e_u, e_s
-    # E^cs holds the fiber axes, which the fiber maps do not expand
-    nu = abs(lam_s) if fiber is None else 1.0
-    return SystemSpec(dim=dim, matrix=m, fiber=fiber, frame=frame,
-                      leaf_rate=abs(lam_u), nu=nu, r0=0.2, **kwargs)
+    return SystemSpec(label, 2, CAT_MATRIX if matrix is None else matrix, None)
 
 
 def as_rational(x):
@@ -112,7 +68,7 @@ def make_skew_product(rotation=GOLDEN_ROTATION, *, allow_resonant=False, label="
             "the skew product is not transitive (pass allow_resonant=True to "
             "build it anyway)")
     fiber = (lambda th: mod1(th + rot), lambda th: mod1(th - rot))
-    return _toral_product(CAT_MATRIX, fiber, 3, label=label, transitive=res is None)
+    return SystemSpec(label, 3, CAT_MATRIX, fiber, transitive=res is None)
 
 
 # -- slowed linear flow on the fiber torus ---------------------------------
@@ -301,7 +257,7 @@ def make_slowed_product(*, label="slowprod"):
     prof = SlowFlowProfile()
     # flow_time_one is looked up when called, so a patched one is seen
     fiber = (lambda y: flow_time_one(prof, y), lambda y: flow_time_one(prof, y, sign=-1.0))
-    sysm = _toral_product(CAT_MATRIX, fiber, 4, label=label, satisfies_c1=False)
+    sysm = SystemSpec(label, 4, CAT_MATRIX, fiber, satisfies_c1=False)
     sysm.profile = prof
     return sysm
 
@@ -368,25 +324,15 @@ def fiber_point_mass(center, bins=16):
 class CatalogEntry:
     key: str
     system: SystemSpec
-    h_top: float
+
+    @property
+    def h_top(self):
+        """Topological entropy of the system, log(leaf_rate)."""
+        return float(np.log(self.system.leaf_rate))
 
 
-def _entry_cat():
-    s = make_toral_automorphism(label="cat")
-    return CatalogEntry("cat", s, float(np.log(s.leaf_rate)))
-
-
-def _entry_skew():
-    s = make_skew_product(label="skew")
-    return CatalogEntry("skew", s, float(np.log(s.leaf_rate)))
-
-
-def _entry_slowprod():
-    s = make_slowed_product(label="slowprod")
-    return CatalogEntry("slowprod", s, float(np.log(s.leaf_rate)))
-
-
-_BUILDERS = {"cat": _entry_cat, "skew": _entry_skew, "slowprod": _entry_slowprod}
+_BUILDERS = {"cat": make_toral_automorphism, "skew": make_skew_product,
+             "slowprod": make_slowed_product}
 
 
 def catalog_keys():
@@ -396,6 +342,7 @@ def catalog_keys():
 def get_system(key):
     """Catalog lookup by key; see catalog_keys() for what is available."""
     try:
-        return _BUILDERS[key]()
+        make = _BUILDERS[key]
     except KeyError:
         raise ValueError(f"unknown system {key!r}; have {catalog_keys()}") from None
+    return CatalogEntry(key, make(label=key))

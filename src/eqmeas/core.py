@@ -3,9 +3,9 @@
 Points on the d-torus are numpy arrays of shape (..., d) with coordinates
 taken mod 1.  All distances are flat-torus distances.  A system is a
 SystemSpec: a hyperbolic toral automorphism on the first two coordinates
-times a fiber map on the rest, an orthonormal frame whose first row spans
-the unstable direction, and the constants of the hyperbolic splitting,
-including the exact stretch factor of its straight unstable leaves.
+times a fiber map on the rest, from whose matrix it derives a frame whose
+first row spans the unstable direction and the exact stretch factor of
+its straight unstable leaves.
 """
 
 from __future__ import annotations
@@ -49,65 +49,62 @@ class SystemSpec:
     """A concrete system with a one-dimensional unstable direction.
 
     The map is (b, y) -> (matrix @ b mod 1, fiber(y)): matrix is a 2x2
-    integer matrix acting on the base coordinates b = x[..., :2], and fiber
-    is None when dim == 2, else a (forward, backward) pair of mutually
-    inverse maps from (..., dim - 2) fiber arrays to reduced coordinates;
-    the fiber map ignores the base.  step_fwd and step_back apply the map
-    and its inverse to arrays of shape (..., dim).  frame is a (dim, dim)
-    matrix of unit rows; row 0 spans E^u and lies in the base plane, the
-    remaining rows span E^cs, so local leaves are straight segments
-    x + t*frame[0] (unstable) and x + s @ frame[1:] (centre-stable) in
-    these coordinates, and an unstable leaf keeps the fiber point of x.
-    The rows need not be orthogonal; coordinates are read off with the
-    dual basis.
+    integer hyperbolic matrix of determinant +-1 acting on the base
+    coordinates b = x[..., :2], and fiber is None when dim == 2, else a
+    (forward, backward) pair of mutually inverse maps from (..., dim - 2)
+    fiber arrays to reduced coordinates; the fiber map ignores the base.
+    step_fwd and step_back apply the map and its inverse to arrays of
+    shape (..., dim).
 
-    leaf_rate is the exact per-step stretch factor of unstable leaf
-    parameters (so also the unstable Jacobian), which gives Bowen balls,
-    nets and covers their closed forms; nu is the growth upper bound on
-    E^cs (nu < leaf_rate), and r0 the centre-stable distance within which
-    the holonomy between two unstable leaves is defined.
+    The geometry is derived from the matrix.  frame is the (dim, dim)
+    identity with its base block replaced by the unit eigenvectors e_u,
+    e_s of the matrix (first nonzero component positive) as rows 0 and 1,
+    so local leaves are straight segments x + t*frame[0] (unstable) and
+    x + s @ frame[1:] (centre-stable) in these coordinates, and an
+    unstable leaf keeps the fiber point of x.  The rows need not be
+    orthogonal; coordinates are read off with the dual basis coframe.
+    leaf_rate = |lambda_u| is the exact per-step stretch factor of
+    unstable leaf parameters (so also the unstable Jacobian), which gives
+    Bowen balls, nets and covers their closed forms.
     """
 
     label: str
     dim: int
     matrix: np.ndarray
     fiber: tuple | None
-    frame: np.ndarray
-    leaf_rate: float
-    nu: float
-    r0: float
     satisfies_c1: bool = True
     transitive: bool = True
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.shape != (2, 2):
-            raise ValueError(f"matrix must be (2, 2), got {self.matrix.shape}")
-        inv = np.linalg.inv(self.matrix)
-        self.inverse = np.rint(inv)
-        if not np.allclose(inv, self.inverse, atol=1e-9):
-            raise ValueError("matrix is not invertible over the integers")
+        m = self.matrix = np.asarray(self.matrix, dtype=float)
+        if m.shape != (2, 2):
+            raise ValueError(f"matrix must be (2, 2), got {m.shape}")
+        if not np.allclose(m, np.rint(m), atol=1e-12):
+            raise ValueError("matrix must have integer entries")
+        if abs(abs(np.linalg.det(m)) - 1.0) > 1e-12:
+            raise ValueError("matrix is not invertible over the integers (|det| != 1)")
+        self.inverse = np.rint(np.linalg.inv(m))
         # contiguous transposes for the step products: by the view matrix.T
         # numpy takes slower loops, and maps a single (1-d) point with a
         # kernel that can round unlike the same point in a batch
-        self._transposed = (self.matrix.T.copy(), self.inverse.T.copy())
+        self._transposed = (m.T.copy(), self.inverse.T.copy())
         if (self.fiber is None) != (self.dim == 2):
             raise ValueError(f"fiber must be None exactly when dim == 2, got dim {self.dim}")
-        self.frame = np.asarray(self.frame, dtype=float)
-        if self.frame.shape != (self.dim, self.dim):
-            raise ValueError(f"frame must be ({self.dim}, {self.dim}), got {self.frame.shape}")
-        if np.any(self.frame[0, 2:] != 0.0):
-            raise ValueError("frame[0] (the unstable direction) must lie in the base plane")
-        norms = np.linalg.norm(self.frame, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-10):
-            raise ValueError("frame rows must have unit length")
-        det = np.linalg.det(self.frame)
-        if abs(det) < 1e-8:
-            raise ValueError("frame rows are (numerically) linearly dependent")
+        vals, vecs = np.linalg.eig(m)
+        if np.iscomplexobj(vals) and np.abs(vals.imag).max() > 1e-12:
+            raise ValueError("matrix has non-real spectrum, not hyperbolic")
+        vals, vecs = vals.real, vecs.real
+        if np.any(np.abs(np.abs(vals) - 1.0) < 1e-9):
+            raise ValueError("matrix has an eigenvalue on the unit circle")
+        order = np.argsort(-np.abs(vals))
+        self.frame = np.eye(self.dim)  # E^cs holds the fiber axes
+        for row, k in enumerate(order):
+            v = vecs[:, k] / np.linalg.norm(vecs[:, k])
+            lead = v[np.nonzero(np.abs(v) > 1e-14)[0][0]]
+            self.frame[row, :2] = v if lead > 0 else -v
+        self.leaf_rate = float(abs(vals[order[0]]))
         # dual basis: coframe[i] . frame[j] = delta_ij
         self.coframe = np.linalg.inv(self.frame)
-        if not (0.0 < self.nu < self.leaf_rate):
-            raise ValueError("need 0 < nu < leaf_rate for a dominated splitting")
 
     # -- the map ------------------------------------------------------------
 

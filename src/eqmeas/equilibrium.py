@@ -25,6 +25,8 @@ EVOLVE_SUMS = 2 ** 16
 ATOM_BUDGET = 10 ** 6
 # Non-empty bins of a measure disintegrate refines into subcells at a time.
 SUBCELL_BINS = 2 ** 8
+# Centre-stable distance within which holonomy_jacobian transports between leaves.
+HOLONOMY_R0 = 0.2
 
 
 # -- binned measures on the torus -------------------------------------------
@@ -196,7 +198,6 @@ class EvolveResult:
     snapshots: dict
     steps: int
     atom_count: int
-    initial_mass: float
     thin: int = 1
 
 
@@ -237,13 +238,10 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
             raise ArithmeticError(f"net of order {order} needs {count} atoms "
                                   f"(limit {MAX_CENTERS})")
         w = reference_measure(sysm, phi, pressure, x, order, r=r,
-                              leaf_radius=leaf_radius).weights
-        initial_mass = float(w.sum())
-        w = w[::thin]
+                              leaf_radius=leaf_radius).weights[::thin]
         w /= w.sum()
     else:
         v = atom_weight(c, pressure, order)
-        initial_mass = equal_mass(v, count)
         w = np.broadcast_to(v / equal_mass(v, n_atoms), (n_atoms,))
     fib, cells = mod1(x[2:]), []
     for k in range(steps):
@@ -295,7 +293,6 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
         snapshots=snaps,
         steps=steps,
         atom_count=n_atoms,
-        initial_mass=initial_mass,
         thin=thin,
     )
 
@@ -418,14 +415,14 @@ def holonomy_jacobian(sysm, phi, pressure, y, z, *, order=8, r=0.05,
     edges to z's leaf, and compares reference masses cell by cell.  On
     straight leaves the centre-stable holonomy is a parameter translation
     by offset, the unstable coordinate of y - z; it is defined only when
-    the leaves are within r0 along the centre-stable frame.  The z-side
-    measure is built on its own leaf with enough radius to hold the
+    the leaves are within HOLONOMY_R0 along the centre-stable frame.  The
+    z-side measure is built on its own leaf with enough radius to hold the
     transported window.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     u0, cs0 = sysm.split(y - z)
-    if np.max(np.abs(cs0)) > sysm.r0:
+    if np.max(np.abs(cs0)) > HOLONOMY_R0:
         raise ValueError("holonomy defined only between nearby leaves")
     m_y = reference_measure(sysm, phi, pressure, y, order, r=r, leaf_radius=leaf_radius)
     span = 0.8 * leaf_radius

@@ -40,8 +40,7 @@ def _leaf_log_sum(phi, n, count, sums, stride=1):
 
 def _net_sums(sysm, phi, x, n, r, leaf_radius):
     """S_n phi at the atoms of the (n, r)-separated net on x's leaf."""
-    net = separated_net(sysm, x, n, r, leaf_radius)
-    return leaf_birkhoff_sum(sysm, phi, net.base, net.params, n)
+    return leaf_birkhoff_sum(sysm, phi, x, separated_net(sysm, n, r, leaf_radius), n)
 
 
 def log_partition_sum(sysm, phi, x, n, r):

@@ -207,8 +207,7 @@ def evolve_oracle(sysm, step, phi, pressure, x, *, steps=40, grid=None, order=10
         if (k + 1) in marks:
             snaps[k + 1] = PhaseMeasure(tuple(grid), acc / (k + 1))
     return EvolveResult(measure=PhaseMeasure(tuple(grid), acc / steps), snapshots=snaps,
-                        steps=steps, atom_count=len(pts), initial_mass=lm.mass(),
-                        thin=thin)
+                        steps=steps, atom_count=len(pts), thin=thin)
 
 
 def disintegrate_oracle(sysm, mu, rect, *, n_u=16, n_plaques=32):
@@ -309,12 +308,12 @@ def pressure_oracle(sysm, phi, x, *, window=(6, 12), radii=(0.1, 0.05, 0.025),
     table = []
     for r in radii:
         for n in range(window[0], window[1] + 1):
-            net = eqmeas.separated_net(sysm, x, n, r, leaf_radius=leaf_radius)
+            net = eqmeas.separated_net(sysm, n, r, leaf_radius=leaf_radius)
             c = phi.constant_value
             if c is not None:
                 lz = np.log(len(net)) + n * c
             else:
-                lz = float(_logsumexp(leaf_birkhoff_sum(sysm, phi, net.base, net.params, n)))
+                lz = float(_logsumexp(leaf_birkhoff_sum(sysm, phi, x, net, n)))
             table.append((n, r, len(net), lz))
     per_radius = {}
     for r in radii:
@@ -339,38 +338,39 @@ def mass_diagnostics_masses_oracle(sysm, phi, pressure, base_points, *,
     return masses
 
 
-def check_separation(net, sample=64):
-    """Smallest adjacent-pair d_n of a net (monotone leaves make adjacent
-    pairs the extreme case).  Subsamples long nets."""
-    p = net.params
+def check_separation(sysm, x, n, r, leaf_radius, params, sample=64):
+    """Smallest adjacent-pair d_n of the net params on the leaf through x
+    (monotone leaves make adjacent pairs the extreme case).  Subsamples
+    long nets; r and leaf_radius are unused, for a signature shared with
+    is_spanning."""
+    p = params
     if len(p) < 2:
         return np.inf
     idx = np.arange(len(p) - 1)
     if len(idx) > sample:
         idx = idx[np.linspace(0, len(idx) - 1, sample).astype(int)]
-    a = eqmeas.leaf_point(net.sys, net.base, p[idx])
-    b = eqmeas.leaf_point(net.sys, net.base, p[idx + 1])
-    return float(np.min(eqmeas.dyn_metric(net.sys, a, b, net.order)))
+    a = eqmeas.leaf_point(sysm, x, p[idx])
+    b = eqmeas.leaf_point(sysm, x, p[idx + 1])
+    return float(np.min(eqmeas.dyn_metric(sysm, a, b, n)))
 
 
-def is_spanning(net, r=None, probes_per_gap=4, max_probes=512):
-    """Verify the net d_n-covers its segment at radius r (default: its own).
+def is_spanning(sysm, x, n, r, leaf_radius, params, probes_per_gap=4, max_probes=512):
+    """Verify the net params on the leaf through x d_n-covers
+    [-leaf_radius, leaf_radius] at radius r.
 
     Probes a dense parameter grid and measures each probe's d_n distance
     to its nearest few atoms; returns (ok, worst_covering_distance).
     """
-    r = net.radius if r is None else float(r)
-    p = net.params
-    lo, hi = -net.leaf_radius, net.leaf_radius
+    p = params
     count = min(max_probes, max(8, probes_per_gap * len(p)))
-    probes = np.linspace(lo, hi, count)
+    probes = np.linspace(-leaf_radius, leaf_radius, count)
     j = np.clip(np.searchsorted(p, probes), 0, len(p) - 1)
     worst = 0.0
     for t, jj in zip(probes, j):
         cand = p[max(0, jj - 1): jj + 2]
-        a = eqmeas.leaf_point(net.sys, net.base, np.full(len(cand), t))
-        b = eqmeas.leaf_point(net.sys, net.base, cand)
-        worst = max(worst, float(np.min(eqmeas.dyn_metric(net.sys, a, b, net.order))))
+        a = eqmeas.leaf_point(sysm, x, np.full(len(cand), t))
+        b = eqmeas.leaf_point(sysm, x, cand)
+        worst = max(worst, float(np.min(eqmeas.dyn_metric(sysm, a, b, n))))
     return worst <= r + 1e-12, worst
 
 

@@ -77,56 +77,44 @@ class TestUBowenBall:
 class TestSeparatedNet:
     def test_frozen_counts(self, sysm):
         for n, want in NET_COUNTS.items():
-            net = eqmeas.separated_net(sysm, np.zeros(2), n, 0.05,
-                                       leaf_radius=0.5)
+            net = eqmeas.separated_net(sysm, n, 0.05, leaf_radius=0.5)
             assert len(net) == want
             assert eqmeas.net_size(sysm, n, 0.05, 0.5) == want
 
     def test_count_growth_rate(self, sysm):
-        counts = [len(eqmeas.separated_net(sysm, np.zeros(2), n, 0.05,
-                                           leaf_radius=0.5))
+        counts = [len(eqmeas.separated_net(sysm, n, 0.05, leaf_radius=0.5))
                   for n in range(6, 11)]
         ratios = np.array(counts[1:]) / np.array(counts[:-1])
         assert ratios == pytest.approx(LAM, rel=1e-3)
 
     def test_params_equally_spaced(self, sysm):
-        net = eqmeas.separated_net(sysm, np.array([0.2, 0.7]), 7, 0.05,
-                                   leaf_radius=0.5)
-        gaps = np.diff(net.params)
-        assert gaps == pytest.approx(net.spacing, rel=1e-12)
-        assert net.spacing == pytest.approx(0.05 * LAM ** -6, rel=1e-12)
+        net = eqmeas.separated_net(sysm, 7, 0.05, leaf_radius=0.5)
+        spacing = eqmeas.ball_width(sysm, 7, 0.05)
+        assert np.diff(net) == pytest.approx(spacing, rel=1e-12)
+        assert spacing == pytest.approx(0.05 * LAM ** -6, rel=1e-12)
 
     def test_grid_method_matches_arithmetic(self, sysm):
-        a = eqmeas.separated_net(sysm, np.zeros(2), 6, 0.05, leaf_radius=0.5)
+        a = eqmeas.separated_net(sysm, 6, 0.05, leaf_radius=0.5)
         b = greedy_sweep(sysm, np.zeros(2), 6, 0.05, 0.5,
                          0.05 * sysm.leaf_rate ** -5 / 4.0)
         assert len(a) == len(b)
-        assert a.params == pytest.approx(b, abs=1e-12)
-
-    def test_points_lie_on_leaf(self, sysm):
-        x = np.array([0.2, 0.7])
-        net = eqmeas.separated_net(sysm, x, 5, 0.05, leaf_radius=0.3)
-        pts = net.points()
-        want = eqmeas.leaf_point(sysm, x, net.params)
-        assert np.abs(eqmeas.wrap(pts - want)).max() < 1e-12
+        assert a == pytest.approx(b, abs=1e-12)
 
     def test_separation_certificate(self, sysm):
-        net = eqmeas.separated_net(sysm, np.array([0.2, 0.7]), 6, 0.05,
-                                   leaf_radius=0.5)
-        worst = check_separation(net)
+        args = (sysm, np.array([0.2, 0.7]), 6, 0.05, 0.5)
+        worst = check_separation(*args, eqmeas.separated_net(sysm, 6, 0.05, 0.5))
         assert worst >= 0.05 * (1 - 1e-9)
 
     def test_spanning_certificate(self, sysm):
-        net = eqmeas.separated_net(sysm, np.array([0.2, 0.7]), 6, 0.05,
-                                   leaf_radius=0.5)
-        ok, worst = is_spanning(net)
+        args = (sysm, np.array([0.2, 0.7]), 6, 0.05, 0.5)
+        ok, worst = is_spanning(*args, eqmeas.separated_net(sysm, 6, 0.05, 0.5))
         assert ok
         assert worst <= 0.05
 
     def test_spanning_holds_for_skew(self, skew):
-        net = eqmeas.separated_net(skew.system, np.array([0.2, 0.7, 0.37]),
-                                   6, 0.05, leaf_radius=0.5)
+        args = (skew.system, np.array([0.2, 0.7, 0.37]), 6, 0.05, 0.5)
+        net = eqmeas.separated_net(skew.system, 6, 0.05, leaf_radius=0.5)
         assert len(net) == NET_COUNTS[6]
-        ok, _ = is_spanning(net)
+        ok, _ = is_spanning(*args, net)
         assert ok
-        assert check_separation(net) >= 0.05 * (1 - 1e-9)
+        assert check_separation(*args, net) >= 0.05 * (1 - 1e-9)

@@ -1,5 +1,7 @@
 """Cover costs, the critical exponent, and leaf reference measures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,9 @@ def min_cover_dp(lo, hi, w, a, b):
 
     Classic sweep over right endpoints with a range-min tree over reached
     positions: dp[p] = cheapest cover of [a, p], extended by any interval
-    whose left end touches a reached position.
+    whose left end touches a reached position.  The sweep runs on Python
+    floats, the same IEEE arithmetic as numpy's float64 scalars, at a
+    fraction of their cost.
     """
     reach = np.minimum(hi, b)
     keep = (lo < b) & (reach > a) & (reach > lo)
@@ -78,7 +82,7 @@ def min_cover_dp(lo, hi, w, a, b):
     size = 1
     while size < len(pos):
         size *= 2
-    tree = np.full(2 * size, np.inf)
+    tree = [math.inf] * (2 * size)
 
     def update(i, v):
         i += size
@@ -86,33 +90,37 @@ def min_cover_dp(lo, hi, w, a, b):
             tree[i] = v
             i >>= 1
             while i:
-                tree[i] = min(tree[2 * i], tree[2 * i + 1])
+                left, right = tree[2 * i], tree[2 * i + 1]
+                tree[i] = right if right < left else left  # min(left, right)
                 i >>= 1
 
     def query_from(i0):
-        res, l, r = np.inf, i0 + size, len(pos) + size
+        res, l, r = math.inf, i0 + size, len(pos) + size
         while l < r:
             if l & 1:
-                res = min(res, tree[l])
+                if tree[l] < res:
+                    res = tree[l]
                 l += 1
             if r & 1:
                 r -= 1
-                res = min(res, tree[r])
+                if tree[r] < res:
+                    res = tree[r]
             l >>= 1
             r >>= 1
         return res
 
     update(int(np.searchsorted(pos, a)), 0.0)
-    best = np.inf
-    right_idx = np.searchsorted(pos, reach)
-    left_idx = np.searchsorted(pos, lo - 1e-12, side="left")
-    for j in range(len(lo)):
+    best = math.inf
+    right_idx = np.searchsorted(pos, reach).tolist()
+    left_idx = np.searchsorted(pos, lo - 1e-12, side="left").tolist()
+    done = (reach >= b - 1e-12).tolist()
+    for j, wj in enumerate(w.tolist()):
         m = query_from(left_idx[j])
-        if not np.isfinite(m):
+        if not math.isfinite(m):
             continue
-        v = m + w[j]
+        v = m + wj
         update(right_idx[j], v)
-        if reach[j] >= b - 1e-12:
+        if done[j]:
             best = min(best, v)
     return best
 
@@ -215,10 +223,10 @@ class TestReferenceMeasure:
                                                      make, order):
         phi = make(cat.system)
 
-        def refuse(net):
+        def refuse(*args):
             raise AssertionError("leaf points built for a constant potential")
 
-        monkeypatch.setattr(eqmeas.SeparatedNet, "points", refuse)
+        monkeypatch.setattr(caratheodory, "leaf_birkhoff_sum", refuse)
         lm = eqmeas.reference_measure(cat.system, phi, H, X0, order)
         c = phi.constant_value
         expect = np.exp(np.full(lm.params.shape, order * c) - order * H)

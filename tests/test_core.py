@@ -168,7 +168,6 @@ class TestFrame:
 
     def test_multipliers(self, sysm):
         assert sysm.leaf_rate == pytest.approx(LAM)
-        assert 0 < sysm.nu < sysm.leaf_rate
 
 
 class TestIteration:
@@ -340,11 +339,13 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match="fiber must be None exactly when dim == 2"):
             dataclasses.replace(cat.system, fiber=skew.system.fiber)
 
-    def test_rejects_unstable_direction_off_the_base_plane(self, skew):
-        frame = skew.system.frame.copy()
-        frame[0] = [0.6, 0.0, 0.8]
-        with pytest.raises(ValueError, match="base plane"):
-            dataclasses.replace(skew.system, frame=frame)
+    def test_geometry_follows_the_matrix(self, cat):
+        m32 = [[3, 2], [1, 1]]
+        got = dataclasses.replace(cat.system, matrix=m32)
+        want = eqmeas.make_toral_automorphism(m32)
+        assert np.array_equal(got.frame, want.frame)
+        assert np.array_equal(got.coframe, want.coframe)
+        assert got.leaf_rate == want.leaf_rate == pytest.approx(2 + np.sqrt(3.0))
 
     def test_inverse_is_integer_inverse(self, cat):
         assert np.array_equal(cat.system.inverse, [[1.0, -1.0], [-1.0, 2.0]])

@@ -1,5 +1,7 @@
 """Pressure estimation: partition sums, slopes, structural inequalities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ X0 = np.array([0.2, 0.7])
 class TestLogPartitionSum:
     def test_count_matches_net(self, cat, phi0):
         lz, count = eqmeas.log_partition_sum(cat.system, phi0, X0, 6, 0.05)
-        net = eqmeas.separated_net(cat.system, X0, 6, 0.05, leaf_radius=0.1)
+        net = eqmeas.separated_net(cat.system, 6, 0.05, leaf_radius=0.1)
         assert count == len(net)
         assert lz == pytest.approx(np.log(count))
 
@@ -47,6 +49,12 @@ class TestPressureEstimate:
         est = eqmeas.estimate_pressure(cat.system, phi0, X0)
         assert abs(est.value - H) < 0.05
         assert est.spread < 1e-12
+
+    def test_follows_a_replaced_matrix(self, cat, phi0):
+        # the leaf geometry comes from the matrix, not from the system replaced
+        sysm = dataclasses.replace(cat.system, matrix=[[3, 2], [1, 1]])
+        est = eqmeas.estimate_pressure(sysm, phi0, X0)
+        assert est.value == pytest.approx(np.log(2 + np.sqrt(3.0)), abs=1e-3)
 
     def test_skew_matches_base(self, skew, phi0):
         est = eqmeas.estimate_pressure(skew.system, phi0,

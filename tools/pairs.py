@@ -8,7 +8,9 @@ copies in one temporary directory: the ref (default HEAD) is extracted with
 would track (`git ls-files --cached --others --exclude-standard`), so
 neither side runs in the repository itself and nothing is written to .git.
 Each pair runs the two sides back to back with the same seed and
---seconds, alternating which side goes first.
+--seconds, alternating which side goes first.  On SIGTERM, SIGINT or SIGHUP
+the running benchmark and its worker are killed and the temporary directory
+is removed (see Scratch).
 
 For every end-to-end metric in the working tree's BENCHMARK.json it prints
 every run, each side's median and quartiles, and the change's win count
@@ -20,13 +22,59 @@ better direction, by more than the distance between the ref's quartiles.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+
+
+class Scratch:
+    """A temporary directory and the commands run for it, cleaned up on any exit.
+
+    Used as `with Scratch(prefix) as scratch:`; scratch.path is the
+    directory.  scratch.run starts each command in its own session, so it
+    and its children (bench/run.py's worker, say) form one process group.
+    On SIGTERM, SIGINT or SIGHUP the running command's group is killed, the
+    directory is removed and the process exits with status 128 + the signal.
+    """
+
+    SIGNALS = (signal.SIGTERM, signal.SIGINT, signal.SIGHUP)
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def __enter__(self):
+        self._handlers = {s: signal.signal(s, self._stop) for s in self.SIGNALS}
+        self.path = tempfile.mkdtemp(prefix=self.prefix)
+        return self
+
+    def __exit__(self, *exc):
+        shutil.rmtree(self.path, ignore_errors=True)
+        for s, handler in self._handlers.items():
+            signal.signal(s, handler)
+
+    @staticmethod
+    def _stop(signum, frame):
+        raise SystemExit(128 + signum)
+
+    def run(self, cmd, **kwargs):
+        """subprocess.run(cmd, capture_output=True, **kwargs), in a new session
+        whose whole process group is killed if this call is interrupted."""
+        proc = subprocess.Popen(cmd, start_new_session=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, **kwargs)
+        try:
+            out, err = proc.communicate()
+        finally:
+            if proc.returncode is None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
 
 
 def git(repo, *args):
@@ -49,11 +97,11 @@ def copy_working_tree(repo, dest):
             shutil.copy2(src, os.path.join(dest, rel))
 
 
-def bench(checkout, args):
+def bench(scratch, checkout, args):
     """One bench/run.py run in checkout: (correct, {metric: value})."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = scratch.run(cmd, cwd=checkout, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -84,8 +132,8 @@ def main(argv=None):
         metrics = json.load(f)["end_to_end"]
 
     runs = {"ref": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        sides = {"ref": os.path.join(tmp, "ref"), "change": os.path.join(tmp, "change")}
+    with Scratch("pairs-") as scratch:
+        sides = {side: os.path.join(scratch.path, side) for side in ("ref", "change")}
         extract_ref(repo, sha, sides["ref"])
         copy_working_tree(repo, sides["change"])
         print(f"# {args.workload}: ref {args.ref} ({sha[:12]}) against the working tree, "
@@ -93,7 +141,7 @@ def main(argv=None):
         for i in range(args.pairs):
             order = ("ref", "change") if i % 2 == 0 else ("change", "ref")
             for side in order:
-                correct, values = bench(sides[side], args)
+                correct, values = bench(scratch, sides[side], args)
                 runs[side].append(values)
                 shown = " ".join(f"{m['name']}={values[m['name']]:.6g}" for m in metrics)
                 print(f"pair {i + 1:2d} {side:6s} correct={correct} {shown}", flush=True)

@@ -11,7 +11,8 @@ sides; a case is identical when the exit codes, stdout and every output
 file (the pipeline CSVs and summary.json) match byte for byte.  The
 slowprod-control and cdim-cos configs are read from the working tree's
 bench/workloads.py, imported in its copy.  The default slowprod fullsuite
-takes about 4 s a side.
+takes about 4 s a side.  A signal stops it as it stops tools/pairs.py: no
+temporary directory or CLI process is left behind.
 
 Exit status: 0 when every case is identical, 1 otherwise.
 """
@@ -21,11 +22,9 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import os
-import subprocess
 import sys
-import tempfile
 
-from pairs import copy_working_tree, extract_ref, git
+from pairs import Scratch, copy_working_tree, extract_ref, git
 
 
 def _workloads(checkout):
@@ -60,7 +59,7 @@ def cases(checkout):
     ]
 
 
-def run_case(checkout, work, case):
+def run_case(scratch, checkout, work, case):
     """(exit code, stdout, {file name: bytes}) of one case in checkout."""
     name, spec, seed = case
     ini = os.path.join(work, f"{name}.ini")
@@ -69,9 +68,8 @@ def run_case(checkout, work, case):
     out = os.path.join(work, name)
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-m", "eqmeas.cli", spec.pipeline, "--config", ini,
-                           "--out", out, "--check", "--seed", str(seed)],
-                          cwd=work, env=env, capture_output=True)
+    proc = scratch.run([sys.executable, "-m", "eqmeas.cli", spec.pipeline, "--config", ini,
+                        "--out", out, "--check", "--seed", str(seed)], cwd=work, env=env)
     files = {}
     if os.path.isdir(out):
         for fname in sorted(os.listdir(out)):
@@ -97,8 +95,9 @@ def main(argv=None):
     repo = os.fsdecode(git(os.getcwd(), "rev-parse", "--show-toplevel").strip())
     sha = os.fsdecode(git(repo, "rev-parse", args.ref).strip())
     differ = 0
-    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
-        sides = {"ref": os.path.join(tmp, "ref"), "change": os.path.join(tmp, "change")}
+    with Scratch("same-bytes-") as scratch:
+        tmp = scratch.path
+        sides = {side: os.path.join(tmp, side) for side in ("ref", "change")}
         extract_ref(repo, sha, sides["ref"])
         copy_working_tree(repo, sides["change"])
         print(f"# ref {args.ref} ({sha[:12]}) against the working tree")
@@ -108,7 +107,7 @@ def main(argv=None):
             for side, checkout in sides.items():
                 work = os.path.join(tmp, f"{side}-out")
                 os.makedirs(work, exist_ok=True)
-                got[side] = run_case(checkout, work, case)
+                got[side] = run_case(scratch, checkout, work, case)
             bad = diff(got["ref"], got["change"])
             differ += bool(bad)
             print(f"{case[0]:36s} exit {got['change'][0]}  "
