@@ -257,9 +257,7 @@ def make_slowed_product(*, label="slowprod"):
     prof = SlowFlowProfile()
     # flow_time_one is looked up when called, so a patched one is seen
     fiber = (lambda y: flow_time_one(prof, y), lambda y: flow_time_one(prof, y, sign=-1.0))
-    sysm = SystemSpec(label, 4, CAT_MATRIX, fiber, satisfies_c1=False)
-    sysm.profile = prof
-    return sysm
+    return SystemSpec(label, 4, CAT_MATRIX, fiber, satisfies_c1=False)
 
 
 # -- potentials ------------------------------------------------------------

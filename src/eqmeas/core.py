@@ -15,6 +15,10 @@ from typing import Callable
 
 import numpy as np
 
+# Leaf points per block of leaf_birkhoff_sum: bounds its (B, dim) points and
+# the potential's temporaries, whatever the net or cover size.
+LEAF_BLOCK = 2 ** 14
+
 
 def mod1(x):
     """Reduce coordinates mod 1, componentwise, as x - floor(x).
@@ -195,23 +199,30 @@ def leaf_birkhoff_sum(sys, phi, x, t, n):
 
     The same numbers as birkhoff_sum on those points, bit for bit.  The
     unstable direction lies in the base plane, so the points share one
-    fiber point, which is mapped once per step, as the fiber map ignores
-    the base; a base-only potential is handed the base points alone, and
-    the fiber point is not mapped for it.
+    fiber point, whose orbit is mapped once, as the fiber map ignores the
+    base; a base-only potential is handed the base points alone, and the
+    fiber point is not mapped for it.  The points are built and stepped
+    LEAF_BLOCK at a time; a point's sum depends on that point alone, so the
+    result does not depend on LEAF_BLOCK.
     """
     if n < 1:
         raise ValueError("birkhoff order must be >= 1")
-    pts = mod1(leaf_point(sys, x, t))  # reduced twice, as birkhoff_sum does
-    total = np.asarray(phi(pts), dtype=float).copy()
-    base, fib = pts[:, :2], pts[0, 2:]
-    fiber = None if phi.base_only else sys.fiber
-    for _ in range(n - 1):
-        base = mod1(base @ sys._transposed[0])
-        if fiber is not None:
-            fib = fiber[0](fib)
-        pts = base if fiber is None else np.column_stack(
-            (base, np.broadcast_to(fib, (len(base), len(fib)))))
-        total += phi(pts)
+    fibs = []  # the shared fiber point after 1 .. n-1 steps, if phi reads it
+    if not phi.base_only and sys.fiber is not None:
+        fib = mod1(mod1(np.asarray(x, dtype=float)[2:]))  # reduced twice, as below
+        for _ in range(n - 1):
+            fibs.append(fib := sys.fiber[0](fib))
+    total = np.empty(len(t))
+    for lo in range(0, len(t), LEAF_BLOCK):
+        out = total[lo:lo + LEAF_BLOCK]
+        pts = mod1(leaf_point(sys, x, t[lo:lo + LEAF_BLOCK]))  # reduced twice, as birkhoff_sum
+        out[:] = phi(pts)
+        base = pts[:, :2]
+        for k in range(n - 1):
+            base = mod1(base @ sys._transposed[0])
+            pts = base if not fibs else np.column_stack(
+                (base, np.broadcast_to(fibs[k], (len(base), sys.dim - 2))))
+            out += phi(pts)
     return total
 
 

@@ -14,17 +14,20 @@ from .core import iterate, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, atom_weight, equal_mass, reference_measure
 
 MASS_TOL = 1e-9
-# Atoms per block of evolve_average's step and binning passes, and most
-# cloud points gibbs_ratio steps at once (at least one centre's n_mc).
+# Atoms per block of evolve_average's step and binning passes: bounds its
+# (2, B) coordinates and bin indices.
 EVOLVE_BLOCK = 2 ** 14
-GIBBS_POINTS = 2 ** 15
+# Most cloud points gibbs_ratio steps at once (at least one centre's n_mc):
+# bounds its clouds, densities and distance temporaries.
+GIBBS_POINTS = 2 ** 13
 # Most per-step base-cell sums evolve_average holds at once (one chunk of
 # steps; a chunk has at least one step).
 EVOLVE_SUMS = 2 ** 16
 # Most atoms evolve_average follows; larger nets are thinned to this.
 ATOM_BUDGET = 10 ** 6
-# Non-empty bins of a measure disintegrate refines into subcells at a time.
-SUBCELL_BINS = 2 ** 8
+# Most subcells disintegrate makes at once (at least one bin's 4^d): bounds
+# its subcell points and their frame coordinates.
+SUBCELL_POINTS = 2 ** 12
 # Centre-stable distance within which holonomy_jacobian transports between leaves.
 HOLONOMY_R0 = 0.2
 
@@ -342,13 +345,13 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
     quantum and are flagged; the floor is a resolution statement, not a
     measurement.
 
-    Centres are taken in groups of up to GIBBS_POINTS // n_mc, whose clouds
-    are drawn by one rng call (the stream of one call per centre) and
-    stepped with their centres as one array, one step_fwd per order.  The
-    step, the distances and the per-centre means are computed row by row,
-    so the report does not depend on GIBBS_POINTS.  S_n phi of a centre is
-    summed along its stepped row (n c for a constant phi = c), which is
-    birkhoff_sum's value unless a centre coordinate is exactly 1.0.
+    Centres are taken in groups of GIBBS_POINTS // n_mc (at least one),
+    whose clouds are drawn by one rng call (the stream of one call per
+    centre) and stepped with their centres as one array, one step_fwd per
+    order.  The step, the distances and the per-centre means are computed
+    row by row, so the report does not depend on GIBBS_POINTS.  S_n phi of
+    a centre is summed along its stepped row (n c for a constant phi = c),
+    which is birkhoff_sum's value unless a centre coordinate is exactly 1.0.
 
     The report aggregates per-order medians m_n over centers,
     qhat_n = max(m_n, 1/m_n), and the least-squares trend of log qhat_n.
@@ -483,9 +486,9 @@ def disintegrate(sysm, mu, rect, *, n_u=16, n_plaques=32):
 
     Bins of mu are refined into 4^d equal subcells to soften bin
     boundaries against the rectangle's frame-aligned faces; each subcell
-    lands in one (u-cell, plaque) slot.  Subcells are made SUBCELL_BINS
-    bins at a time and only those inside the rectangle are kept, in bin
-    order, so the result does not depend on SUBCELL_BINS.
+    lands in one (u-cell, plaque) slot.  Subcells are made whole bins at a
+    time, at most SUBCELL_POINTS, and only those inside the rectangle are
+    kept, in bin order, so the result does not depend on SUBCELL_POINTS.
     """
     shape = _plaque_shape(sysm.dim - 1, n_plaques)
     parts = []
@@ -509,14 +512,15 @@ def disintegrate(sysm, mu, rect, *, n_u=16, n_plaques=32):
 
 
 def _subcells(mu, subsplit):
-    """(points, weights) of the subcells of SUBCELL_BINS non-empty bins at a time."""
+    """(points, weights) of the subcells, whole non-empty bins at a time."""
     d = len(mu.grid)
     grid = np.asarray(mu.grid, dtype=float)
     nz = np.nonzero(mu.masses)[0]
     offs = (np.array(np.meshgrid(*[np.arange(subsplit)] * d, indexing="ij"))
             .reshape(d, -1).T + 0.5) / subsplit
-    for lo in range(0, len(nz), SUBCELL_BINS):
-        part = nz[lo:lo + SUBCELL_BINS]
+    bins = max(1, SUBCELL_POINTS // len(offs))
+    for lo in range(0, len(nz), bins):
+        part = nz[lo:lo + bins]
         coords = np.column_stack(np.unravel_index(part, mu.grid)).astype(float)
         pts = (coords[:, None, :] + offs[None, :, :]).reshape(-1, d) / grid
         yield pts, np.repeat(mu.masses[part] / subsplit ** d, subsplit ** d)
@@ -569,31 +573,35 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8):
 
 # -- ergodicity and transitivity probes ---------------------------------------
 
-# Orbit points per observable call in birkhoff_probe.
-PROBE_BLOCK = 256
+# Most orbit points per observable call in birkhoff_probe (at least one step's
+# 2 * n_samples): bounds its orbit block and the observable's temporaries.
+PROBE_BLOCK = 2 ** 14
 
 
 def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=0):
     """Forward and backward Birkhoff averages of a base observable from mu-samples.
 
-    observable maps (..., 2) arrays of base points to (...) arrays and sees
-    PROBE_BLOCK orbit points of both directions per call.  The base map
-    ignores the fiber, so only the base is stepped.  A unique ergodic average
-    shows up as small dispersion across starting points and forward/backward
-    agreement: agree_fraction is the share of starting points whose two
-    averages differ by at most 0.05.
+    observable maps (..., 2) arrays of base points to (...) arrays, may
+    return a view of them, and sees the orbit points of both directions as
+    many steps at a time as fit PROBE_BLOCK points (at least one).  The base
+    map ignores the fiber, so only the base is stepped; the steps are added
+    in step order, so the result does not depend on PROBE_BLOCK.  A unique
+    ergodic average shows up as small dispersion across starting points
+    and forward/backward agreement: agree_fraction is the share of starting
+    points whose two averages differ by at most 0.05.
     """
     rng = np.random.default_rng(seed)
     pts = mu.sample(n_samples, rng)[:, :2]  # mu is binned on the full grid; keep the base
     # base points only (a fiber index raises IndexError): forward block[i, 0]
     # and backward block[i, 1] advance together, each stored (2, n_samples)
     mats = np.stack([sysm.matrix, sysm.inverse])
-    block = np.empty((min(n_steps, PROBE_BLOCK), 2, 2, n_samples))
+    steps = max(1, PROBE_BLOCK // (2 * n_samples))
+    block = np.empty((min(n_steps, steps), 2, 2, n_samples))
     floor = np.empty((2, 2, n_samples))
     p = np.stack([pts.T, pts.T])
     total = np.zeros((2, n_samples))
-    for start in range(0, n_steps, PROBE_BLOCK):
-        m = min(PROBE_BLOCK, n_steps - start)
+    for start in range(0, n_steps, steps):
+        m = min(steps, n_steps - start)
         for i in range(m):
             q = block[i]
             if start + i:

@@ -175,7 +175,7 @@ def systems_with_oracles():
     return {
         "cat": (eqmeas.get_system("cat").system, toral_steps(CAT_MATRIX)),
         "skew": (eqmeas.get_system("skew").system, skew_steps(CAT_MATRIX, GOLDEN_ROTATION)),
-        "slowprod": (slow, slowprod_steps(slow.profile, CAT_MATRIX)),
+        "slowprod": (slow, slowprod_steps(eqmeas.SlowFlowProfile(), CAT_MATRIX)),
         "toral32": (eqmeas.make_toral_automorphism(M32), toral_steps(M32)),
         "signed": (eqmeas.make_toral_automorphism(M_SIGNED), toral_steps(M_SIGNED)),
     }

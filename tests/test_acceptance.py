@@ -159,7 +159,7 @@ def test_criterion_10_product_structure(cat, skew, cat_mu40, skew_mu40):
 
 def test_criterion_11_negative_control(slowprod, phi0, slow_pair):
     gen, slow = slow_pair
-    prof = slowprod.system.profile
+    prof = eqmeas.SlowFlowProfile()
 
     # oracle gap between the two candidate limits, built directly on the grid
     mk = eqmeas.fiber_speed_density(prof, bins=16)

@@ -220,13 +220,13 @@ class TestSlowFlowProfile:
 
 
 class TestSlowFlowMap:
-    def test_fixed_point_is_exact(self, slowprod):
-        prof = slowprod.system.profile
+    def test_fixed_point_is_exact(self):
+        prof = SlowFlowProfile()
         p = np.array([0.5, 0.5])
         assert np.array_equal(eqmeas.flow_time_one(prof, p), p)
 
-    def test_displacements_shrink_toward_center(self, slowprod):
-        prof = slowprod.system.profile
+    def test_displacements_shrink_toward_center(self):
+        prof = SlowFlowProfile()
         drift = np.array(prof.drift)
         perp = np.array([-drift[1], drift[0]]) / np.linalg.norm(drift)
         want = [0.34616, 0.30776, 0.29594, 0.29229, 0.29114]
@@ -238,8 +238,8 @@ class TestSlowFlowMap:
         assert got == pytest.approx(want, abs=5e-5)
         assert all(a > b for a, b in zip(got, got[1:]))
 
-    def test_matches_rk4_oracle(self, slowprod):
-        prof = slowprod.system.profile
+    def test_matches_rk4_oracle(self):
+        prof = SlowFlowProfile()
         drift, center = np.array(prof.drift), np.array(prof.center)
         perp = np.array([-drift[1], drift[0]]) / np.linalg.norm(drift)
         rho = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
@@ -269,12 +269,12 @@ class TestSlowFlowMap:
             assert np.abs(eqmeas.wrap(got - want)).max() <= 1e-9
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_image_does_not_depend_on_batch(self, slowprod, sign):
+    def test_image_does_not_depend_on_batch(self, sign):
         # under a matrix-vector quadrature these two points moved by 1 ulp
         # with the size of their batch
         recorded = {1.0: ([0.47542495358772874, 0.12987352477313463], 2),
                     -1.0: ([0.6239027819391343, 0.5919027832141105], 4)}
-        prof = slowprod.system.profile
+        prof = SlowFlowProfile()
         rng = np.random.default_rng(17)
         point, size = recorded[sign]
         cases = [(np.array(point), size, row) for row in range(size)]
@@ -288,9 +288,9 @@ class TestSlowFlowMap:
             assert np.array_equal(got, alone), (p.tolist(), n, row)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_matches_full_solve_oracle(self, slowprod, sign):
+    def test_matches_full_solve_oracle(self, sign):
         # 6,601 of the uniform points solve for their arc, in chunks of CHORD_ROWS
-        prof = slowprod.system.profile
+        prof = SlowFlowProfile()
         line = SlowFlowProfile(drift=(0.5, 1.0))
         rng = np.random.default_rng(23)
         t = np.concatenate([-2.0 ** -np.arange(1, 60), 2.0 ** -np.arange(1, 60),
@@ -305,8 +305,8 @@ class TestSlowFlowMap:
             for x, row in zip(pts[:100], want):
                 assert np.array_equal(eqmeas.flow_time_one(p, x, sign=sign), row)
 
-    def test_quadrature_runs_only_where_needed(self, slowprod, monkeypatch):
-        prof = slowprod.system.profile
+    def test_quadrature_runs_only_where_needed(self, monkeypatch):
+        prof = SlowFlowProfile()
         drift = np.array(prof.drift)
         calls = []
 
@@ -323,15 +323,15 @@ class TestSlowFlowMap:
         eqmeas.flow_time_one(prof, prof.center - 0.5 * drift)
         assert calls == [1]
 
-    def test_backward_inverts(self, slowprod):
-        prof = slowprod.system.profile
+    def test_backward_inverts(self):
+        prof = SlowFlowProfile()
         pts = np.random.default_rng(5).random((25, 2))
         fwd = eqmeas.flow_time_one(prof, pts)
         back = eqmeas.flow_time_one(prof, fwd, sign=-1.0)
         assert np.abs(eqmeas.wrap(back - pts)).max() < 1e-9
 
-    def test_single_point_shape(self, slowprod):
-        out = eqmeas.flow_time_one(slowprod.system.profile,
+    def test_single_point_shape(self):
+        out = eqmeas.flow_time_one(SlowFlowProfile(),
                                    np.array([0.2, 0.3]))
         assert out.shape == (2,)
 
@@ -340,6 +340,12 @@ class TestSlowedProduct:
     def test_flags(self, slowprod):
         assert slowprod.system.satisfies_c1 is False
         assert slowprod.system.transitive is True
+
+    def test_copy_keeps_every_attribute(self, slowprod):
+        # every attribute is a field or derived from the fields, so a
+        # field-by-field copy has them all
+        sysm = slowprod.system
+        assert vars(dataclasses.replace(sysm)).keys() == vars(sysm).keys()
 
     def test_roundtrip(self, slowprod):
         pts = np.random.default_rng(5).random((15, 4))
@@ -356,7 +362,7 @@ class TestSlowedProduct:
         sysm = slowprod.system
         x = np.array([0.1, 0.2, 0.6, 0.7])
         out = sysm.step_fwd(x)
-        want = eqmeas.flow_time_one(sysm.profile, x[2:])
+        want = eqmeas.flow_time_one(SlowFlowProfile(), x[2:])
         assert out[2:] == pytest.approx(want, abs=1e-12)
 
     @pytest.fixture
@@ -396,7 +402,7 @@ class TestSlowedProduct:
 
     def test_evolve_matches_mapping_every_row(self, slowprod, phi0):
         sysm = slowprod.system
-        fwd, _ = slowprod_steps(sysm.profile, CAT_MATRIX)
+        fwd, _ = slowprod_steps(SlowFlowProfile(), CAT_MATRIX)
         kw = dict(steps=8, grid=(8, 8, 8, 8), order=6, r=0.05, leaf_radius=0.45)
         x = np.array([0.2, 0.7, 0.7916562055903406, 0.6051365892775145])
         got = eqmeas.evolve_average(sysm, phi0, slowprod.h_top, x, **kw)
@@ -446,22 +452,22 @@ class TestStepsMatchClosures:
 
 
 class TestFiberDensities:
-    def test_speed_density_normalized(self, slowprod):
-        mk = eqmeas.fiber_speed_density(slowprod.system.profile)
+    def test_speed_density_normalized(self):
+        mk = eqmeas.fiber_speed_density(SlowFlowProfile())
         assert mk.shape == (16, 16)
         assert mk.sum() == pytest.approx(1.0)
         assert (mk >= 0).all()
 
-    def test_gap_between_speed_density_and_point_mass(self, slowprod):
-        mk = eqmeas.fiber_speed_density(slowprod.system.profile)
+    def test_gap_between_speed_density_and_point_mass(self):
+        mk = eqmeas.fiber_speed_density(SlowFlowProfile())
         dp = eqmeas.fiber_point_mass((0.5, 0.5))
         tv = 0.5 * np.abs(mk - dp).sum()
         assert tv == pytest.approx(0.9926498720591017, abs=1e-9)
 
-    def test_center_bins_dominate_speed_density(self, slowprod):
+    def test_center_bins_dominate_speed_density(self):
         # the slow point sits on the corner shared by bins 7 and 8, so the
         # peak lands somewhere in that 2x2 block
-        mk = eqmeas.fiber_speed_density(slowprod.system.profile)
+        mk = eqmeas.fiber_speed_density(SlowFlowProfile())
         assert mk.max() == mk[7:9, 7:9].max()
         assert mk[7:9, 7:9].min() > np.median(mk)
         assert mk[8, 8] == pytest.approx(0.007350127940898329, abs=1e-12)

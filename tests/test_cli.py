@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from eqmeas import caratheodory, catalog, cli, equilibrium
+from eqmeas import caratheodory, catalog, cli, core, equilibrium
 
 
 def _write(tmp_path, body, name="run.ini"):
@@ -335,25 +335,33 @@ class TestSeededVerdicts:
 
 class TestBlockSizes:
     """Output bytes do not depend on evolve's atom blocks or step chunks, on
-    how many Gibbs centres are stepped together, or on how many bins
-    disintegrate refines at once."""
+    how many Gibbs centres are stepped together, on how many subcells
+    disintegrate makes at once, on the probe's steps per block, or on the
+    leaf sums' blocks."""
 
-    @pytest.mark.parametrize("label", ["cat.fullsuite", "slowprod.gibbs",
-                                       "slowprod.probe"])
+    @pytest.mark.parametrize("label", ["cat.fullsuite", "skew.cos.fullsuite",
+                                       "slowprod.gibbs", "slowprod.probe"])
     def test_outputs_do_not_depend_on_block_sizes(self, tmp_path, capsys,
                                                   monkeypatch, label):
-        call = next(c for calls in WORKLOADS.WORKLOADS.values() for c in calls
-                    if c.label == label)
+        calls = [c for calls in WORKLOADS.WORKLOADS.values() for c in calls]
+        calls.append(WORKLOADS.Call("skew.cos.fullsuite", "fullsuite", "skew",
+                                    {"potential": "cos"}, ()))
+        call = next(c for c in calls if c.label == label)
         path = tmp_path / "run.ini"
         path.write_text(call.ini())
         runs = []
-        # small: ragged evolve blocks; one cat centre, or 3 + 1 slowprod centres,
-        # per group; evolve chunks of one cat step, or of 3 + 3 + 2 slowprod steps
-        sizes = ("EVOLVE_BLOCK", "GIBBS_POINTS", "EVOLVE_SUMS", "SUBCELL_BINS")
-        for values in ([getattr(equilibrium, name) for name in sizes],
-                       (1000, 3 * 256, 3 * 256, 3)):
-            for name, value in zip(sizes, values):
-                monkeypatch.setattr(equilibrium, name, value)
+        # small: ragged evolve blocks; one cat or skew centre, or 3 + 1 slowprod
+        # centres, per group; evolve chunks of one cat step, or of 3 + 3 + 2
+        # slowprod steps; 12 cat, 3 skew or 1 slowprod bin of subcells at a
+        # time; probe blocks of 3 steps (200 samples) or of 9 + 1 (slowprod's 64
+        # and 10 steps); leaf sums 1,000 points at a time
+        sizes = ((equilibrium, "EVOLVE_BLOCK"), (equilibrium, "GIBBS_POINTS"),
+                 (equilibrium, "EVOLVE_SUMS"), (equilibrium, "SUBCELL_POINTS"),
+                 (equilibrium, "PROBE_BLOCK"), (core, "LEAF_BLOCK"))
+        for values in ([getattr(mod, name) for mod, name in sizes],
+                       (1000, 3 * 256, 3 * 256, 200, 1200, 1000)):
+            for (mod, name), value in zip(sizes, values):
+                monkeypatch.setattr(mod, name, value)
             out = tmp_path / str(values[0])
             code = cli.main([call.pipeline, "--config", str(path), "--out", str(out),
                              "--check", "--seed", "0"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eqmeas
+from eqmeas import core
 from eqmeas.core import leaf_birkhoff_sum
 from oracles import bowen_constants, systems_with_oracles
 
@@ -357,16 +358,20 @@ class TestLeafBirkhoffSum:
     COS = eqmeas.base_cosine_potential(0.5)  # base_only: handed base points alone
 
     @staticmethod
-    def assert_matches_birkhoff_sum(key, phi):
+    def assert_matches_birkhoff_sum(monkeypatch, key, phi):
         sysm = systems_with_oracles()[key][0]
         rng = np.random.default_rng(12)
         # t = -1e-20 from a zero coordinate puts 1.0 in the leaf point
         t = np.concatenate([[-1e-20, 0.0, 1e-20], rng.uniform(-0.5, 0.5, 200)])
         for x in (rng.random(sysm.dim), np.full(sysm.dim, -1e-20), np.zeros(sysm.dim)):
             for n in (1, 2, 7):
-                got = leaf_birkhoff_sum(sysm, phi, x, t, n)
                 want = eqmeas.birkhoff_sum(sysm, phi, eqmeas.leaf_point(sysm, x, t), n)
-                assert np.array_equal(got, want), (x, n)
+                # one block, blocks of 64 (the last holds 11 points) and of one point
+                for block in (core.LEAF_BLOCK, 64, 1):
+                    monkeypatch.setattr(core, "LEAF_BLOCK", block)
+                    got = leaf_birkhoff_sum(sysm, phi, x, t, n)
+                    assert np.array_equal(got, want), (x, n, block)
+                monkeypatch.undo()
 
     @staticmethod
     def mapped_fiber_points(key, phi):
@@ -382,16 +387,18 @@ class TestLeafBirkhoffSum:
         return rows
 
     @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
-    def test_matches_birkhoff_sum_of_leaf_points(self, key):
-        self.assert_matches_birkhoff_sum(key, self.PHI)
+    def test_matches_birkhoff_sum_of_leaf_points(self, monkeypatch, key):
+        self.assert_matches_birkhoff_sum(monkeypatch, key, self.PHI)
 
     @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
-    def test_base_only_potential_matches_birkhoff_sum(self, key):
-        self.assert_matches_birkhoff_sum(key, self.COS)
+    def test_base_only_potential_matches_birkhoff_sum(self, monkeypatch, key):
+        self.assert_matches_birkhoff_sum(monkeypatch, key, self.COS)
 
     @pytest.mark.parametrize("key", ["skew", "slowprod"])
-    def test_maps_the_shared_fiber_point_once_per_step(self, key):
+    def test_maps_the_shared_fiber_point_once_per_step(self, monkeypatch, key):
         sysm = systems_with_oracles()[key][0]
+        assert self.mapped_fiber_points(key, self.PHI) == [(sysm.dim - 2,)] * 4
+        monkeypatch.setattr(core, "LEAF_BLOCK", 7)  # 50 points: 8 blocks, one fiber orbit
         assert self.mapped_fiber_points(key, self.PHI) == [(sysm.dim - 2,)] * 4
 
     @pytest.mark.parametrize("key", ["skew", "slowprod"])

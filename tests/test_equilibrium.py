@@ -416,7 +416,7 @@ class TestDisintegration:
         assert out["c0"] < 3.0
         assert all(c >= 1.0 for _, c in out["per_plaque"])
 
-    @pytest.mark.parametrize("bins", [1, 3, equilibrium.SUBCELL_BINS])
+    @pytest.mark.parametrize("bins", [1, 3, 256])
     @pytest.mark.parametrize("key,grid,anchor", [
         ("cat", (32, 32), [0.61, 0.13]),
         ("skew", (16, 16, 8), [0.61, 0.13, 0.37]),
@@ -427,7 +427,8 @@ class TestDisintegration:
         masses = rng.random(grid) * (rng.random(grid) < 0.7)  # some empty bins
         mu = eqmeas.PhaseMeasure(grid, masses / masses.sum())
         rect = eqmeas.Rectangle(sys=sysm, anchor=np.array(anchor), du=0.15, dcs=0.15)
-        monkeypatch.setattr(equilibrium, "SUBCELL_BINS", bins)
+        # a budget of bins subcells and a few more: whole bins, bins at a time
+        monkeypatch.setattr(equilibrium, "SUBCELL_POINTS", bins * 4 ** sysm.dim + 5)
         for n_u, n_plaques in ((8, 32), (8, 4 ** (sysm.dim - 1)), (16, 7)):
             got = eqmeas.disintegrate(sysm, mu, rect, n_u=n_u, n_plaques=n_plaques)
             want = disintegrate_oracle(sysm, mu, rect, n_u=n_u, n_plaques=n_plaques)
@@ -467,7 +468,7 @@ def birkhoff_probe_oracle(sysm, mu, observable, *, n_steps=10_000, n_samples=200
     }
 
 
-B = eqmeas.equilibrium.PROBE_BLOCK
+B = 256  # steps per probe block in these tests
 
 
 class TestBirkhoffProbe:
@@ -481,9 +482,12 @@ class TestBirkhoffProbe:
         mu = eqmeas.PhaseMeasure.uniform((8,) * sysm.dim)
         mixed = lambda pts: np.cos(2 * np.pi * pts[..., 0]) + 0.3 * pts[..., 1]
         view = lambda pts: pts[..., 1]  # a view of the probe's orbit block
-        # blocks of one step make every block's one row the point stepped next
-        for obs, block in ((mixed, B), (view, B), (view, 1)):
-            monkeypatch.setattr(equilibrium, "PROBE_BLOCK", block)
+        # B steps of 2 * n_samples points a block, with a ragged point budget
+        # too; blocks of one step make every block's one row the point stepped next
+        per_step = 2 * n_samples
+        for obs, points, block in ((mixed, B * per_step, B), (view, B * per_step + 7, B),
+                                   (view, 1, 1)):
+            monkeypatch.setattr(equilibrium, "PROBE_BLOCK", points)
             calls = {"fwd": 0, "back": 0, "obs": 0}
 
             def counted(name, fn):
@@ -600,8 +604,10 @@ def traced_peak_mb(fn):
 
 
 class TestWorkingMemory:
-    """Evolve and disintegrate work in blocks: their peaks do not grow with
-    the atoms or subcells beyond the arrays the result is built from."""
+    """Every stage works in blocks: evolve, disintegrate, the Gibbs clouds,
+    the Birkhoff probe and the leaf sums peak at no more than the arrays
+    the result is built from plus their block sizes, whatever the atoms,
+    subcells, centres or samples."""
 
     @pytest.mark.parametrize("order,grid,steps,marks,limit_mb", [
         (10, (32, 32), 40, (10, 20, 40), 6.0),  # the CLI default (12.3 MB unblocked)
@@ -637,10 +643,42 @@ class TestWorkingMemory:
         assert peak <= 3.0  # 13.0 MB with every subcell made at once
 
     def test_slow_flow_step_peak(self, slowprod):
-        # one default Gibbs group (4 x 8,193 points), every fiber point in
-        # reach of the slow disk, so every row solves for its arc
+        # four centres' clouds at the default n_mc (4 x 8,193 points), every
+        # fiber point in reach of the slow disk, so every row solves for its arc
         rng = np.random.default_rng(3)
         pts = rng.random((4 * 8193, 4))
-        pts[:, 2:] = slowprod.system.profile.center + (2 * rng.random((len(pts), 2)) - 1) * 0.05
+        pts[:, 2:] = (eqmeas.SlowFlowProfile().center
+                      + (2 * rng.random((len(pts), 2)) - 1) * 0.05)
         peak = traced_peak_mb(lambda: slowprod.system.step_fwd(pts))
         assert peak <= 16.0  # 72 MB with the chord quadrature of every row at once
+
+    @pytest.mark.parametrize("key", ["cat", "skew"])
+    def test_gibbs_peak(self, request, phi0, key):
+        # the CLI default: 12 centres of 8,192 cloud points (4.3 MB on cat and
+        # 5.0 MB on skew with four centres a group)
+        entry, mu = request.getfixturevalue(key), request.getfixturevalue(f"{key}_mu40")
+        peak = traced_peak_mb(lambda: eqmeas.gibbs_ratio(
+            entry.system, phi0, mu.measure, entry.h_top))
+        assert peak <= 3.0
+
+    @pytest.mark.parametrize("n_samples,limit_mb", [
+        (200, 1.5),      # the CLI default (3.1 MB with 256 steps a block)
+        (10 ** 4, 4.0)])  # the schema's most samples (157 MB with 256 steps a block)
+    def test_probe_peak(self, cat, cat_mu40, n_samples, limit_mb):
+        obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
+        peak = traced_peak_mb(lambda: eqmeas.birkhoff_probe(
+            cat.system, cat_mu40.measure, obs, n_steps=300, n_samples=n_samples))
+        assert peak <= limit_mb
+
+    @pytest.mark.parametrize("key", ["cat", "skew"])
+    @pytest.mark.parametrize("stage,limit_mb", [
+        ("press", 9.0),   # 24.2 MB on cat, 26.6 MB on skew with every leaf point at once
+        ("cdim", 14.0)])  # 41.4 MB on cat, 45.6 MB on skew; covers of up to 542,886 centres
+    def test_leaf_sum_peak(self, key, stage, limit_mb):
+        # the CLI's default orders, radii and segment, with potential = cos
+        sysm = eqmeas.get_system(key).system
+        x, cos = eqmeas.mod1(0.2 + 0.31 * np.arange(sysm.dim)), eqmeas.base_cosine_potential()
+        run = {"press": lambda: eqmeas.estimate_pressure(sysm, cos, x),
+               "cdim": lambda: eqmeas.caratheodory_dim(sysm, cos, x, (-0.1, 0.1),
+                                                       r=0.05, tol=0.02)}[stage]
+        assert traced_peak_mb(run) <= limit_mb

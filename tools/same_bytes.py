@@ -10,9 +10,10 @@ track), so nothing is written to .git or bench/.  Every case below is one
 sides; a case is identical when the exit codes, stdout and every output
 file (the pipeline CSVs and summary.json) match byte for byte.  The
 slowprod-control and cdim-cos configs are read from the working tree's
-bench/workloads.py, imported in its copy.  The default slowprod fullsuite
-takes about 4 s a side.  A signal stops it as it stops tools/pairs.py: no
-temporary directory or CLI process is left behind.
+bench/workloads.py, imported in its copy.  The default slowprod fullsuites
+take about 2.5 s (zero potential) and 3.5 s (cos) a side.  A signal stops
+it as it stops tools/pairs.py: no temporary directory or CLI process is
+left behind.
 
 Exit status: 0 when every case is identical, 1 otherwise.
 """
@@ -56,6 +57,8 @@ def cases(checkout):
              {"potential": "const", "const_value": 0.3}),
         call("cdim-cos", cdim.pipeline, cdim.system, cdim.config),
         call("slowprod.fullsuite", "fullsuite", "slowprod", {}),
+        # the base_only leaf sums on the 4-d system
+        call("slowprod.cos.fullsuite", "fullsuite", "slowprod", {"potential": "cos"}),
     ]
 
 
