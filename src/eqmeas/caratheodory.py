@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from .core import leaf_birkhoff_sum, leaf_point
-from .bowen import MAX_CENTERS, ball_width, net_size, separated_net
+from .bowen import MAX_CENTERS, ball_width, net_params, net_size, separated_net
 from .pressure import _leaf_log_sum
 
 # Orders a truncated cover problem looks past its base order.
@@ -71,8 +71,9 @@ def _log_sums(sysm, phi, x, segment, orders, r):
                               f"centers (limit {MAX_CENTERS})")
     sums = {}
     for n, k in sizes.items():
-        log_z = _leaf_log_sum(phi, n, k, lambda: leaf_birkhoff_sum(
-            sysm, phi, x, a + ball_width(sysm, n, r) * (2 * np.arange(k) + 1), n))
+        # the centres a + (2i + 1) w_n, i < k, are the odd atoms of the net from a
+        log_z = _leaf_log_sum(phi, n, k, lambda: leaf_birkhoff_sum(sysm, phi, x, net_params(
+            sysm, n, r, -a, np.arange(1, 2 * k, 2, dtype=float)), n))
         if not np.isfinite(log_z):
             raise ArithmeticError(f"degenerate cover cost at order {n}")
         sums[n] = (k, float(log_z))

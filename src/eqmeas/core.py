@@ -15,20 +15,21 @@ from typing import Callable
 
 import numpy as np
 
-# Leaf points per block of leaf_birkhoff_sum: bounds its (B, dim) points and
-# the potential's temporaries, whatever the net or cover size.
-LEAF_BLOCK = 2 ** 14
+# Base points per block wherever many are stepped (the leaf sums, evolve's
+# atoms, the probe's orbit points): bounds their (2, B) coordinates and the
+# temporaries made from them, whatever the net, cover or sample count.
+BLOCK = 2 ** 14
 
 
-def mod1(x):
-    """Reduce coordinates mod 1, componentwise, as x - floor(x).
+def mod1(x, out=None):
+    """Reduce coordinates mod 1, componentwise, as x - floor(x), into out (not x) if given.
 
     Bitwise equal to numpy's x % 1.0 for finite x, at a tenth of its cost.
     Values lie in [0, 1]: 1.0 appears only for inputs at most 2**-54 (half
     an ulp of 1) below an integer, so mod1(-1e-20) == 1.0.
     """
     x = np.asarray(x, dtype=float)
-    f = np.floor(x)  # the one buffer allocated, as with %
+    f = np.floor(x, out=out)  # the one buffer allocated, as with %
     return np.subtract(x, f, out=f) if f.ndim else x - f
 
 
@@ -88,10 +89,9 @@ class SystemSpec:
         if abs(abs(np.linalg.det(m)) - 1.0) > 1e-12:
             raise ValueError("matrix is not invertible over the integers (|det| != 1)")
         self.inverse = np.rint(np.linalg.inv(m))
-        # contiguous transposes for the step products: by the view matrix.T
-        # numpy takes slower loops, and maps a single (1-d) point with a
-        # kernel that can round unlike the same point in a batch
-        self._transposed = (m.T.copy(), self.inverse.T.copy())
+        # C-contiguous (matrix.T, inverse.T): by views numpy takes slower loops,
+        # and maps a lone (1-d) point with a kernel that can round unlike a batch
+        self._bases = np.ascontiguousarray(np.stack([m.T, self.inverse.T]))
         if (self.fiber is None) != (self.dim == 2):
             raise ValueError(f"fiber must be None exactly when dim == 2, got dim {self.dim}")
         vals, vecs = np.linalg.eig(m)
@@ -122,10 +122,20 @@ class SystemSpec:
 
     def _step(self, pts, direction):
         pts = np.asarray(pts, dtype=float)
-        base = mod1(pts[..., :2] @ self._transposed[direction])
+        base = self.step_base(pts[..., :2], direction=direction)
         if self.fiber is None:
             return base
         return np.concatenate((base, self.fiber[direction](pts[..., 2:])), axis=-1)
+
+    def step_base(self, b, out=None, scratch=None, direction=0):
+        """The package's one base map: (..., 2) base points b stepped forward
+        (direction 0), backward (1) or, by slice(None), b[0] forward and b[1]
+        backward, reduced as by mod1 into out (may be b) by way of scratch;
+        each is allocated when not given.  Transposes of (2, B) arrays step
+        faster than (B, 2) rows."""
+        s = np.matmul(b, self._bases[direction], out=scratch)
+        f = np.floor(s, out=out)  # mod1 written out: this runs once per probe step
+        return np.subtract(s, f, out=f)
 
     # -- leaf charts ------------------------------------------------------
 
@@ -199,31 +209,44 @@ def leaf_birkhoff_sum(sys, phi, x, t, n):
 
     The same numbers as birkhoff_sum on those points, bit for bit.  The
     unstable direction lies in the base plane, so the points share one
-    fiber point, whose orbit is mapped once, as the fiber map ignores the
-    base; a base-only potential is handed the base points alone, and the
-    fiber point is not mapped for it.  The points are built and stepped
-    LEAF_BLOCK at a time; a point's sum depends on that point alone, so the
-    result does not depend on LEAF_BLOCK.
+    fiber point, whose orbit is mapped once (the fiber map ignores the
+    base), and not at all for a base-only potential, which is handed the
+    base points alone.  The points are reduced twice, as birkhoff_sum
+    reduces leaf_point's, and stepped BLOCK at a time as one (dim, B)
+    array; a point's sum depends on that point alone, so the result does
+    not depend on BLOCK.
     """
     if n < 1:
         raise ValueError("birkhoff order must be >= 1")
-    fibs = []  # the shared fiber point after 1 .. n-1 steps, if phi reads it
+    fibs = []  # the shared fiber point after 0 .. n-1 steps, if phi reads it
     if not phi.base_only and sys.fiber is not None:
-        fib = mod1(mod1(np.asarray(x, dtype=float)[2:]))  # reduced twice, as below
+        fibs.append(mod1(mod1(x[2:])))
         for _ in range(n - 1):
-            fibs.append(fib := sys.fiber[0](fib))
+            fibs.append(sys.fiber[0](fibs[-1]))
+    size = min(BLOCK, len(t))
+    rows, scratch = np.empty((sys.dim if fibs else 2, size)), np.empty((2, size))
     total = np.empty(len(t))
-    for lo in range(0, len(t), LEAF_BLOCK):
-        out = total[lo:lo + LEAF_BLOCK]
-        pts = mod1(leaf_point(sys, x, t[lo:lo + LEAF_BLOCK]))  # reduced twice, as birkhoff_sum
-        out[:] = phi(pts)
-        base = pts[:, :2]
-        for k in range(n - 1):
-            base = mod1(base @ sys._transposed[0])
-            pts = base if not fibs else np.column_stack(
-                (base, np.broadcast_to(fibs[k], (len(base), sys.dim - 2))))
-            out += phi(pts)
+    for lo in range(0, len(t), BLOCK):
+        out = total[lo:lo + BLOCK]
+        pts, s = rows[:, :len(out)], scratch[:, :len(out)]
+        b = mod1(leaf_base(sys, x, t[lo:lo + BLOCK], s, pts[:2]), pts[:2])
+        for k in range(n):
+            if k:
+                sys.step_base(b.T, b.T, s.T)
+            if fibs:
+                pts[2:] = fibs[k][:, None]
+            if k:
+                out += phi(pts.T)
+            else:
+                out[:] = phi(pts.T)
     return total
+
+
+def leaf_base(sys, x, t, out, scratch):
+    """Base coordinates of leaf_point(sys, x, t) into (2, len(t)) out, by way of scratch."""
+    np.multiply(sys.frame[0, :2, None], t, out=scratch)
+    scratch += np.asarray(x, dtype=float)[:2, None]
+    return mod1(scratch, out)
 
 
 def leaf_point(sys, x, t):

@@ -6,17 +6,16 @@ densities on rectangles, and transitivity / regularity checks.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .bowen import MAX_CENTERS, ball_width, net_params, net_size
-from .core import iterate, leaf_point, mod1, torus_dist
+from . import core
+from .core import iterate, leaf_base, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, atom_weight, equal_mass, reference_measure
 
 MASS_TOL = 1e-9
-# Atoms per block of evolve_average's step and binning passes: bounds its
-# (2, B) coordinates and bin indices.
-EVOLVE_BLOCK = 2 ** 14
 # Most cloud points gibbs_ratio steps at once (at least one centre's n_mc):
 # bounds its clouds, densities and distance temporaries.
 GIBBS_POINTS = 2 ** 13
@@ -60,13 +59,8 @@ class PhaseMeasure:
 
     @classmethod
     def from_points(cls, points, grid, weights=None):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = _bin_index(points, grid)
-        n = int(np.prod(grid))
-        if weights is None:
-            m = np.bincount(idx, minlength=n).astype(float)
-        else:
-            m = np.bincount(idx, weights=weights, minlength=n)
+        idx = _bin_index(_unit_points(points), grid)
+        m = np.bincount(idx, weights=weights, minlength=int(np.prod(grid))).astype(float)
         s = m.sum()
         if s <= 0:
             raise ValueError("no mass to bin")
@@ -85,7 +79,7 @@ class PhaseMeasure:
         return 0.5 * float(np.abs(self.masses - other.masses).sum())
 
     def bin_index(self, points):
-        return _bin_index(np.atleast_2d(np.asarray(points, dtype=float)), self.grid)
+        return _bin_index(_unit_points(points), self.grid)
 
     def density(self, points):
         """Piecewise-constant density (mass per unit volume) at points."""
@@ -99,18 +93,25 @@ class PhaseMeasure:
         return (coords + jitter) / np.asarray(self.grid, dtype=float)
 
 
-def _bin_index(points, grid):
-    """Flat C-order bin index of (N, d) points."""
-    idx = np.zeros(len(points), dtype=np.int64)
-    ij = np.empty_like(idx)
-    for j, g in enumerate(grid):
-        g = int(g)
-        np.multiply(points[:, j], g, out=ij, casting="unsafe")  # truncates, as astype
-        # mod1 gives 1.0 for tiny negative coordinates; the clamp keeps ij < g
-        np.minimum(ij, g - 1, out=ij)
-        idx *= g
-        idx += ij
-    return idx
+def _unit_points(points):
+    """points as an (N, d) float array, checked to lie in [0, 1]^d."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not ((points >= 0.0) & (points <= 1.0)).all():
+        raise ValueError("point coordinates must lie in [0, 1]")
+    return points
+
+
+def _bin_index(points, grid, out=None, scratch=None):
+    """The package's one bin rule: flat C-order bin index of (N, d) points in
+    [0, 1]^d, into out (N int64s) by way of scratch (points' shape), each
+    made if not given.  Transposes of (d, N) arrays bin faster than rows."""
+    g = np.asarray(grid, dtype=float)
+    place = [float(math.prod(grid[j + 1:])) for j in range(len(grid))]  # C order
+    cells = np.multiply(points, g, out=scratch)
+    # mod1 gives 1.0 for tiny negative coordinates; the clamp keeps each cell < g
+    np.minimum(cells, g - 1, out=cells)
+    out = np.empty(len(points), dtype=np.int64) if out is None else out
+    return np.matmul(place, np.floor(cells, out=cells).T, out=out, casting="unsafe")
 
 
 # -- rectangles --------------------------------------------------------------
@@ -217,16 +218,13 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     ArithmeticError on a net of more than MAX_CENTERS atoms before building it.
 
     The leaf through x runs in the base plane, so its atoms share x's fiber
-    point at every step, and the bin of an atom is its base bin times the
-    number of fiber cells plus the fiber point's cell.  The atoms are built
-    from their leaf parameters EVOLVE_BLOCK at a time, and each block runs
-    through a chunk of steps as one (2, B) array of base coordinates, binned
-    in float and added into per-step base-cell sums by np.add.at.  Blocks
-    come in atom order, so each sum is added in atom order from zero, as one
-    bincount over all atoms adds it.  A chunk holds at most EVOLVE_SUMS
-    sums; the (2, N) base coordinates are kept between chunks only when
-    there are several.  An atom's image and bin depend on that atom alone
-    (the 2x2 product rounds the same in every block), so the result depends
+    point at every step, and an atom's bin is its base bin times the number
+    of fiber cells plus the fiber point's cell.  Blocks of core.BLOCK atoms,
+    in atom order, run through chunks of at most EVOLVE_SUMS // base cells
+    steps as (2, B) base coordinates, and np.add.at adds their weights into
+    per-step base-cell sums in the order one bincount over all atoms would;
+    the (2, N) coordinates outlive a chunk only when there are several.  An
+    atom's image and bin depend on that atom alone, so the result depends
     on neither constant.
     """
     grid = (32,) * sysm.dim if grid is None else tuple(int(g) for g in grid)
@@ -255,38 +253,28 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     # (base cell, fiber cell); raveled in C order, the flat index of _bin_index
     acc = np.zeros((n_base, int(np.prod(grid[2:]))))
     chunk = max(1, EVOLVE_SUMS // n_base)
-    size = min(EVOLVE_BLOCK, n_atoms)
+    size = min(core.BLOCK, n_atoms)
     keep = steps > chunk  # the (2, N) base coordinates outlive a chunk
     base = np.empty((2, n_atoms if keep else size))
     scratch, idx = np.empty((2, size)), np.empty(size, dtype=np.int64)
-    g = np.array(grid[:2], dtype=float)[:, None]
-    place = np.array([g[1, 0], 1.0])  # C order: base cell i0 * g1 + i1
     snaps = {}
     marks = set(int(c) for c in checkpoints)
     chunk_sums = np.empty((min(chunk, steps), n_base))
     for k0 in range(0, steps, chunk):
         sums = chunk_sums[:steps - k0]
         sums.fill(0.0)
-        for start in range(0, n_atoms, EVOLVE_BLOCK):
-            blk = slice(start, start + EVOLVE_BLOCK)
-            m = min(EVOLVE_BLOCK, n_atoms - start)
+        for start in range(0, n_atoms, core.BLOCK):
+            blk = slice(start, start + core.BLOCK)
+            m = min(core.BLOCK, n_atoms - start)
             b = base[:, blk] if keep else base[:, :m]
             p = scratch[:, :m]
-            if not k0:  # unstable_chart's base at every thin-th parameter of the net
-                t = net_params(sysm, order, r, leaf_radius, np.arange(
-                    start * thin, (start + m) * thin, thin, dtype=float))
-                np.multiply(sysm.frame[0, :2, None], t, out=p)
-                p += x[:2, None]
-                np.subtract(p, np.floor(p, out=b), out=b)  # b = mod1(p)
+            if not k0:  # the leaf base at every thin-th parameter of the net
+                leaf_base(sysm, x, net_params(sysm, order, r, leaf_radius, np.arange(
+                    start * thin, (start + m) * thin, thin, dtype=float)), b, p)
             for j in range(len(sums)):
                 if k0 + j:
-                    np.matmul(sysm.matrix, b, out=p)
-                    np.subtract(p, np.floor(p, out=b), out=b)
-                # the float form of _bin_index: clamped, floored, placed
-                np.multiply(b, g, out=p)
-                np.minimum(p, g - 1, out=p)
-                np.matmul(place, np.floor(p, out=p), out=idx[:m], casting="unsafe")
-                np.add.at(sums[j], idx[:m], w[blk])
+                    sysm.step_base(b.T, b.T, p.T)
+                np.add.at(sums[j], _bin_index(b.T, grid[:2], idx[:m], p.T), w[blk])
         for j, row in enumerate(sums, start=k0):
             acc[:, cells[j]] += row
             if (j + 1) in marks:
@@ -573,45 +561,33 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8):
 
 # -- ergodicity and transitivity probes ---------------------------------------
 
-# Most orbit points per observable call in birkhoff_probe (at least one step's
-# 2 * n_samples): bounds its orbit block and the observable's temporaries.
-PROBE_BLOCK = 2 ** 14
-
 
 def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=0):
     """Forward and backward Birkhoff averages of a base observable from mu-samples.
 
     observable maps (..., 2) arrays of base points to (...) arrays, may
     return a view of them, and sees the orbit points of both directions as
-    many steps at a time as fit PROBE_BLOCK points (at least one).  The base
+    many steps at a time as fit core.BLOCK points (at least one).  The base
     map ignores the fiber, so only the base is stepped; the steps are added
-    in step order, so the result does not depend on PROBE_BLOCK.  A unique
+    in step order, so the result does not depend on core.BLOCK.  A unique
     ergodic average shows up as small dispersion across starting points
     and forward/backward agreement: agree_fraction is the share of starting
     points whose two averages differ by at most 0.05.
     """
     rng = np.random.default_rng(seed)
     pts = mu.sample(n_samples, rng)[:, :2]  # mu is binned on the full grid; keep the base
-    # base points only (a fiber index raises IndexError): forward block[i, 0]
-    # and backward block[i, 1] advance together, each stored (2, n_samples)
-    mats = np.stack([sysm.matrix, sysm.inverse])
-    steps = max(1, PROBE_BLOCK // (2 * n_samples))
-    block = np.empty((min(n_steps, steps), 2, 2, n_samples))
-    floor = np.empty((2, 2, n_samples))
-    p = np.stack([pts.T, pts.T])
-    total = np.zeros((2, n_samples))
+    # base points only (a fiber index raises IndexError), forward block[i, 0] and
+    # backward block[i, 1], in rows: at 200 samples a step costs less than in columns
+    steps = max(1, core.BLOCK // (2 * n_samples))
+    block = np.empty((min(n_steps, steps), 2, n_samples, 2))
+    scratch, total = np.empty((2, n_samples, 2)), np.zeros((2, n_samples))
+    block[0] = pts
     for start in range(0, n_steps, steps):
         m = min(steps, n_steps - start)
-        for i in range(m):
-            q = block[i]
-            if start + i:
-                np.matmul(mats, p, out=q)
-                q -= np.floor(q, out=floor)  # mod1 in place
-            else:
-                q[...] = p
-            p = q
+        for i in range(1 if start == 0 else 0, m):  # block[-1]: the step before block[0]
+            sysm.step_base(block[i - 1], block[i], scratch, slice(None))
         # (m, 2, n_samples, 2) points; rows added in step order, as per-step sums round
-        for row in observable(block[:m].transpose(0, 1, 3, 2)):
+        for row in observable(block[:m]):
             total += row
     fwd, bwd = total / n_steps
     return {

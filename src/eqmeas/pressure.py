@@ -18,11 +18,11 @@ from .core import leaf_birkhoff_sum, mod1
 
 
 def _logsumexp(vals):
-    vals = np.asarray(vals, dtype=float)
     m = vals.max()
     if not np.isfinite(m):
         return m
-    return m + np.log(np.exp(vals - m).sum())
+    shifted = vals - m
+    return m + np.log(np.exp(shifted, out=shifted).sum())
 
 
 def _leaf_log_sum(phi, n, count, sums, stride=1):

@@ -350,16 +350,15 @@ class TestBlockSizes:
         path = tmp_path / "run.ini"
         path.write_text(call.ini())
         runs = []
-        # small: ragged evolve blocks; one cat or skew centre, or 3 + 1 slowprod
-        # centres, per group; evolve chunks of one cat step, or of 3 + 3 + 2
-        # slowprod steps; 12 cat, 3 skew or 1 slowprod bin of subcells at a
-        # time; probe blocks of 3 steps (200 samples) or of 9 + 1 (slowprod's 64
-        # and 10 steps); leaf sums 1,000 points at a time
-        sizes = ((equilibrium, "EVOLVE_BLOCK"), (equilibrium, "GIBBS_POINTS"),
-                 (equilibrium, "EVOLVE_SUMS"), (equilibrium, "SUBCELL_POINTS"),
-                 (equilibrium, "PROBE_BLOCK"), (core, "LEAF_BLOCK"))
+        # small: ragged evolve blocks and leaf sums 1,000 points at a time; one
+        # cat or skew centre, or 3 + 1 slowprod centres, per group; evolve
+        # chunks of one cat step, or of 3 + 3 + 2 slowprod steps; 12 cat, 3
+        # skew or 1 slowprod bin of subcells at a time; probe blocks of 2 steps
+        # (200 samples) or of 7 + 3 (slowprod's 64 and 10 steps)
+        sizes = ((core, "BLOCK"), (equilibrium, "GIBBS_POINTS"),
+                 (equilibrium, "EVOLVE_SUMS"), (equilibrium, "SUBCELL_POINTS"))
         for values in ([getattr(mod, name) for mod, name in sizes],
-                       (1000, 3 * 256, 3 * 256, 200, 1200, 1000)):
+                       (1000, 3 * 256, 3 * 256, 200)):
             for (mod, name), value in zip(sizes, values):
                 monkeypatch.setattr(mod, name, value)
             out = tmp_path / str(values[0])

@@ -352,6 +352,41 @@ class TestSystemSpec:
         assert np.array_equal(cat.system.inverse, [[1.0, -1.0], [-1.0, 2.0]])
         assert np.array_equal(cat.system.matrix @ cat.system.inverse, np.eye(2))
 
+    @pytest.mark.parametrize("key", ["cat", "skew", "toral32"])
+    def test_every_base_step_is_step_base(self, monkeypatch, key):
+        # the base map is written once: every caller that steps base points
+        # goes through step_base, one call per step in the directions listed,
+        # and gets the same numbers with step_base wrapped
+        sysm = systems_with_oracles()[key][0]
+        rng = np.random.default_rng(4)
+        pts, x = rng.random((50, sysm.dim)), rng.random(sysm.dim)
+        cos, zero = eqmeas.base_cosine_potential(0.5), eqmeas.zero_potential()
+        mu = eqmeas.PhaseMeasure.uniform((4,) * sysm.dim)
+        runs = {  # name: (run, direction of each step_base call)
+            "step_fwd": (lambda: sysm.step_fwd(pts), [0]),
+            "step_back": (lambda: sysm.step_back(pts[0]), [1]),
+            "leaf_birkhoff_sum": (lambda: leaf_birkhoff_sum(
+                sysm, cos, x, np.linspace(-0.1, 0.1, 40), 4), [0] * 3),
+            "evolve_average": (lambda: eqmeas.evolve_average(
+                sysm, zero, 0.0, x, steps=5, grid=(4,) * sysm.dim, order=3,
+                leaf_radius=0.5).measure.masses, [0] * 4),
+            "birkhoff_probe": (lambda: eqmeas.birkhoff_probe(
+                sysm, mu, lambda p: p[..., 0], n_steps=6,
+                n_samples=10)["forward"], [slice(None)] * 5)}
+        want = {name: run() for name, (run, _) in runs.items()}
+        calls = []
+        step_base = core.SystemSpec.step_base
+
+        def counted(self, b, out=None, scratch=None, direction=0):
+            calls.append(direction)
+            return step_base(self, b, out, scratch, direction)
+
+        monkeypatch.setattr(core.SystemSpec, "step_base", counted)
+        for name, (run, directions) in runs.items():
+            calls.clear()
+            assert np.array_equal(run(), want[name]), name
+            assert calls == directions, name
+
 
 class TestLeafBirkhoffSum:
     PHI = eqmeas.Potential(fn=lambda x: np.cos(2 * np.pi * x[..., 0]) + 0.3 * x[..., -1])
@@ -367,8 +402,8 @@ class TestLeafBirkhoffSum:
             for n in (1, 2, 7):
                 want = eqmeas.birkhoff_sum(sysm, phi, eqmeas.leaf_point(sysm, x, t), n)
                 # one block, blocks of 64 (the last holds 11 points) and of one point
-                for block in (core.LEAF_BLOCK, 64, 1):
-                    monkeypatch.setattr(core, "LEAF_BLOCK", block)
+                for block in (core.BLOCK, 64, 1):
+                    monkeypatch.setattr(core, "BLOCK", block)
                     got = leaf_birkhoff_sum(sysm, phi, x, t, n)
                     assert np.array_equal(got, want), (x, n, block)
                 monkeypatch.undo()
@@ -398,7 +433,7 @@ class TestLeafBirkhoffSum:
     def test_maps_the_shared_fiber_point_once_per_step(self, monkeypatch, key):
         sysm = systems_with_oracles()[key][0]
         assert self.mapped_fiber_points(key, self.PHI) == [(sysm.dim - 2,)] * 4
-        monkeypatch.setattr(core, "LEAF_BLOCK", 7)  # 50 points: 8 blocks, one fiber orbit
+        monkeypatch.setattr(core, "BLOCK", 7)  # 50 points: 8 blocks, one fiber orbit
         assert self.mapped_fiber_points(key, self.PHI) == [(sysm.dim - 2,)] * 4
 
     @pytest.mark.parametrize("key", ["skew", "slowprod"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eqmeas
-from eqmeas import caratheodory, equilibrium
+from eqmeas import caratheodory, core, equilibrium
 from eqmeas.equilibrium import _bin_index
 from oracles import (bin_index_oracle, disintegrate_oracle, evolve_oracle,
                      gibbs_ratio_oracle, systems_with_oracles)
@@ -47,6 +47,32 @@ class TestPhaseMeasure:
         pm = eqmeas.PhaseMeasure.from_points(np.array([[1.0 - 1e-16, 0.5]]),
                                              (4, 4))
         assert pm.reshaped()[3, 2] == pytest.approx(1.0)
+
+    # unchecked, a coordinate above 1 bins as the last bin of its axis (1.5 in
+    # bin 12 of a 4 x 4 grid, where 0.5 goes in bin 8) and one below 0 gives a
+    # negative bin; 1.0 stays allowed, as mod1 can return it
+    OUTSIDE = ([[1.5, 0.2]], [[-0.5, 0.2]], [[0.5, -1e-300]], [[0.5, np.nan]])
+
+    @pytest.mark.parametrize("pts", OUTSIDE)
+    def test_from_points_rejects_points_outside_the_unit_cube(self, pts):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            eqmeas.PhaseMeasure.from_points(np.array(pts), (4, 4))
+        pm = eqmeas.PhaseMeasure.from_points(np.array([[1.0, 0.5]]), (4, 4))
+        assert pm.reshaped()[3, 2] == 1.0
+
+    @pytest.mark.parametrize("pts", OUTSIDE)
+    def test_density_rejects_points_outside_the_unit_cube(self, pts):
+        pm = eqmeas.PhaseMeasure.from_points(np.array([[0.1, 0.1]]), (4, 4))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            pm.density(np.array(pts))
+        assert pm.density(np.array([[0.0, 1.0], [0.1, 0.1]])).tolist() == [0.0, 16.0]
+
+    @pytest.mark.parametrize("pts", OUTSIDE)
+    def test_bin_index_rejects_points_outside_the_unit_cube(self, pts):
+        pm = eqmeas.PhaseMeasure.uniform((4, 4))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            pm.bin_index(np.array(pts))
+        assert pm.bin_index(np.array([[1.0, 1.0], [0.5, 0.0]])).tolist() == [15, 8]
 
     def test_tv_properties(self):
         a = eqmeas.PhaseMeasure.uniform((4, 4))
@@ -222,7 +248,7 @@ class TestEvolveAverage:
                                           block, leaf):
         sysm, (fwd, _) = systems_with_oracles()[key]
         h = float(np.log(sysm.leaf_rate))
-        monkeypatch.setattr(equilibrium, "EVOLVE_BLOCK", block)
+        monkeypatch.setattr(core, "BLOCK", block)
         kw = dict(steps=6, grid=grid, r=0.05, leaf_radius=0.5, checkpoints=(1, 2, 5, 6))
         if leaf == "generic":  # 359 atoms (1,040 on toral32): a ragged last block
             x, kw["order"] = np.array(x), 4
@@ -487,7 +513,7 @@ class TestBirkhoffProbe:
         per_step = 2 * n_samples
         for obs, points, block in ((mixed, B * per_step, B), (view, B * per_step + 7, B),
                                    (view, 1, 1)):
-            monkeypatch.setattr(equilibrium, "PROBE_BLOCK", points)
+            monkeypatch.setattr(core, "BLOCK", points)
             calls = {"fwd": 0, "back": 0, "obs": 0}
 
             def counted(name, fn):
@@ -673,7 +699,8 @@ class TestWorkingMemory:
     @pytest.mark.parametrize("key", ["cat", "skew"])
     @pytest.mark.parametrize("stage,limit_mb", [
         ("press", 9.0),   # 24.2 MB on cat, 26.6 MB on skew with every leaf point at once
-        ("cdim", 14.0)])  # 41.4 MB on cat, 45.6 MB on skew; covers of up to 542,886 centres
+        ("cdim", 10.0)])  # 41.4 MB on cat, 45.6 MB on skew; covers of up to 542,886 centres
+                          # (12.4 MB with the centres and logsumexp through temporaries)
     def test_leaf_sum_peak(self, key, stage, limit_mb):
         # the CLI's default orders, radii and segment, with potential = cos
         sysm = eqmeas.get_system(key).system

@@ -59,6 +59,12 @@ def cases(checkout):
         call("slowprod.fullsuite", "fullsuite", "slowprod", {}),
         # the base_only leaf sums on the 4-d system
         call("slowprod.cos.fullsuite", "fullsuite", "slowprod", {"potential": "cos"}),
+        # 4,096 base cells: evolve runs in chunks of 16 steps and keeps its
+        # (2, N) base coordinates between them
+        call("cat.grid64.evolve", "evolve", "cat", {"grid": 64}),
+        # one probe step per block, both directions stepped in one call
+        call("skew.samples1e4.probe", "probe", "skew",
+             {"n_samples": 10000, "birkhoff_steps": 100}),
     ]
 
 
