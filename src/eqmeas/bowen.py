@@ -15,6 +15,17 @@ import numpy as np
 MAX_CENTERS = 2 ** 22
 
 
+def check_atom_limit(phi, sizes, kind="net"):
+    """Raise ArithmeticError, naming the first order over MAX_CENTERS, when phi
+    is not constant and the net (kind "net") or cover ("cover") of some order
+    n in sizes {n: atom count} is over it."""
+    over = [n for n, k in sizes.items() if k > MAX_CENTERS]
+    if phi.constant_value is None and over:
+        unit = "atoms" if kind == "net" else "centers"
+        raise ArithmeticError(f"{kind} of order {over[0]} needs {sizes[over[0]]} {unit} "
+                              f"(limit {MAX_CENTERS})")
+
+
 def ball_width(sysm, n, r):
     """Leaf half-width r * leaf_rate^-(n-1) of the d_n ball of radius r."""
     return r * sysm.leaf_rate ** (-(n - 1))

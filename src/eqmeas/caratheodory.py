@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from .core import leaf_birkhoff_sum, leaf_point
-from .bowen import MAX_CENTERS, ball_width, net_params, net_size, separated_net
+from .bowen import ball_width, check_atom_limit, net_params, net_size, separated_net
 from .pressure import _leaf_log_sum
 
 # Orders a truncated cover problem looks past its base order.
@@ -45,7 +45,6 @@ class CoverSolution:
 
     log_cost: float
     log_lower_bound: float | None
-    span: int
     table: list
     strategy = "chain"  # the only cover; bench/tracer.py counts covers by it
 
@@ -63,12 +62,8 @@ def _log_sums(sysm, phi, x, segment, orders, r):
     a, b = float(segment[0]), float(segment[1])
     if not b > a:
         raise ValueError("segment must have positive length")
-    c = phi.constant_value
     sizes = {n: int(np.ceil((b - a) / (2 * ball_width(sysm, n, r)))) for n in orders}
-    over = [n for n in orders if sizes[n] > MAX_CENTERS]
-    if c is None and over:
-        raise ArithmeticError(f"cover of order {over[0]} needs {sizes[over[0]]} "
-                              f"centers (limit {MAX_CENTERS})")
+    check_atom_limit(phi, sizes, "cover")
     sums = {}
     for n, k in sizes.items():
         # the centres a + (2i + 1) w_n, i < k, are the odd atoms of the net from a
@@ -89,7 +84,7 @@ def cover_cost(sysm, phi, x, segment, alpha, order_min, *, r=0.05):
     The result bounds the optimal mixed-order cover from above, within a
     factor bounded in order_min (equal to it for constant potentials).
     Non-constant potentials raise ArithmeticError beyond MAX_CENTERS
-    centers at one order.
+    centers at one order (bowen.check_atom_limit).
     """
     if order_min < 1:
         raise ValueError("order_min must be >= 1")
@@ -102,7 +97,7 @@ def cover_cost(sysm, phi, x, segment, alpha, order_min, *, r=0.05):
         log_lower = np.log(segment[1] - segment[0]) + min(
             n * (phi.constant_value - alpha) - np.log(2 * ball_width(sysm, n, r))
             for n in orders)
-    return CoverSolution(min(row[2] for row in table), log_lower, SPAN, table)
+    return CoverSolution(min(row[2] for row in table), log_lower, table)
 
 
 def caratheodory_dim(sysm, phi, x, segment, *, r=0.05, tol=0.02):
@@ -170,8 +165,6 @@ class LeafMeasure:
 
     sys: object
     base: np.ndarray
-    order: int
-    leaf_radius: float
     params: np.ndarray
     weights: np.ndarray
 
@@ -216,8 +209,7 @@ def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1)
         sn = leaf_birkhoff_sum(sysm, phi, x, params, order)
         sn -= order * pressure
         weights = np.exp(sn, out=sn)  # built in place, in sn
-    return LeafMeasure(sys=sysm, base=x, order=order, leaf_radius=leaf_radius,
-                       params=params, weights=weights)
+    return LeafMeasure(sys=sysm, base=x, params=params, weights=weights)
 
 
 def mass_diagnostics(sysm, phi, pressure, base_points, *, orders=range(6, 13),

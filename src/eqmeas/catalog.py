@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from .core import Potential, SystemSpec, mod1, wrap
+from .core import Potential, SystemSpec, constant_potential, mod1, wrap
 
 CAT_MATRIX = np.array([[2, 1], [1, 1]], dtype=float)
 GOLDEN_ROTATION = np.sqrt(2.0) - 1.0
@@ -270,13 +270,7 @@ def geometric_potential(sysm, q=1.0):
     constant -q * log(leaf_rate) and carries the constant tag that lets
     downstream sums take their closed forms.
     """
-    q = float(q)
-    c = float(-q * np.log(sysm.leaf_rate))
-    return Potential(
-        fn=lambda x: np.full(x.shape[:-1], c),
-        label=f"geom[q={q:g}]",
-        constant_value=c,
-    )
+    return constant_potential(-float(q) * np.log(sysm.leaf_rate))
 
 
 def base_cosine_potential(amplitude=0.05):

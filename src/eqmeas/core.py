@@ -277,10 +277,10 @@ class Potential:
         return self.fn(np.asarray(x, dtype=float))
 
 
-def zero_potential():
-    return Potential(fn=lambda x: np.zeros(x.shape[:-1]), label="0", constant_value=0.0)
-
-
 def constant_potential(c):
     c = float(c)
     return Potential(fn=lambda x: np.full(x.shape[:-1], c), label=f"{c:g}", constant_value=c)
+
+
+def zero_potential():
+    return constant_potential(0.0)

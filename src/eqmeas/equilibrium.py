@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .bowen import MAX_CENTERS, ball_width, net_params, net_size
+from .bowen import ball_width, check_atom_limit, net_params, net_size
 from . import core
 from .core import iterate, leaf_base, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, atom_weight, equal_mass, reference_measure
@@ -94,8 +94,9 @@ class PhaseMeasure:
 
 
 def _unit_points(points):
-    """points as an (N, d) float array, checked to lie in [0, 1]^d."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    """points as an (N, d) float array, checked to lie in [0, 1]^d, column by
+    column in memory: _bin_index then runs its elementwise steps in long loops."""
+    points = np.asfortranarray(np.atleast_2d(np.asarray(points, dtype=float)))
     if not ((points >= 0.0) & (points <= 1.0)).all():
         raise ValueError("point coordinates must lie in [0, 1]")
     return points
@@ -163,14 +164,8 @@ def pushforward(sysm, lm):
     the leaf rate while weights ride along unchanged, so total mass is
     conserved exactly.
     """
-    return LeafMeasure(
-        sys=sysm,
-        base=sysm.step_fwd(lm.base),
-        order=lm.order,
-        leaf_radius=lm.leaf_radius * sysm.leaf_rate,
-        params=lm.params * sysm.leaf_rate,
-        weights=lm.weights.copy(),
-    )
+    return LeafMeasure(sys=sysm, base=sysm.step_fwd(lm.base),
+                       params=lm.params * sysm.leaf_rate, weights=lm.weights.copy())
 
 
 def scaling_check(sysm, phi, pressure, x, *, order=10):
@@ -215,7 +210,8 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     deterministically (every k-th atom), which preserves the closed-form
     weights up to the reported thinning factor.  A constant phi's atoms
     share one weight, so its net is never built; a non-constant phi raises
-    ArithmeticError on a net of more than MAX_CENTERS atoms before building it.
+    ArithmeticError (bowen.check_atom_limit) on a net of more than
+    MAX_CENTERS atoms before building it.
 
     The leaf through x runs in the base plane, so its atoms share x's fiber
     point at every step, and an atom's bin is its base bin times the number
@@ -234,10 +230,8 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     count, c = net_size(sysm, order, r, leaf_radius), phi.constant_value
     thin = -(-count // ATOM_BUDGET)
     n_atoms = -(-count // thin)  # every thin-th atom of the net
+    check_atom_limit(phi, {order: count})
     if c is None:
-        if count > MAX_CENTERS:
-            raise ArithmeticError(f"net of order {order} needs {count} atoms "
-                                  f"(limit {MAX_CENTERS})")
         w = reference_measure(sysm, phi, pressure, x, order, r=r,
                               leaf_radius=leaf_radius).weights[::thin]
         w /= w.sum()
@@ -572,8 +566,12 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=
     in step order, so the result does not depend on core.BLOCK.  A unique
     ergodic average shows up as small dispersion across starting points
     and forward/backward agreement: agree_fraction is the share of starting
-    points whose two averages differ by at most 0.05.
+    points whose two averages differ by at most 0.05.  n_steps and n_samples
+    must be at least 1 (ValueError).
     """
+    if n_steps < 1 or n_samples < 1:
+        raise ValueError(f"birkhoff_probe needs n_steps, n_samples >= 1, "
+                         f"got {n_steps}, {n_samples}")
     rng = np.random.default_rng(seed)
     pts = mu.sample(n_samples, rng)[:, :2]  # mu is binned on the full grid; keep the base
     # base points only (a fiber index raises IndexError), forward block[i, 0] and

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bowen import MAX_CENTERS, net_size, separated_net
+from .bowen import check_atom_limit, net_size, separated_net
 from .core import leaf_birkhoff_sum, mod1
 
 
@@ -75,8 +75,8 @@ def estimate_pressure(sysm, phi, x=None, *, window=(6, 12),
     2^j-th atom of the finest net, bit for bit, so one net and one set of
     orbit sums per order serve all radii.  table rows are
     (n, r, count, log_z), radius by radius.  A non-constant potential
-    raises ArithmeticError, before any net is built, when the finest net
-    of some order holds more than MAX_CENTERS atoms.
+    raises ArithmeticError (bowen.check_atom_limit), before any net is
+    built, when the finest net of some order holds more than MAX_CENTERS atoms.
     """
     if x is None:
         x = _default_point(sysm)
@@ -86,10 +86,7 @@ def estimate_pressure(sysm, phi, x=None, *, window=(6, 12),
     if any(s < 1 or s & (s - 1) or r_min * s != r for s, r in zip(strides, radii)):
         raise ValueError(f"radii must be a positive radius times powers of two, got {radii}")
     ns = range(window[0], window[1] + 1)
-    over = [(n, k) for n in ns if (k := net_size(sysm, n, r_min, leaf_radius)) > MAX_CENTERS]
-    if phi.constant_value is None and over:
-        raise ArithmeticError(f"net of order {over[0][0]} needs {over[0][1]} atoms "
-                              f"(limit {MAX_CENTERS})")
+    check_atom_limit(phi, {n: net_size(sysm, n, r_min, leaf_radius) for n in ns})
     logs = {}
     for n in ns:
         fine = functools.cache(functools.partial(_net_sums, sysm, phi, x, n, r_min,

@@ -5,6 +5,7 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from eqmeas import caratheodory, catalog, cli, core, equilibrium
@@ -293,16 +294,19 @@ class TestSharedStages:
         assert calls == {"evolve_average": 1, "estimate_pressure": 1}
 
 
-def _load_workloads():
-    path = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+ROOT = pathlib.Path(__file__).parents[1]
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod
     spec.loader.exec_module(mod)
     return mod
 
 
-WORKLOADS = _load_workloads()
+WORKLOADS = _load_bench("workloads")
+TRACER = _load_bench("tracer")
 
 
 class TestSeededVerdicts:
@@ -368,3 +372,84 @@ class TestBlockSizes:
             runs.append((code, capsys.readouterr().out, files))
         assert "summary.json" in runs[0][2] and len(runs[0][2]) > 1
         assert runs[0] == runs[1]
+
+
+TINY = ("n_centers = 4\nn_mc = 256\nbirkhoff_steps = 10\n"
+        "n_samples = 16\n")
+ALL_CHECKS = [("press", "pressure_radius_spread"), ("cdim", "bracket_width"),
+              ("cdim", "dim_matches_pressure"), ("refmeas", "mass_ratio"),
+              ("refmeas", "mass_slope"), ("evolve", "tv_to_uniform"),
+              ("gibbs", "qhat_bounded"), ("gibbs", "qhat_flat"),
+              ("gibbs", "qhat_blows_up"), ("holonomy", "jacobian_window"),
+              ("disintegrate", "conditional_constant"), ("disintegrate", "product_tv"),
+              ("probe", "transitivity"), ("probe", "birkhoff_dispersion")]
+
+
+class TestCheckMap:
+    """Which checks fullsuite reports, in order, for each pair of hypotheses:
+    without (C1) the Gibbs bound is expected to blow up, and checks of
+    convergence and mixing need (C1) and transitivity."""
+
+    def _reported(self, tmp_path, system):
+        path = _write(tmp_path, f"schema_version = 1\nsystem = {system}\n" + TINY)
+        assert cli.main(["fullsuite", "--config", path, "--out", str(tmp_path / "o"),
+                         "--check"]) in (0, 2)
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        return [(c["pipeline"], c["name"]) for c in summary["checks"]]
+
+    @pytest.mark.parametrize("system,skipped", [
+        ("cat", {"qhat_blows_up"}), ("skew", {"qhat_blows_up"}),
+        ("slowprod", {"tv_to_uniform", "qhat_bounded", "qhat_flat",
+                      "birkhoff_dispersion"})])
+    def test_catalog_systems(self, tmp_path, system, skipped):
+        assert self._reported(tmp_path, system) == [
+            c for c in ALL_CHECKS if c[1] not in skipped]
+
+    def test_non_transitive_system(self, tmp_path, monkeypatch):
+        resonant = catalog.make_skew_product(rotation=0.25, allow_resonant=True)
+        assert resonant.satisfies_c1 and not resonant.transitive
+        monkeypatch.setattr(catalog, "get_system",
+                            lambda key: catalog.CatalogEntry(key, resonant))
+        skipped = {"qhat_blows_up", "tv_to_uniform", "transitivity", "birkhoff_dispersion"}
+        assert self._reported(tmp_path, "skew") == [
+            c for c in ALL_CHECKS if c[1] not in skipped]
+
+
+class TestTracedRun:
+    """The benchmark's traced mode: the same output bytes, every per-layer
+    metric, and every patched name restored afterwards."""
+
+    def test_traced_fullsuite(self, tmp_path, capsys):
+        import eqmeas
+
+        path = _write(tmp_path, "schema_version = 1\nsystem = skew\n" + TINY)
+        argv = ["fullsuite", "--config", path, "--check", "--seed", "0", "--out"]
+        code = cli.main(argv + [str(tmp_path / "plain")])
+        plain_out = capsys.readouterr().out
+        spaces = [eqmeas] + [importlib.import_module(f"eqmeas.{m}") for m in TRACER.MODULES]
+        before = [dict(vars(ns)) for ns in spaces]
+        runners = dict(cli._RUNNERS)
+        tracer = TRACER.Tracer()
+        tracer.install()
+        try:
+            assert cli.main(argv + [str(tmp_path / "traced")]) == code
+            skew = catalog.get_system("skew").system
+            eqmeas.cover_cost(skew, core.zero_potential(), np.array([0.2, 0.7, 0.37]),
+                              (-0.1, 0.1), 1.0, 4)
+        finally:
+            tracer.uninstall()
+        assert capsys.readouterr().out == plain_out
+        plain, traced = ({f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+                         for name in ("plain", "traced"))
+        assert "summary.json" in plain and len(plain) == 9
+        assert traced == plain
+
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        added = {"trace.layer_coverage", "trace.overhead_s", "trace.untraced_wall_s",
+                 "trace.wall_s"}  # by bench/worker.py and bench/run.py
+        metrics = tracer.per_run()[0]
+        assert {m["name"] for m in bench["per_layer"]} - added <= metrics.keys()
+        assert metrics["caratheodory.cover_cost.calls"] == 1
+        for ns, old in zip(spaces, before):
+            assert all(getattr(ns, attr) is value for attr, value in old.items()), ns
+        assert all(cli._RUNNERS[k] is fn for k, fn in runners.items())

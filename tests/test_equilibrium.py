@@ -548,6 +548,16 @@ class TestBirkhoffProbe:
             eqmeas.birkhoff_probe(sysm, mu, lambda pts: pts[..., 2],
                                   n_steps=3, n_samples=5)
 
+    @pytest.mark.parametrize("n_steps,n_samples", [(0, 40), (40, 0)])
+    def test_rejects_empty_runs_before_sampling(self, cat, n_steps, n_samples):
+        class Unsampled:
+            def sample(self, count, rng):
+                raise AssertionError("sampled before the arguments were checked")
+
+        with pytest.raises(ValueError, match="n_steps, n_samples >= 1"):
+            eqmeas.birkhoff_probe(cat.system, Unsampled(), lambda pts: pts[..., 0],
+                                  n_steps=n_steps, n_samples=n_samples)
+
     def test_time_averages_agree_with_space_average(self, cat, cat_mu40):
         obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
         out = eqmeas.birkhoff_probe(cat.system, cat_mu40.measure, obs,
