@@ -267,20 +267,15 @@ def geometric_potential(sysm, q=1.0):
     """phi = -q * log of the unstable Jacobian.
 
     On straight leaves the Jacobian is leaf_rate everywhere, so phi is the
-    constant -q * log(leaf_rate) and carries the constant tag that lets
-    downstream sums take their closed forms.
+    constant -q * log(leaf_rate): a table with no modes, whose sums
+    downstream take their closed forms.
     """
     return constant_potential(-float(q) * np.log(sysm.leaf_rate))
 
 
 def base_cosine_potential(amplitude=0.05):
     """amplitude * cos(2 pi x_1), a potential that sees only one coordinate."""
-    amp = float(amplitude)
-    return Potential(
-        fn=lambda x: amp * np.cos(2 * np.pi * x[..., 0]),
-        label=f"cos[{amp:g}]",
-        base_only=True,
-    )
+    return Potential(modes=((float(amplitude), 0, 1),))
 
 
 # -- invariant fiber measures of the slowed product ------------------------

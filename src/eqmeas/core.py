@@ -11,7 +11,6 @@ its straight unstable leaves.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 import numpy as np
 
@@ -259,27 +258,36 @@ def leaf_point(sys, x, t):
 
 @dataclasses.dataclass(frozen=True)
 class Potential:
-    """A continuous function on phase space with an optional constant tag.
+    """A potential as a table: phi(x) = const + sum of a * cos(2 pi k x[..., axis])
+    over its modes (a, axis, k), for (..., dim) arrays x.
 
-    fn maps (..., dim) arrays to (...) arrays.  constant_value, when not
-    None, certifies phi == constant_value everywhere and lets orbit sums
-    and partition sums take the closed form.  base_only certifies that fn
-    reads only the two base coordinates, so it also takes (..., 2) arrays
-    and leaf sums need not map the fiber.
+    Nothing is certified by hand: constant_value is const when there are no
+    modes (a zero coefficient is still a mode) and gives orbit and partition
+    sums their closed form; base_only holds when every mode reads axis 0 or
+    1, so phi also takes (..., 2) arrays and leaf sums skip the fiber.  No
+    zero const is added, which keeps the sign of a -0.0 value.
     """
 
-    fn: Callable
-    label: str = "phi"
-    constant_value: float | None = None
-    base_only: bool = False
+    const: float = 0.0
+    modes: tuple = ()
+
+    @property
+    def constant_value(self):
+        return None if self.modes else self.const
+
+    @property
+    def base_only(self):
+        return all(0 <= axis < 2 for _, axis, _ in self.modes)
 
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        terms = [np.full(x.shape[:-1], self.const)] if self.const or not self.modes else []
+        terms += [a * np.cos(2 * np.pi * k * x[..., axis]) for a, axis, k in self.modes]
+        return sum(terms[1:], terms[0])
 
 
 def constant_potential(c):
-    c = float(c)
-    return Potential(fn=lambda x: np.full(x.shape[:-1], c), label=f"{c:g}", constant_value=c)
+    return Potential(float(c))
 
 
 def zero_potential():

@@ -578,16 +578,17 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=
     # backward block[i, 1], in rows: at 200 samples a step costs less than in columns
     steps = max(1, core.BLOCK // (2 * n_samples))
     block = np.empty((min(n_steps, steps), 2, n_samples, 2))
-    scratch, total = np.empty((2, n_samples, 2)), np.zeros((2, n_samples))
+    scratch = np.empty((2, n_samples, 2))
+    sums = np.zeros((len(block) + 1, 2, n_samples))  # row 0: the running total
     block[0] = pts
     for start in range(0, n_steps, steps):
         m = min(steps, n_steps - start)
         for i in range(1 if start == 0 else 0, m):  # block[-1]: the step before block[0]
             sysm.step_base(block[i - 1], block[i], scratch, slice(None))
-        # (m, 2, n_samples, 2) points; rows added in step order, as per-step sums round
-        for row in observable(block[:m]):
-            total += row
-    fwd, bwd = total / n_steps
+        # one reduce adds the block's rows to row 0 in step order, as per-step sums round
+        sums[1:m + 1] = observable(block[:m])
+        np.add.reduce(sums[:m + 1], axis=0, out=sums[0])
+    fwd, bwd = sums[0] / n_steps
     return {
         "forward": fwd,
         "backward": bwd,

@@ -492,7 +492,7 @@ class TestPotentials:
     def test_cosine_depends_on_first_coordinate_only(self):
         phi = eqmeas.base_cosine_potential(0.05)
         assert phi.constant_value is None
-        a = phi.fn(np.array([0.3, 0.1]))
-        b = phi.fn(np.array([0.3, 0.9]))
+        a = phi(np.array([0.3, 0.1]))
+        b = phi(np.array([0.3, 0.9]))
         assert a == pytest.approx(b)
-        assert phi.fn(np.zeros(2)) == pytest.approx(0.05)
+        assert phi(np.zeros(2)) == pytest.approx(0.05)

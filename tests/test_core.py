@@ -232,7 +232,7 @@ class TestBirkhoffSum:
     def test_matches_explicit_orbit_sum(self, sysm):
         phi = eqmeas.base_cosine_potential(0.05)
         x = np.array([0.23, 0.61])
-        want = sum(phi.fn(eqmeas.iterate(sysm, x, k)) for k in range(6))
+        want = sum(phi(eqmeas.iterate(sysm, x, k)) for k in range(6))
         assert eqmeas.birkhoff_sum(sysm, phi, x, 6) == pytest.approx(want)
 
     @given(m=st.integers(1, 4), n=st.integers(1, 4), seed=st.integers(0, 99))
@@ -389,7 +389,7 @@ class TestSystemSpec:
 
 
 class TestLeafBirkhoffSum:
-    PHI = eqmeas.Potential(fn=lambda x: np.cos(2 * np.pi * x[..., 0]) + 0.3 * x[..., -1])
+    PHI = eqmeas.Potential(modes=((1.0, 0, 1), (0.3, -1, 1)))  # reads the fiber
     COS = eqmeas.base_cosine_potential(0.5)  # base_only: handed base points alone
 
     @staticmethod
@@ -439,3 +439,86 @@ class TestLeafBirkhoffSum:
     @pytest.mark.parametrize("key", ["skew", "slowprod"])
     def test_base_only_potential_maps_no_fiber_point(self, key):
         assert self.mapped_fiber_points(key, self.COS) == []
+
+
+class TestPotentialTable:
+    """A potential is its table (const, modes): its flags are read off the
+    table, and it evaluates with the arithmetic of the hand-written
+    potentials it replaced, kept here as reference lambdas."""
+
+    @staticmethod
+    def old_constant(c):
+        return lambda x: np.full(x.shape[:-1], c)
+
+    @staticmethod
+    def old_cosine(amp):
+        return lambda x: amp * np.cos(2 * np.pi * x[..., 0])
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(21)
+        edges = np.array([0.0, 1.0, -1e-20, 0.5, 0.25])
+        for dim in (2, 3, 4):
+            grid = np.stack(np.meshgrid(*[edges] * 2, indexing="ij"), axis=-1).reshape(-1, 2)
+            yield np.concatenate([grid, rng.random((len(grid), dim - 2))], axis=-1)
+            yield rng.random((7, 5, dim))
+            yield rng.random(dim)  # one point: a 0-d result
+            yield np.full(dim, -1e-20)
+
+    def assert_same_bits(self, phi, ref):
+        for x in self.inputs():
+            got, want = phi(x), ref(x)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(bits(got), bits(want)), x
+
+    def test_fields_are_the_table(self):
+        assert [f.name for f in dataclasses.fields(eqmeas.Potential)] == ["const", "modes"]
+        phi = eqmeas.constant_potential(0.3)
+        for flag in ("constant_value", "base_only"):
+            assert isinstance(getattr(eqmeas.Potential, flag), property)
+            with pytest.raises(AttributeError):
+                setattr(phi, flag, None)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, -0.3, 2.5])
+    def test_constant(self, c):
+        phi = eqmeas.constant_potential(c)
+        assert bits(phi.constant_value) == bits(c)
+        assert phi.base_only
+        self.assert_same_bits(phi, self.old_constant(c))
+
+    def test_zero(self):
+        phi = eqmeas.zero_potential()
+        assert phi.constant_value == 0.0 and phi.base_only
+        self.assert_same_bits(phi, self.old_constant(0.0))
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, 0.0])
+    def test_geometric(self, cat, q):
+        phi = eqmeas.geometric_potential(cat.system, q)
+        c = -q * np.log(cat.system.leaf_rate)
+        assert bits(phi.constant_value) == bits(c)
+        assert phi.base_only
+        self.assert_same_bits(phi, self.old_constant(c))
+
+    @pytest.mark.parametrize("amp", [0.05, 0.5, 0.0, -0.3])
+    def test_base_cosine(self, amp):
+        phi = eqmeas.base_cosine_potential(amp)
+        assert phi.constant_value is None  # a zero coefficient is still a mode
+        assert phi.base_only
+        self.assert_same_bits(phi, self.old_cosine(amp))
+
+    def test_amplitude_zero_keeps_the_sign_of_minus_zero(self):
+        x = np.array([[0.5, 0.1], [0.0, 0.1]])  # cos 2 pi x0 = -1, then 1
+        got = eqmeas.base_cosine_potential(0.0)(x)
+        assert np.array_equal(np.signbit(got), [True, False])
+
+    @pytest.mark.parametrize("modes", [((0.1, 2, 1),), ((0.1, 3, 2),), ((0.1, -1, 1),),
+                                       ((0.1, -2, 1),), ((1.0, 0, 1), (0.3, -1, 1))])
+    def test_fiber_or_negative_axis_is_not_base_only(self, modes):
+        assert not eqmeas.Potential(modes=modes).base_only
+
+    @pytest.mark.parametrize("c", [-0.3, 0.0, 1.5])
+    def test_frequency_zero_mode_is_not_constant(self, c):
+        phi = eqmeas.Potential(modes=((c, 0, 0),))
+        assert phi.constant_value is None
+        x = np.random.default_rng(4).random((9, 3))
+        assert np.array_equal(phi(x), np.full(9, c))

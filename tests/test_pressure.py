@@ -26,8 +26,7 @@ class TestLogPartitionSum:
         # give the same sum through the orbit-summing branch
         c = -0.3
         tagged = eqmeas.constant_potential(c)
-        untagged = eqmeas.Potential(fn=lambda pts: np.full(pts.shape[:-1], c),
-                                    label="c-untagged")
+        untagged = eqmeas.Potential(modes=((c, 0, 0),))  # c * cos 0
         a, _ = eqmeas.log_partition_sum(cat.system, tagged, X0, 5, 0.05)
         b, _ = eqmeas.log_partition_sum(cat.system, untagged, X0, 5, 0.05)
         assert a == pytest.approx(b, rel=1e-12)

@@ -52,6 +52,10 @@ def cases(checkout):
         call("cat.cos0.5.fullsuite", "fullsuite", "cat",
              {"potential": "cos", "amplitude": 0.5}),
         call("skew.cos.fullsuite", "fullsuite", "skew", {"potential": "cos"}),
+        # a zero coefficient is still a mode, so amplitude 0 takes the summed
+        # paths and the fiber system's leaf sums; its bytes equal the zero
+        # potential's, so TestPotentialTable pins that it is not constant
+        call("skew.cos0.fullsuite", "fullsuite", "skew", {"potential": "cos", "amplitude": 0}),
         call("cat.geom0.5.fullsuite", "fullsuite", "cat", {"potential": "geom", "q": 0.5}),
         call("skew.const0.3.fullsuite", "fullsuite", "skew",
              {"potential": "const", "const_value": 0.3}),
