@@ -13,17 +13,20 @@ import numpy as np
 # Most atoms of one net or cover that a non-constant potential is summed
 # over; each one costs an order-n Birkhoff sum.
 MAX_CENTERS = 2 ** 22
+MAX_POINT_STEPS = 2 ** 28  # point-steps of one probe: ~10 s at 27-45 ns each, 2-core Xeon
 
 
 def check_atom_limit(phi, sizes, kind="net"):
-    """Raise ArithmeticError, naming the first order over MAX_CENTERS, when phi
-    is not constant and the net (kind "net") or cover ("cover") of some order
-    n in sizes {n: atom count} is over it."""
-    over = [n for n, k in sizes.items() if k > MAX_CENTERS]
-    if phi.constant_value is None and over:
-        unit = "atoms" if kind == "net" else "centers"
-        raise ArithmeticError(f"{kind} of order {over[0]} needs {sizes[over[0]]} {unit} "
-                              f"(limit {MAX_CENTERS})")
+    """Raise ArithmeticError, naming the first order over its limit: MAX_CENTERS when
+    phi is not constant and the net ("net") or cover ("cover") of an order n in sizes
+    {n: atoms} is over it, MAX_POINT_STEPS for a probe ("probe", phi None) {steps: work}."""
+    limit = MAX_POINT_STEPS if phi is None else MAX_CENTERS
+    over = [n for n, k in sizes.items() if k > limit]
+    if over and (phi is None or phi.constant_value is None):
+        n, k = over[0], sizes[over[0]]
+        what = f"birkhoff_steps {n} and n_samples {k // (2 * n)}" if phi is None else f"order {n}"
+        unit = {"net": "atoms", "cover": "centers"}.get(kind, "point-steps")
+        raise ArithmeticError(f"{kind} of {what} needs {k} {unit} (limit {limit})")
 
 
 def ball_width(sysm, n, r):

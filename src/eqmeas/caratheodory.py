@@ -28,8 +28,8 @@ import dataclasses
 import numpy as np
 
 from .core import leaf_birkhoff_sum, leaf_point
-from .bowen import ball_width, check_atom_limit, net_params, net_size, separated_net
-from .pressure import _leaf_log_sum
+from .bowen import ball_width, check_atom_limit, net_size, separated_net
+from .pressure import _leaf_log_sum, _net_sums
 
 # Orders a truncated cover problem looks past its base order.
 SPAN = 6
@@ -66,9 +66,9 @@ def _log_sums(sysm, phi, x, segment, orders, r):
     check_atom_limit(phi, sizes, "cover")
     sums = {}
     for n, k in sizes.items():
-        # the centres a + (2i + 1) w_n, i < k, are the odd atoms of the net from a
-        log_z = _leaf_log_sum(phi, n, k, lambda: leaf_birkhoff_sum(sysm, phi, x, net_params(
-            sysm, n, r, -a, np.arange(1, 2 * k, 2, dtype=float)), n))
+        w = ball_width(sysm, n, r)  # the centres a + (2i + 1) w, i < k
+        log_z = _leaf_log_sum(phi, n, k, lambda: leaf_birkhoff_sum(
+            sysm, phi, x, a + w, 2 * w, k, n))
         if not np.isfinite(log_z):
             raise ArithmeticError(f"degenerate cover cost at order {n}")
         sums[n] = (k, float(log_z))
@@ -206,7 +206,7 @@ def reference_measure(sysm, phi, pressure, x, order, *, r=0.05, leaf_radius=0.1)
     if c is not None:  # birkhoff_sum's closed form, without the leaf points
         weights = np.full(params.shape, atom_weight(c, pressure, order))
     else:
-        sn = leaf_birkhoff_sum(sysm, phi, x, params, order)
+        sn = _net_sums(sysm, phi, x, order, r, leaf_radius)
         sn -= order * pressure
         weights = np.exp(sn, out=sn)  # built in place, in sn
     return LeafMeasure(sys=sysm, base=x, params=params, weights=weights)

@@ -14,10 +14,11 @@ import dataclasses
 
 import numpy as np
 
-# Base points per block wherever many are stepped (the leaf sums, evolve's
-# atoms, the probe's orbit points): bounds their (2, B) coordinates and the
-# temporaries made from them, whatever the net, cover or sample count.
+# Base points per block wherever many are stepped (evolve's atoms, the probe's
+# orbit points), and a leaf sum's terms per block over 2: bounds their arrays
+# and the temporaries made from them, whatever the net, cover or sample count.
 BLOCK = 2 ** 14
+ROW = 2 ** 7  # atoms per row in a leaf sum's angle addition
 
 
 def mod1(x, out=None):
@@ -66,9 +67,9 @@ class SystemSpec:
     so local leaves are straight segments x + t*frame[0] (unstable) and
     x + s @ frame[1:] (centre-stable) in these coordinates, and an
     unstable leaf keeps the fiber point of x.  The rows need not be
-    orthogonal; coordinates are read off with the dual basis coframe.
-    leaf_rate = |lambda_u| is the exact per-step stretch factor of
-    unstable leaf parameters (so also the unstable Jacobian), which gives
+    orthogonal; coordinates are read off with the dual basis coframe.  A step
+    multiplies unstable leaf parameters by eigenvalue = lambda_u (signed) and
+    lengths by leaf_rate = |lambda_u|, the unstable Jacobian, which gives
     Bowen balls, nets and covers their closed forms.
     """
 
@@ -105,7 +106,8 @@ class SystemSpec:
             v = vecs[:, k] / np.linalg.norm(vecs[:, k])
             lead = v[np.nonzero(np.abs(v) > 1e-14)[0][0]]
             self.frame[row, :2] = v if lead > 0 else -v
-        self.leaf_rate = float(abs(vals[order[0]]))
+        self.eigenvalue = float(vals[order[0]])
+        self.leaf_rate = abs(self.eigenvalue)
         # dual basis: coframe[i] . frame[j] = delta_ij
         self.coframe = np.linalg.inv(self.frame)
 
@@ -203,49 +205,62 @@ def birkhoff_sum(sys, phi, x, n):
     return total
 
 
-def leaf_birkhoff_sum(sys, phi, x, t, n):
-    """S_n phi at the leaf points leaf_point(sys, x, t), for a 1-d array t.
+def leaf_birkhoff_sum(sys, phi, x, start, spacing, count, n):
+    """S_n phi at leaf_point(sys, x, start + i * spacing), i < count, in closed form.
 
-    The same numbers as birkhoff_sum on those points, bit for bit.  The
-    unstable direction lies in the base plane, so the points share one
-    fiber point, whose orbit is mapped once (the fiber map ignores the
-    base), and not at all for a base-only potential, which is handed the
-    base points alone.  The points are reduced twice, as birkhoff_sum
-    reduces leaf_point's, and stepped BLOCK at a time as one (dim, B)
-    array; a point's sum depends on that point alone, so the result does
-    not depend on BLOCK.
+    Step k maps the leaf point at t to A^k x + t A^k e_u on the base and keeps
+    x's fiber orbit, mapped once per step.  So S_n phi is n * const, the fiber
+    modes on that orbit, and a cos 2 pi kappa (c_k + t v_k) for each base mode
+    (a, j, kappa) (axes read mod dim) and k < n, with c_k = (A^k x)_j and v_k =
+    (A^k e_u)_j; the phases at start and their step along the net are stepped by
+    A and reduced mod 1 exactly, in integers.  Atom i = r ROW + m takes its
+    cosine from those at r ROW and at m by angle addition, and a block's terms
+    are added by a fixed tree: its value depends on neither count nor BLOCK.
     """
     if n < 1:
         raise ValueError("birkhoff order must be >= 1")
-    fibs = []  # the shared fiber point after 0 .. n-1 steps, if phi reads it
-    if not phi.base_only and sys.fiber is not None:
-        fibs.append(mod1(mod1(x[2:])))
-        for _ in range(n - 1):
-            fibs.append(sys.fiber[0](fibs[-1]))
-    size = min(BLOCK, len(t))
-    rows, scratch = np.empty((sys.dim if fibs else 2, size)), np.empty((2, size))
-    total = np.empty(len(t))
-    for lo in range(0, len(t), BLOCK):
-        out = total[lo:lo + BLOCK]
-        pts, s = rows[:, :len(out)], scratch[:, :len(out)]
-        b = mod1(leaf_base(sys, x, t[lo:lo + BLOCK], s, pts[:2]), pts[:2])
-        for k in range(n):
-            if k:
-                sys.step_base(b.T, b.T, s.T)
-            if fibs:
-                pts[2:] = fibs[k][:, None]
-            if k:
-                out += phi(pts.T)
-            else:
-                out[:] = phi(pts.T)
-    return total
-
-
-def leaf_base(sys, x, t, out, scratch):
-    """Base coordinates of leaf_point(sys, x, t) into (2, len(t)) out, by way of scratch."""
-    np.multiply(sys.frame[0, :2, None], t, out=scratch)
-    scratch += np.asarray(x, dtype=float)[:2, None]
-    return mod1(scratch, out)
+    x = np.asarray(x, dtype=float)
+    modes = [(a, axis % sys.dim, int(kappa)) for a, axis, kappa in phi.modes]
+    shift = n * phi.const
+    for k in range(n if any(j > 1 for _, j, _ in modes) else 0):
+        fib = sys.fiber[0](fib) if k else mod1(mod1(x[2:]))
+        shift += sum(a * np.cos(2 * np.pi * kappa * fib[j - 2]) for a, j, kappa in modes if j > 1)
+    if not (base := [mode for mode in modes if mode[1] < 2]):
+        return np.full(count, float(shift))
+    (m00, m01), (m10, m11) = sys.matrix.astype(int).tolist()
+    (x0, q0), (x1, q1), (e0, r0), (e1, r1), (s, qs), (w, qw) = (v.as_integer_ratio() for v in (
+        *x[:2].tolist(), *sys.frame[0, :2].tolist(), float(start), float(spacing)))
+    den = max(q0, q1, r0 * qs, r1 * qs, r0 * qw, r1 * qw)  # powers of two: their lcm
+    # A^k (x + start e_u) and A^k (spacing e_u) times den, mod den: exact phases
+    p = [x0 * (den // q0) + e0 * s * (den // (r0 * qs)),
+         x1 * (den // q1) + e1 * s * (den // (r1 * qs))]
+    d = [e0 * w * (den // (r0 * qw)), e1 * w * (den // (r1 * qw))]
+    terms = []  # (a, -a, phase at start, its step) mod 1 per step and mode
+    for _ in range(n):
+        terms += [(a, -a, kappa * p[j] % den / den, kappa * d[j] % den / den)
+                  for a, j, kappa in base]
+        p = [(m00 * p[0] + m01 * p[1]) % den, (m10 * p[0] + m11 * p[1]) % den]
+        d = [(m00 * d[0] + m01 * d[1]) % den, (m10 * d[0] + m11 * d[1]) % den]
+    coef = np.array(terms).T[:, :, None]
+    alpha, beta = coef[2:]
+    hi = np.rint(beta * 2 ** 28) / 2 ** 28  # i * hi is exact for i < 2^24
+    width = max(1, min(ROW, count))  # offsets m < width, then each row's first atom
+    i = np.concatenate((np.arange(width, dtype=float), np.arange(0, count, width, dtype=float)))
+    ang = mod1(i * hi) + i * (beta - hi)
+    ang[:, :width] += alpha
+    ang *= 2 * np.pi
+    trig = np.stack((np.cos(ang), np.sin(ang)))
+    off = (trig[:, :, :width] * coef[:2]).reshape(-1, width)  # a cos, -a sin
+    heads = trig[:, :, width:].reshape(len(off), -1)  # cos, sin
+    rows, per = heads.shape[1], max(1, 2 * BLOCK // off.size)  # rows, and rows a block
+    total, buf = np.empty((rows, width)), np.empty((len(off), min(per, rows), width))
+    for r in range(0, rows, per):
+        sums = np.einsum("kr,kw->krw", heads[:, r:r + per], off, out=buf[:, :min(per, rows - r)])
+        while len(sums) > 1:  # fold the top half onto the bottom
+            sums[:len(sums) // 2] += sums[(len(sums) + 1) // 2:]
+            sums = sums[:(len(sums) + 1) // 2]
+        np.add(sums[0], shift, out=total[r:r + per])
+    return total.ravel()[:count]
 
 
 def leaf_point(sys, x, t):
@@ -263,21 +278,20 @@ class Potential:
 
     Nothing is certified by hand: constant_value is const when there are no
     modes (a zero coefficient is still a mode) and gives orbit and partition
-    sums their closed form; base_only holds when every mode reads axis 0 or
-    1, so phi also takes (..., 2) arrays and leaf sums skip the fiber.  No
-    zero const is added, which keeps the sign of a -0.0 value.
+    sums their closed form.  Frequencies are integers (else ValueError), and
+    no zero const is added, which keeps the sign of a -0.0 value.
     """
 
     const: float = 0.0
     modes: tuple = ()
 
+    def __post_init__(self):
+        if any(k != int(k) for _, _, k in self.modes):
+            raise ValueError(f"mode frequencies must be integers, got {self.modes}")
+
     @property
     def constant_value(self):
         return None if self.modes else self.const
-
-    @property
-    def base_only(self):
-        return all(0 <= axis < 2 for _, axis, _ in self.modes)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

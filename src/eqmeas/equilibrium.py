@@ -12,7 +12,7 @@ import numpy as np
 
 from .bowen import ball_width, check_atom_limit, net_params, net_size
 from . import core
-from .core import iterate, leaf_base, leaf_point, mod1, torus_dist
+from .core import iterate, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, atom_weight, equal_mass, reference_measure
 
 MASS_TOL = 1e-9
@@ -160,12 +160,12 @@ class Rectangle:
 def pushforward(sysm, lm):
     """Image of a leaf measure under one forward step.
 
-    Atoms move with the map; on linear leaves the parameters stretch by
-    the leaf rate while weights ride along unchanged, so total mass is
-    conserved exactly.
+    Atoms move with the map; on linear leaves the parameters are multiplied by
+    the signed eigenvalue (kept ascending) and weights ride along: mass is kept.
     """
-    return LeafMeasure(sys=sysm, base=sysm.step_fwd(lm.base),
-                       params=lm.params * sysm.leaf_rate, weights=lm.weights.copy())
+    order = slice(None, None, 1 if sysm.eigenvalue > 0 else -1)
+    return LeafMeasure(sys=sysm, base=sysm.step_fwd(lm.base), params=lm.params[order]
+                       * sysm.eigenvalue, weights=lm.weights[order].copy())
 
 
 def scaling_check(sysm, phi, pressure, x, *, order=10):
@@ -263,8 +263,9 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
             b = base[:, blk] if keep else base[:, :m]
             p = scratch[:, :m]
             if not k0:  # the leaf base at every thin-th parameter of the net
-                leaf_base(sysm, x, net_params(sysm, order, r, leaf_radius, np.arange(
-                    start * thin, (start + m) * thin, thin, dtype=float)), b, p)
+                np.multiply(sysm.frame[0, :2, None], net_params(sysm, order, r, leaf_radius,
+                            np.arange(start * thin, (start + m) * thin, thin, dtype=float)), p)
+                mod1(np.add(p, x[:2, None], out=p), b)
             for j in range(len(sums)):
                 if k0 + j:
                     sysm.step_base(b.T, b.T, p.T)
@@ -567,11 +568,12 @@ def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=
     ergodic average shows up as small dispersion across starting points
     and forward/backward agreement: agree_fraction is the share of starting
     points whose two averages differ by at most 0.05.  n_steps and n_samples
-    must be at least 1 (ValueError).
+    must be at least 1 (ValueError), with 2 n_steps n_samples <= MAX_POINT_STEPS.
     """
     if n_steps < 1 or n_samples < 1:
         raise ValueError(f"birkhoff_probe needs n_steps, n_samples >= 1, "
                          f"got {n_steps}, {n_samples}")
+    check_atom_limit(None, {n_steps: 2 * n_steps * n_samples}, "probe")
     rng = np.random.default_rng(seed)
     pts = mu.sample(n_samples, rng)[:, :2]  # mu is binned on the full grid; keep the base
     # base points only (a fiber index raises IndexError), forward block[i, 0] and
@@ -612,7 +614,7 @@ def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14):
     """
     x = mod1(np.asarray(x, dtype=float))
     y = mod1(np.asarray(y, dtype=float))
-    lam = sysm.leaf_rate
+    lam = sysm.eigenvalue
     e_u = sysm.frame[0, :2]
     e_cs = sysm.frame[1, :2]
     z = x
@@ -630,12 +632,12 @@ def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14):
 
 
 def _leaf_hit(b0, by, e_u, e_cs, delta, stretch):
-    """Deck-translation search: does the stretched leaf segment through b0
-    pass within the delta slab around by?  Returns the launch parameter."""
+    """Deck-translation search: does the leaf segment through b0, times the signed
+    stretch, pass within the delta slab around by?  Returns the launch parameter."""
     d0 = b0 - by
     u_d = float(np.dot(d0, e_u))
     s_d = float(np.dot(d0, e_cs))
-    reach = delta * stretch
+    reach = delta * abs(stretch)
     # once the stretched segment spans several fundamental domains, a small
     # window of deck translations already contains a slab hit (the stable
     # residues equidistribute), so the enumeration never needs to cover reach

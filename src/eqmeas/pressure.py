@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bowen import check_atom_limit, net_size, separated_net
+from .bowen import ball_width, check_atom_limit, net_size
 from .core import leaf_birkhoff_sum, mod1
 
 
@@ -40,7 +40,8 @@ def _leaf_log_sum(phi, n, count, sums, stride=1):
 
 def _net_sums(sysm, phi, x, n, r, leaf_radius):
     """S_n phi at the atoms of the (n, r)-separated net on x's leaf."""
-    return leaf_birkhoff_sum(sysm, phi, x, separated_net(sysm, n, r, leaf_radius), n)
+    return leaf_birkhoff_sum(sysm, phi, x, -leaf_radius, ball_width(sysm, n, r),
+                             net_size(sysm, n, r, leaf_radius), n)
 
 
 def log_partition_sum(sysm, phi, x, n, r):

@@ -16,15 +16,18 @@ flow_time_one_oracle is the slowed-flow time-one map as it was before it
 skipped the arc solve for points that need none: it solves on every call,
 evaluates the chord quadrature for every live row in every round and for
 all rows at once, and carries full-size arrays from round to round.
-pressure_oracle builds one separated net and one partition sum per
-(order, radius), as the package did before reading coarser radii by
-stride; mass_diagnostics_masses_oracle builds one reference measure per
+leaf_sum_oracle computes S_n phi on the ideal leaf in mpmath at 60 digits:
+exact parameters and base points, the exact unstable eigenvector, the base
+stepped by the integer matrix.  pressure_oracle builds one separated net
+and one partition sum per (order, radius), as the package did before
+reading coarser radii by stride; mass_diagnostics_masses_oracle builds one reference measure per
 (base point, order), as mass_diagnostics still does for a non-constant
 potential; check_separation and is_spanning certify separated nets in the
 d_n metric, and bowen_constants measures the distortion constants the
 closed forms rest on.
 """
 
+import mpmath
 import numpy as np
 
 import eqmeas
@@ -294,6 +297,41 @@ def bin_index_oracle(points, grid):
     return idx
 
 
+def leaf_sum_oracle(sysm, phi, x, start, spacing, idx, n, digits=60):
+    """S_n phi at the leaf points of x at start + i * spacing, i in idx, as
+    floats, on the ideal leaf: x, start and spacing are read as exact
+    binary fractions, the unstable eigenvector is exact (signed as
+    SystemSpec.frame), and the base is stepped by the integer matrix with no
+    reduction, all at `digits` digits.  The fiber orbit is the system's own,
+    from the fiber point leaf_birkhoff_sum starts at."""
+    with mpmath.workdps(digits):
+        (a, b), (c, d) = (map(int, row) for row in sysm.matrix)
+        root = mpmath.sqrt((a + d) ** 2 - 4 * (a * d - b * c))
+        lam = max(((a + d) + root) / 2, ((a + d) - root) / 2, key=abs)
+        e = (mpmath.mpf(b), lam - a) if b else (lam - d, mpmath.mpf(c))
+        norm = mpmath.sqrt(e[0] ** 2 + e[1] ** 2)
+        lead = e[0] if e[0] else e[1]
+        e = [v / norm * mpmath.sign(lead) for v in e]
+        assert np.allclose([float(v) for v in e], sysm.frame[0, :2], rtol=0, atol=1e-15)
+        fibs = [eqmeas.mod1(eqmeas.mod1(np.asarray(x, dtype=float)[2:]))]
+        for _ in range(n - 1 if sysm.fiber else 0):
+            fibs.append(sysm.fiber[0](fibs[-1]))
+        out = []
+        for i in idx:
+            t = mpmath.mpf(float(start)) + int(i) * mpmath.mpf(float(spacing))
+            p = [mpmath.mpf(float(x[0])) + t * e[0], mpmath.mpf(float(x[1])) + t * e[1]]
+            total = n * mpmath.mpf(phi.const)
+            for k in range(n):
+                if k:
+                    p = [a * p[0] + b * p[1], c * p[0] + d * p[1]]
+                for amp, axis, kappa in phi.modes:
+                    j = axis % sysm.dim
+                    v = p[j] if j < 2 else mpmath.mpf(float(fibs[k][j - 2]))
+                    total += amp * mpmath.cos(2 * mpmath.pi * kappa * mpmath.frac(v))
+            out.append(float(total))
+        return np.array(out)
+
+
 def _logsumexp(vals):
     m = vals.max()
     if not np.isfinite(m):
@@ -313,7 +351,8 @@ def pressure_oracle(sysm, phi, x, *, window=(6, 12), radii=(0.1, 0.05, 0.025),
             if c is not None:
                 lz = np.log(len(net)) + n * c
             else:
-                lz = float(_logsumexp(leaf_birkhoff_sum(sysm, phi, x, net, n)))
+                lz = float(_logsumexp(leaf_birkhoff_sum(
+                    sysm, phi, x, -leaf_radius, eqmeas.ball_width(sysm, n, r), len(net), n)))
             table.append((n, r, len(net), lz))
     per_radius = {}
     for r in radii:

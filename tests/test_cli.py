@@ -208,6 +208,17 @@ class TestMain:
         assert ("numeric failure: net of order 16 needs 148839840 atoms "
                 "(limit 4194304)") in capsys.readouterr().out
 
+    def test_probe_work_limit_exits_3(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("probe sampled over the limit")
+
+        monkeypatch.setattr(equilibrium.PhaseMeasure, "sample", refuse)
+        path = _write(tmp_path, BASE + "birkhoff_steps = 1000000\nn_samples = 10000\n")
+        code = cli.main(["probe", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert ("numeric failure: probe of birkhoff_steps 1000000 and n_samples 10000 "
+                "needs 20000000000 point-steps (limit 268435456)") in capsys.readouterr().out
+
     def test_cdim_cover_size_limit_skips_pressure(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "estimate_pressure",

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import eqmeas
 from eqmeas import core
 from eqmeas.core import leaf_birkhoff_sum
-from oracles import bowen_constants, systems_with_oracles
+from oracles import bowen_constants, leaf_sum_oracle, systems_with_oracles
 
 S5 = np.sqrt(5.0)
 LAM = (3 + S5) / 2
@@ -360,13 +360,11 @@ class TestSystemSpec:
         sysm = systems_with_oracles()[key][0]
         rng = np.random.default_rng(4)
         pts, x = rng.random((50, sysm.dim)), rng.random(sysm.dim)
-        cos, zero = eqmeas.base_cosine_potential(0.5), eqmeas.zero_potential()
+        zero = eqmeas.zero_potential()
         mu = eqmeas.PhaseMeasure.uniform((4,) * sysm.dim)
         runs = {  # name: (run, direction of each step_base call)
             "step_fwd": (lambda: sysm.step_fwd(pts), [0]),
             "step_back": (lambda: sysm.step_back(pts[0]), [1]),
-            "leaf_birkhoff_sum": (lambda: leaf_birkhoff_sum(
-                sysm, cos, x, np.linspace(-0.1, 0.1, 40), 4), [0] * 3),
             "evolve_average": (lambda: eqmeas.evolve_average(
                 sysm, zero, 0.0, x, steps=5, grid=(4,) * sysm.dim, order=3,
                 leaf_radius=0.5).measure.masses, [0] * 4),
@@ -389,24 +387,45 @@ class TestSystemSpec:
 
 
 class TestLeafBirkhoffSum:
-    PHI = eqmeas.Potential(modes=((1.0, 0, 1), (0.3, -1, 1)))  # reads the fiber
-    COS = eqmeas.base_cosine_potential(0.5)  # base_only: handed base points alone
+    """The closed form against S_n phi on the ideal leaf, at 60 digits.
+
+    It is no longer the float orbit of birkhoff_sum(leaf_point(...)) bit for
+    bit: that orbit rounds each leaf point and each step, and the rounding
+    grows with the stretch, so the closed form is held to be at least as
+    close to the ideal leaf as the float orbit is."""
+
+    PHI = eqmeas.Potential(modes=((1.0, 0, 1), (0.3, -1, 1)))  # axis -1: the last axis
+    COS = eqmeas.base_cosine_potential(0.5)  # reads the base alone
 
     @staticmethod
-    def assert_matches_birkhoff_sum(monkeypatch, key, phi):
+    def assert_matches_ideal_leaf(monkeypatch, key, phi):
         sysm = systems_with_oracles()[key][0]
         rng = np.random.default_rng(12)
-        # t = -1e-20 from a zero coordinate puts 1.0 in the leaf point
-        t = np.concatenate([[-1e-20, 0.0, 1e-20], rng.uniform(-0.5, 0.5, 200)])
+        # t = -1e-20 from a zero coordinate puts 1.0 in the float leaf point
+        nets = [(-1e-20, 1e-20, 3), (rng.uniform(-0.5, -0.4), rng.uniform(0.02, 0.025), 40)]
+        long = 3 * core.ROW + 5  # rows of atoms, not just the first
         for x in (rng.random(sysm.dim), np.full(sysm.dim, -1e-20), np.zeros(sysm.dim)):
-            for n in (1, 2, 7):
-                want = eqmeas.birkhoff_sum(sysm, phi, eqmeas.leaf_point(sysm, x, t), n)
-                # one block, blocks of 64 (the last holds 11 points) and of one point
-                for block in (core.BLOCK, 64, 1):
-                    monkeypatch.setattr(core, "BLOCK", block)
-                    got = leaf_birkhoff_sum(sysm, phi, x, t, n)
-                    assert np.array_equal(got, want), (x, n, block)
-                monkeypatch.undo()
+            for start, spacing, count in nets:
+                t = start + np.arange(count) * spacing
+                for n in (1, 2, 7, 12):
+                    want = leaf_sum_oracle(sysm, phi, x, start, spacing, range(count), n)
+                    got = leaf_birkhoff_sum(sysm, phi, x, start, spacing, count, n)
+                    orbit = eqmeas.birkhoff_sum(sysm, phi, eqmeas.leaf_point(sysm, x, t), n)
+                    err, orbit_err = np.abs(got - want).max(), np.abs(orbit - want).max()
+                    # a few ulps where the float orbit happens to be exact
+                    assert err <= max(orbit_err, 4e-15), (x, start, n, err, orbit_err)
+                    # rounding of order 1e-16 in the phases, grown by the stretch
+                    bound = 4e-15 * (1 + sysm.leaf_rate ** (n - 1) * np.abs(t).max())
+                    assert err <= bound, (x, start, n, err, bound)
+                    # an atom's value does not depend on the block size or the count:
+                    # one block, blocks of 64 and of one atom (one row a block)
+                    for block in (core.BLOCK, 64, 1):
+                        monkeypatch.setattr(core, "BLOCK", block)
+                        assert np.array_equal(
+                            leaf_birkhoff_sum(sysm, phi, x, start, spacing, count, n), got)
+                        assert np.array_equal(leaf_birkhoff_sum(
+                            sysm, phi, x, start, spacing, long, n)[:count], got)
+                    monkeypatch.undo()
 
     @staticmethod
     def mapped_fiber_points(key, phi):
@@ -418,16 +437,16 @@ class TestLeafBirkhoffSum:
             return sysm.fiber[0](fib)
 
         spied = dataclasses.replace(sysm, fiber=(counted, sysm.fiber[1]))
-        leaf_birkhoff_sum(spied, phi, np.full(sysm.dim, 0.3), np.linspace(-0.1, 0.1, 50), 5)
+        leaf_birkhoff_sum(spied, phi, np.full(sysm.dim, 0.3), -0.1, 0.2 / 49, 50, 5)
         return rows
 
     @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
     def test_matches_birkhoff_sum_of_leaf_points(self, monkeypatch, key):
-        self.assert_matches_birkhoff_sum(monkeypatch, key, self.PHI)
+        self.assert_matches_ideal_leaf(monkeypatch, key, self.PHI)
 
     @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
     def test_base_only_potential_matches_birkhoff_sum(self, monkeypatch, key):
-        self.assert_matches_birkhoff_sum(monkeypatch, key, self.COS)
+        self.assert_matches_ideal_leaf(monkeypatch, key, self.COS)
 
     @pytest.mark.parametrize("key", ["skew", "slowprod"])
     def test_maps_the_shared_fiber_point_once_per_step(self, monkeypatch, key):
@@ -440,9 +459,30 @@ class TestLeafBirkhoffSum:
     def test_base_only_potential_maps_no_fiber_point(self, key):
         assert self.mapped_fiber_points(key, self.COS) == []
 
+    def test_steps_no_point(self, cat, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("leaf sums step no point")
+
+        monkeypatch.setattr(core.SystemSpec, "step_base", refuse)
+        monkeypatch.setattr(core.SystemSpec, "step_fwd", refuse)
+        leaf_birkhoff_sum(cat.system, self.PHI, np.full(2, 0.3), -0.1, 1e-3, 201, 9)
+
+    def test_accuracy_table(self, cat):
+        # worst error over 40 atoms of three nets on cat at amplitude 0.05; the
+        # float orbit's is 6.7e-13, 9.6e-13 and 3.3e-11
+        phi, x = eqmeas.base_cosine_potential(0.05), np.array([0.2, 0.7])
+        for n, r, leaf_radius, bound in ((12, 0.025, 0.005, 1e-13), (12, 0.05, 0.1, 9.6e-13),
+                                         (16, 0.05, 0.1, 3.3e-11)):
+            w, count = eqmeas.ball_width(cat.system, n, r), eqmeas.net_size(
+                cat.system, n, r, leaf_radius)
+            idx = np.linspace(0, count - 1, 40).astype(int)
+            got = leaf_birkhoff_sum(cat.system, phi, x, -leaf_radius, w, count, n)[idx]
+            want = leaf_sum_oracle(cat.system, phi, x, -leaf_radius, w, idx, n)
+            assert np.abs(got - want).max() <= bound, (n, r, leaf_radius)
+
 
 class TestPotentialTable:
-    """A potential is its table (const, modes): its flags are read off the
+    """A potential is its table (const, modes): constant_value is read off the
     table, and it evaluates with the arithmetic of the hand-written
     potentials it replaced, kept here as reference lambdas."""
 
@@ -474,21 +514,19 @@ class TestPotentialTable:
     def test_fields_are_the_table(self):
         assert [f.name for f in dataclasses.fields(eqmeas.Potential)] == ["const", "modes"]
         phi = eqmeas.constant_potential(0.3)
-        for flag in ("constant_value", "base_only"):
-            assert isinstance(getattr(eqmeas.Potential, flag), property)
-            with pytest.raises(AttributeError):
-                setattr(phi, flag, None)
+        assert isinstance(eqmeas.Potential.constant_value, property)
+        with pytest.raises(AttributeError):
+            phi.constant_value = None
 
     @pytest.mark.parametrize("c", [0.0, -0.0, -0.3, 2.5])
     def test_constant(self, c):
         phi = eqmeas.constant_potential(c)
         assert bits(phi.constant_value) == bits(c)
-        assert phi.base_only
         self.assert_same_bits(phi, self.old_constant(c))
 
     def test_zero(self):
         phi = eqmeas.zero_potential()
-        assert phi.constant_value == 0.0 and phi.base_only
+        assert phi.constant_value == 0.0
         self.assert_same_bits(phi, self.old_constant(0.0))
 
     @pytest.mark.parametrize("q", [1.0, 0.5, 0.0])
@@ -496,14 +534,12 @@ class TestPotentialTable:
         phi = eqmeas.geometric_potential(cat.system, q)
         c = -q * np.log(cat.system.leaf_rate)
         assert bits(phi.constant_value) == bits(c)
-        assert phi.base_only
         self.assert_same_bits(phi, self.old_constant(c))
 
     @pytest.mark.parametrize("amp", [0.05, 0.5, 0.0, -0.3])
     def test_base_cosine(self, amp):
         phi = eqmeas.base_cosine_potential(amp)
         assert phi.constant_value is None  # a zero coefficient is still a mode
-        assert phi.base_only
         self.assert_same_bits(phi, self.old_cosine(amp))
 
     def test_amplitude_zero_keeps_the_sign_of_minus_zero(self):
@@ -514,7 +550,17 @@ class TestPotentialTable:
     @pytest.mark.parametrize("modes", [((0.1, 2, 1),), ((0.1, 3, 2),), ((0.1, -1, 1),),
                                        ((0.1, -2, 1),), ((1.0, 0, 1), (0.3, -1, 1))])
     def test_fiber_or_negative_axis_is_not_base_only(self, modes):
-        assert not eqmeas.Potential(modes=modes).base_only
+        # read mod dim, each of these axes is a fiber axis of the 4-d system,
+        # so its leaf sum maps the shared fiber point at every step
+        phi = eqmeas.Potential(modes=modes)
+        assert TestLeafBirkhoffSum.mapped_fiber_points("slowprod", phi) == [(2,)] * 4
+
+    @pytest.mark.parametrize("k", [0.5, 1.25, -2.5])
+    def test_frequencies_are_integers(self, k):
+        # the leaf sums add phases mod 1, which is the potential only for integer k
+        with pytest.raises(ValueError, match="frequencies must be integers"):
+            eqmeas.Potential(modes=((0.1, 0, k),))
+        eqmeas.Potential(modes=((0.1, 0, float(int(k))), (0.1, 1, -3)))
 
     @pytest.mark.parametrize("c", [-0.3, 0.0, 1.5])
     def test_frequency_zero_mode_is_not_constant(self, c):

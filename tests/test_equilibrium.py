@@ -15,6 +15,8 @@ from oracles import (bin_index_oracle, disintegrate_oracle, evolve_oracle,
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
 X0 = np.array([0.2, 0.7])
+# minus the cat matrix: unstable eigenvalue -LAM, and f(x) = -(cat x)
+NEG = [[-2, -1], [-1, -1]]
 
 
 class TestPhaseMeasure:
@@ -157,6 +159,18 @@ class TestPushforward:
         lm = eqmeas.reference_measure(cat.system, phi0, H, X0, 6)
         fm = eqmeas.pushforward(cat.system, lm)
         assert fm.params == pytest.approx(lm.params * LAM, rel=1e-12)
+
+    def test_negative_eigenvalue_flips_and_reverses(self):
+        neg = eqmeas.make_toral_automorphism(NEG)
+        assert neg.eigenvalue == pytest.approx(-LAM) and neg.leaf_rate == pytest.approx(LAM)
+        lm = eqmeas.reference_measure(neg, eqmeas.base_cosine_potential(0.05), H, X0, 6)
+        fm = eqmeas.pushforward(neg, lm)
+        # atom i of the image is the image of atom count - 1 - i, so params ascend
+        want = neg.step_fwd(lm.points())[::-1]
+        assert np.abs(eqmeas.wrap(fm.points() - want)).max() < 1e-10
+        assert fm.params == pytest.approx(-LAM * lm.params[::-1], rel=1e-12)
+        assert np.all(np.diff(fm.params) > 0)
+        assert np.array_equal(fm.weights, lm.weights[::-1])
 
 
 class TestScaling:
@@ -558,6 +572,25 @@ class TestBirkhoffProbe:
             eqmeas.birkhoff_probe(cat.system, Unsampled(), lambda pts: pts[..., 0],
                                   n_steps=n_steps, n_samples=n_samples)
 
+    def test_work_limit_before_sampling(self, cat, monkeypatch):
+        class Unsampled:
+            def sample(self, count, rng):
+                raise AssertionError("sampled over the work limit")
+
+        obs = lambda pts: pts[..., 0]
+        # the schema's largest probe: about 12 minutes, refused at once
+        with pytest.raises(ArithmeticError, match=(
+                r"probe of birkhoff_steps 1000000 and n_samples 10000 needs "
+                r"20000000000 point-steps \(limit 268435456\)")):
+            eqmeas.birkhoff_probe(cat.system, Unsampled(), obs, n_steps=10**6,
+                                  n_samples=10**4)
+        # the limit itself is allowed, one step more is not
+        monkeypatch.setattr(eqmeas.bowen, "MAX_POINT_STEPS", 2 * 40 * 5)
+        mu = eqmeas.PhaseMeasure.uniform((4, 4))
+        eqmeas.birkhoff_probe(cat.system, mu, obs, n_steps=40, n_samples=5)
+        with pytest.raises(ArithmeticError, match=r"birkhoff_steps 41 and n_samples 5 "):
+            eqmeas.birkhoff_probe(cat.system, Unsampled(), obs, n_steps=41, n_samples=5)
+
     def test_time_averages_agree_with_space_average(self, cat, cat_mu40):
         obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
         out = eqmeas.birkhoff_probe(cat.system, cat_mu40.measure, obs,
@@ -596,6 +629,19 @@ class TestTransitivityProbe:
                                         delta=0.1, k_max=15)
         assert hit is not None
         assert hit["k"] == 12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_negative_eigenvalue_pair(self, cat, k):
+        # -cat maps the leaf point at t of x to minus cat's, so its segment at
+        # x reaches -y in as many steps, from the same parameter, as cat's reaches y
+        sysm = cat.system
+        y = (np.array([0.61, 0.13]) if k == 3 else eqmeas.mod1(
+            sysm.step_fwd(eqmeas.leaf_point(sysm, X0, 0.06)) + 0.02 * sysm.frame[1]))
+        want = eqmeas.transitivity_probe(sysm, X0, y)
+        got = eqmeas.transitivity_probe(eqmeas.make_toral_automorphism(NEG), X0,
+                                        eqmeas.mod1(-y), k_max=k)
+        assert want["k"] == got["k"] == k
+        assert got["param"] == pytest.approx(want["param"], abs=1e-12)
 
     def test_none_when_budget_too_small(self, skew):
         hit = eqmeas.transitivity_probe(skew.system,

@@ -1,6 +1,7 @@
 """Pressure estimation: partition sums, slopes, structural inequalities."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -159,6 +160,14 @@ class TestOnePass:
         est = eqmeas.estimate_pressure(sysm, phi, x, leaf_radius=leaf_radius)
         table, per_radius, value, spread = pressure_oracle(
             sysm, phi, x, leaf_radius=leaf_radius)
+        if pot == "cos":
+            # a coarse net's atom is a finer one's at another place in the leaf
+            # sum's angle addition (its index and step differ), so its sum
+            # may differ in the last bits: by up to 3.6e-15 measured
+            close = functools.partial(pytest.approx, rel=0, abs=1e-12)
+            table = [(n, r, count, close(log_z)) for n, r, count, log_z in table]
+            per_radius = {r: close(v) for r, v in per_radius.items()}
+            value, spread = close(value), close(spread)
         assert est.table == table
         assert est.per_radius == per_radius
         assert est.value == value
@@ -185,14 +194,14 @@ class TestOnePass:
         def refuse(*args, **kwargs):
             raise AssertionError("a constant potential needs no net")
 
-        monkeypatch.setattr(pressure, "separated_net", refuse)
+        monkeypatch.setattr(pressure, "leaf_birkhoff_sum", refuse)
         assert eqmeas.estimate_pressure(cat.system, phi, X0).table == table
 
     def test_net_size_limit_before_any_net(self, cat, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("no net past the size limit")
 
-        monkeypatch.setattr(pressure, "separated_net", refuse)
+        monkeypatch.setattr(pressure, "leaf_birkhoff_sum", refuse)
         with pytest.raises(ArithmeticError,
                            match=r"net of order 15 needs 5685176 atoms \(limit 4194304\)"):
             eqmeas.estimate_pressure(cat.system, eqmeas.base_cosine_potential(0.05), X0,

@@ -61,7 +61,7 @@ def cases(checkout):
              {"potential": "const", "const_value": 0.3}),
         call("cdim-cos", cdim.pipeline, cdim.system, cdim.config),
         call("slowprod.fullsuite", "fullsuite", "slowprod", {}),
-        # the base_only leaf sums on the 4-d system
+        # the leaf sums of a base-only potential on the 4-d system
         call("slowprod.cos.fullsuite", "fullsuite", "slowprod", {"potential": "cos"}),
         # 4,096 base cells: evolve runs in chunks of 16 steps and keeps its
         # (2, N) base coordinates between them
