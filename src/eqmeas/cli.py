@@ -109,6 +109,11 @@ def _parse(key, value):
 
 def load_config(path):
     """Parse and validate the [run] section; unknown keys are errors."""
+    return _load_config(path)[0]
+
+
+def _load_config(path):
+    """load_config's config and the catalog system it was checked against."""
     import configparser
 
     parser = configparser.ConfigParser()
@@ -132,19 +137,19 @@ def load_config(path):
     per_system = _SYSTEM_DEFAULTS[cfg["system"]]
     for key, (_, _, default) in _SCHEMA.items():
         cfg.setdefault(key, per_system.get(key, default))
-    entry = catalog.get_system(cfg["system"])
+    system = catalog.get_system(cfg["system"]).system
     for key in ("base_x", "base_y"):
-        if len(cfg[key]) != entry.system.dim:
-            raise ConfigError(f"{key} needs {entry.system.dim} coordinates")
+        if len(cfg[key]) != system.dim:
+            raise ConfigError(f"{key} needs {system.dim} coordinates")
     if len(cfg["grid"]) == 1:
-        cfg["grid"] = cfg["grid"] * entry.system.dim
-    if len(cfg["grid"]) != entry.system.dim:
-        raise ConfigError(f"grid needs {entry.system.dim} axes")
+        cfg["grid"] = cfg["grid"] * system.dim
+    if len(cfg["grid"]) != system.dim:
+        raise ConfigError(f"grid needs {system.dim} axes")
     if int(np.prod(cfg["grid"])) > _MAX_GRID_CELLS:
         raise ConfigError(f"grid {cfg['grid']} has more than {_MAX_GRID_CELLS} cells")
     if cfg["n_hi"] <= cfg["n_lo"] or cfg["gibbs_n_hi"] <= cfg["gibbs_n_lo"]:
         raise ConfigError("order windows must satisfy lo < hi")
-    return cfg
+    return cfg, system
 
 
 def _fmt(v):
@@ -363,7 +368,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        cfg, system = _load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = _parse("seed", args.seed)
     except ConfigError as exc:
@@ -377,7 +382,7 @@ def main(argv=None):
                "system": cfg["system"], "pipelines": {}, "checks": []}
     all_ok = True
     try:
-        run = Run(cfg, catalog.get_system(cfg["system"]).system)
+        run = Run(cfg, system)
         for name in names:
             rows, cols, part, checks = _RUNNERS[name](run)
             write_csv(os.path.join(args.out, f"{name}.csv"), name, cols, rows)

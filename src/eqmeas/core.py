@@ -15,10 +15,11 @@ import dataclasses
 import numpy as np
 
 # Base points per block wherever many are stepped (evolve's atoms, the probe's
-# orbit points), and a leaf sum's terms per block over 2: bounds their arrays
-# and the temporaries made from them, whatever the net, cover or sample count.
+# orbit points): bounds their arrays and the temporaries made from them,
+# whatever the net or sample count.
 BLOCK = 2 ** 14
 ROW = 2 ** 7  # atoms per row in a leaf sum's angle addition
+TILE = 2 ** 4  # rows per matrix product in a leaf sum
 
 
 def mod1(x, out=None):
@@ -214,8 +215,10 @@ def leaf_birkhoff_sum(sys, phi, x, start, spacing, count, n):
     (a, j, kappa) (axes read mod dim) and k < n, with c_k = (A^k x)_j and v_k =
     (A^k e_u)_j; the phases at start and their step along the net are stepped by
     A and reduced mod 1 exactly, in integers.  Atom i = r ROW + m takes its
-    cosine from those at r ROW and at m by angle addition, and a block's terms
-    are added by a fixed tree: its value depends on neither count nor BLOCK.
+    cosine from those at r ROW and at m by angle addition: TILE rows' cos and sin
+    times the offsets' a cos and -a sin, one matrix product of the fixed shape
+    (TILE, 2K) @ (2K, ROW) for K terms (rows zero-padded to whole tiles, offsets
+    zero from count on), so its value depends on neither count nor BLAS threads.
     """
     if n < 1:
         raise ValueError("birkhoff order must be >= 1")
@@ -231,36 +234,35 @@ def leaf_birkhoff_sum(sys, phi, x, start, spacing, count, n):
     (x0, q0), (x1, q1), (e0, r0), (e1, r1), (s, qs), (w, qw) = (v.as_integer_ratio() for v in (
         *x[:2].tolist(), *sys.frame[0, :2].tolist(), float(start), float(spacing)))
     den = max(q0, q1, r0 * qs, r1 * qs, r0 * qw, r1 * qw)  # powers of two: their lcm
-    # A^k (x + start e_u) and A^k (spacing e_u) times den, mod den: exact phases
+    mask = den - 1  # & mask reduces mod den
+    # A^k (x + start e_u) and A^k (spacing e_u) times den, exactly: mod den, the phases
     p = [x0 * (den // q0) + e0 * s * (den // (r0 * qs)),
          x1 * (den // q1) + e1 * s * (den // (r1 * qs))]
     d = [e0 * w * (den // (r0 * qw)), e1 * w * (den // (r1 * qw))]
     terms = []  # (a, -a, phase at start, its step) mod 1 per step and mode
     for _ in range(n):
-        terms += [(a, -a, kappa * p[j] % den / den, kappa * d[j] % den / den)
+        terms += [(a, -a, (kappa * p[j] & mask) / den, (kappa * d[j] & mask) / den)
                   for a, j, kappa in base]
-        p = [(m00 * p[0] + m01 * p[1]) % den, (m10 * p[0] + m11 * p[1]) % den]
-        d = [(m00 * d[0] + m01 * d[1]) % den, (m10 * d[0] + m11 * d[1]) % den]
+        p = [m00 * p[0] + m01 * p[1], m10 * p[0] + m11 * p[1]]
+        d = [m00 * d[0] + m01 * d[1], m10 * d[0] + m11 * d[1]]
     coef = np.array(terms).T[:, :, None]
     alpha, beta = coef[2:]
     hi = np.rint(beta * 2 ** 28) / 2 ** 28  # i * hi is exact for i < 2^24
-    width = max(1, min(ROW, count))  # offsets m < width, then each row's first atom
-    i = np.concatenate((np.arange(width, dtype=float), np.arange(0, count, width, dtype=float)))
+    width, rows = min(ROW, count), -(-count // ROW)  # offsets m < width, then row heads
+    i = np.concatenate((np.arange(width, dtype=float), np.arange(0, count, ROW, dtype=float)))
     ang = mod1(i * hi) + i * (beta - hi)
     ang[:, :width] += alpha
     ang *= 2 * np.pi
-    trig = np.stack((np.cos(ang), np.sin(ang)))
-    off = (trig[:, :, :width] * coef[:2]).reshape(-1, width)  # a cos, -a sin
-    heads = trig[:, :, width:].reshape(len(off), -1)  # cos, sin
-    rows, per = heads.shape[1], max(1, 2 * BLOCK // off.size)  # rows, and rows a block
-    total, buf = np.empty((rows, width)), np.empty((len(off), min(per, rows), width))
-    for r in range(0, rows, per):
-        sums = np.einsum("kr,kw->krw", heads[:, r:r + per], off, out=buf[:, :min(per, rows - r)])
-        while len(sums) > 1:  # fold the top half onto the bottom
-            sums[:len(sums) // 2] += sums[(len(sums) + 1) // 2:]
-            sums = sums[:(len(sums) + 1) // 2]
-        np.add(sums[0], shift, out=total[r:r + per])
-    return total.ravel()[:count]
+    trig = np.array((np.cos(ang), np.sin(ang)))
+    off = np.zeros((2 * len(terms), ROW))  # a cos, -a sin at the offsets; zero past the width
+    np.multiply(trig[:, :, :width], coef[:2], out=off.reshape(2, -1, ROW)[:, :, :width])
+    heads = np.zeros((-(-rows // TILE) * TILE, len(off)))  # cos, sin at the rows; zero-padded
+    heads[:rows] = trig[:, :, width:].reshape(len(off), rows).T
+    total = np.empty((len(heads), ROW))
+    for r in range(0, len(heads), TILE):  # every product is (TILE, 2K) @ (2K, ROW)
+        np.matmul(heads[r:r + TILE], off, out=total[r:r + TILE])
+    total = total.ravel()[:count]
+    return np.add(total, shift, out=total)
 
 
 def leaf_point(sys, x, t):

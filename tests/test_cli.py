@@ -104,6 +104,19 @@ class TestMain:
             0.9624, abs=0.05)
         assert all(c["passed"] for c in summary["checks"])
 
+    def test_builds_the_system_once(self, tmp_path, monkeypatch):
+        # the config is checked against the system the run then uses
+        get_system, built = catalog.get_system, []
+
+        def counted(key):
+            built.append(key)
+            return get_system(key)
+
+        monkeypatch.setattr(catalog, "get_system", counted)
+        path = _write(tmp_path, "schema_version = 1\nsystem = skew\n")
+        assert cli.main(["press", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert built == ["skew"]
+
     def test_constant_press_at_the_largest_order(self, tmp_path):
         # the finest net at n = 20 would hold 7.0e8 atoms (5.6 GB of parameters); counting needs none
         path = _write(tmp_path, BASE + "potential = zero\nn_hi = 20\n")
@@ -351,8 +364,7 @@ class TestSeededVerdicts:
 class TestBlockSizes:
     """Output bytes do not depend on evolve's atom blocks or step chunks, on
     how many Gibbs centres are stepped together, on how many subcells
-    disintegrate makes at once, on the probe's steps per block, or on the
-    leaf sums' blocks."""
+    disintegrate makes at once, or on the probe's steps per block."""
 
     @pytest.mark.parametrize("label", ["cat.fullsuite", "skew.cos.fullsuite",
                                        "slowprod.gibbs", "slowprod.probe"])
@@ -365,7 +377,7 @@ class TestBlockSizes:
         path = tmp_path / "run.ini"
         path.write_text(call.ini())
         runs = []
-        # small: ragged evolve blocks and leaf sums 1,000 points at a time; one
+        # small: ragged evolve blocks of 1,000 points; one
         # cat or skew centre, or 3 + 1 slowprod centres, per group; evolve
         # chunks of one cat step, or of 3 + 3 + 2 slowprod steps; 12 cat, 3
         # skew or 1 slowprod bin of subcells at a time; probe blocks of 2 steps

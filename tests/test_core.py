@@ -1,6 +1,11 @@
 """Core geometry: charts, dynamical metric, Birkhoff sums, brackets."""
 
 import dataclasses
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -396,9 +401,13 @@ class TestLeafBirkhoffSum:
 
     PHI = eqmeas.Potential(modes=((1.0, 0, 1), (0.3, -1, 1)))  # axis -1: the last axis
     COS = eqmeas.base_cosine_potential(0.5)  # reads the base alone
+    # base and fiber modes (axis -1 is a base axis of cat)
+    MIXED = eqmeas.Potential(0.1, ((1.0, 0, 1), (0.4, 1, -3), (0.3, -1, 2)))
+    # 16 base modes at n = 16: products of 2K = 512 terms, which a threaded BLAS splits
+    WIDE = eqmeas.Potential(modes=tuple((0.05, j % 2, j - 8) for j in range(16)))
 
     @staticmethod
-    def assert_matches_ideal_leaf(monkeypatch, key, phi):
+    def assert_matches_ideal_leaf(key, phi):
         sysm = systems_with_oracles()[key][0]
         rng = np.random.default_rng(12)
         # t = -1e-20 from a zero coordinate puts 1.0 in the float leaf point
@@ -417,18 +426,12 @@ class TestLeafBirkhoffSum:
                     # rounding of order 1e-16 in the phases, grown by the stretch
                     bound = 4e-15 * (1 + sysm.leaf_rate ** (n - 1) * np.abs(t).max())
                     assert err <= bound, (x, start, n, err, bound)
-                    # an atom's value does not depend on the block size or the count:
-                    # one block, blocks of 64 and of one atom (one row a block)
-                    for block in (core.BLOCK, 64, 1):
-                        monkeypatch.setattr(core, "BLOCK", block)
-                        assert np.array_equal(
-                            leaf_birkhoff_sum(sysm, phi, x, start, spacing, count, n), got)
-                        assert np.array_equal(leaf_birkhoff_sum(
-                            sysm, phi, x, start, spacing, long, n)[:count], got)
-                    monkeypatch.undo()
+                    # an atom's value does not depend on the count
+                    assert np.array_equal(bits(leaf_birkhoff_sum(
+                        sysm, phi, x, start, spacing, long, n)[:count]), bits(got))
 
     @staticmethod
-    def mapped_fiber_points(key, phi):
+    def mapped_fiber_points(key, phi, count=50):
         sysm = systems_with_oracles()[key][0]
         rows = []
 
@@ -437,27 +440,66 @@ class TestLeafBirkhoffSum:
             return sysm.fiber[0](fib)
 
         spied = dataclasses.replace(sysm, fiber=(counted, sysm.fiber[1]))
-        leaf_birkhoff_sum(spied, phi, np.full(sysm.dim, 0.3), -0.1, 0.2 / 49, 50, 5)
+        leaf_birkhoff_sum(spied, phi, np.full(sysm.dim, 0.3), -0.1, 0.2 / 49, count, 5)
         return rows
 
     @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
-    def test_matches_birkhoff_sum_of_leaf_points(self, monkeypatch, key):
-        self.assert_matches_ideal_leaf(monkeypatch, key, self.PHI)
+    def test_matches_birkhoff_sum_of_leaf_points(self, key):
+        self.assert_matches_ideal_leaf(key, self.PHI)
 
     @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
-    def test_base_only_potential_matches_birkhoff_sum(self, monkeypatch, key):
-        self.assert_matches_ideal_leaf(monkeypatch, key, self.COS)
+    def test_base_only_potential_matches_birkhoff_sum(self, key):
+        self.assert_matches_ideal_leaf(key, self.COS)
 
     @pytest.mark.parametrize("key", ["skew", "slowprod"])
-    def test_maps_the_shared_fiber_point_once_per_step(self, monkeypatch, key):
+    def test_maps_the_shared_fiber_point_once_per_step(self, key):
         sysm = systems_with_oracles()[key][0]
         assert self.mapped_fiber_points(key, self.PHI) == [(sysm.dim - 2,)] * 4
-        monkeypatch.setattr(core, "BLOCK", 7)  # 50 points: 8 blocks, one fiber orbit
-        assert self.mapped_fiber_points(key, self.PHI) == [(sysm.dim - 2,)] * 4
+        # several tiles of rows, one fiber orbit
+        assert self.mapped_fiber_points(key, self.PHI, 3 * core.TILE * core.ROW + 5) == [
+            (sysm.dim - 2,)] * 4
 
     @pytest.mark.parametrize("key", ["skew", "slowprod"])
     def test_base_only_potential_maps_no_fiber_point(self, key):
         assert self.mapped_fiber_points(key, self.COS) == []
+
+    @classmethod
+    def long_sums(cls, key, count=40_000):
+        """Sums at the first count atoms of a 40,000-atom net: MIXED at n = 9, WIDE at n = 16."""
+        sysm = systems_with_oracles()[key][0]
+        x = np.random.default_rng(8).random(sysm.dim)
+        return [leaf_birkhoff_sum(sysm, phi, x, -0.45, 0.9 / 40_000, count, n)
+                for phi, n in ((cls.MIXED, 9), (cls.WIDE, 16))]
+
+    @classmethod
+    def long_sums_digest(cls):
+        sums = [s for key in ("cat", "skew", "slowprod") for s in cls.long_sums(key)]
+        return hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest()
+
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod"])
+    def test_prefixes_of_a_long_net(self, monkeypatch, key):
+        # an atom's value depends on neither the count (the rows, the tiles and
+        # their zero padding) nor BLOCK, which leaf sums no longer read
+        row, tile = core.ROW, core.TILE * core.ROW
+        full = self.long_sums(key)
+        for count in (1, row - 1, row, row + 1, tile - 1, tile + 1, 3 * tile + 5):
+            for got, want in zip(self.long_sums(key, count), full):
+                assert np.array_equal(bits(got), bits(want[:count])), count
+        monkeypatch.setattr(core, "BLOCK", 1)
+        assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(self.long_sums(key), full))
+
+    def test_blas_threads(self):
+        # the same long sums, bit for bit, with BLAS on one thread and on two
+        script = ("import sys; sys.path[:0] = sys.argv[1:]; "
+                  "from test_core import TestLeafBirkhoffSum as T; print(T.long_sums_digest())")
+        here = pathlib.Path(__file__).parent
+        paths, digests = [str(here), str(here.parent / "src")], []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script, *paths], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.append(proc.stdout.strip())
+        assert digests == [self.long_sums_digest()] * 2
 
     def test_steps_no_point(self, cat, monkeypatch):
         def refuse(*args, **kwargs):

@@ -8,7 +8,10 @@ ref by `git archive`, the working tree from the files git tracks or would
 track), so nothing is written to .git or bench/.  Every case below is one
 `eqmeas <pipeline> --check --seed N` call on the same INI file on both
 sides; a case is identical when the exit codes, stdout and every output
-file (the pipeline CSVs and summary.json) match byte for byte.  The
+file (the pipeline CSVs and summary.json) match byte for byte.  When only
+summary.json differs, the line also names its largest relative change
+among the numbers both sides hold at the same key path, |a - b| / max(|a|,
+|b|): a change that only rounds shows as one of order 1e-12.  The
 slowprod-control and cdim-cos configs are read from the working tree's
 bench/workloads.py, imported in its copy.  The default slowprod fullsuites
 take about 2.5 s (zero potential) and 3.5 s (cos) a side.  A signal stops
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
+import math
 import os
 import sys
 
@@ -101,6 +106,23 @@ def diff(a, b):
     return bad
 
 
+def largest_change(a, b, path=""):
+    """(relative change, key path) of the numbers of two parsed JSON values
+    that differ most; (0.0, "") when none differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = [(a[k], b[k], f"{path}.{k}" if path else k) for k in a.keys() & b.keys()]
+    elif isinstance(a, list) and isinstance(b, list):
+        pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif (all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+          and a != b and not (math.isnan(a) and math.isnan(b))):
+        rel = abs(a - b) / max(abs(a), abs(b))
+        return (rel if math.isfinite(rel) else math.inf), path  # nan or inf on one side
+    else:
+        return 0.0, ""
+    return max((largest_change(x, y, p) for x, y, p in sorted(pairs, key=lambda t: t[2])),
+               default=(0.0, ""), key=lambda t: t[0])
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ref", default="HEAD")
@@ -123,8 +145,14 @@ def main(argv=None):
                 got[side] = run_case(scratch, checkout, work, case)
             bad = diff(got["ref"], got["change"])
             differ += bool(bad)
+            note = ""
+            if bad == ["summary.json"]:
+                rel, path = largest_change(*(json.loads(got[side][2]["summary.json"])
+                                             for side in sides))
+                note = f"; largest relative change {rel:.1e} at {path}" if path else (
+                    "; no number changed")
             print(f"{case[0]:36s} exit {got['change'][0]}  "
-                  f"{'identical' if not bad else 'DIFFERS: ' + ', '.join(bad)}", flush=True)
+                  f"{'identical' if not bad else 'DIFFERS: ' + ', '.join(bad)}{note}", flush=True)
     print(f"# {differ} of {len(todo)} cases differ")
     return 1 if differ else 0
 
