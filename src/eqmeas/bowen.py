@@ -13,7 +13,7 @@ import numpy as np
 # Most atoms of one net or cover that a non-constant potential is summed
 # over; each one costs an order-n Birkhoff sum.
 MAX_CENTERS = 2 ** 22
-MAX_POINT_STEPS = 2 ** 28  # point-steps of one probe: ~10 s at 27-45 ns each, 2-core Xeon
+MAX_POINT_STEPS = 2 ** 28  # point-steps of one probe: ~2-4 s at 8-15 ns each, 2-core Xeon
 
 
 def check_atom_limit(phi, sizes, kind="net"):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import catalog
 from .caratheodory import caratheodory_dim, mass_diagnostics
-from .core import constant_potential, zero_potential
+from .core import Potential, constant_potential, zero_potential
 from .equilibrium import (birkhoff_probe, convergence_profile, density_vs_reference,
                           disintegrate, evolve_average, gibbs_ratio,
                           holonomy_jacobian, PhaseMeasure,
@@ -317,9 +317,9 @@ def run_probe(run):
     hit = transitivity_probe(sysm, np.array(cfg["base_x"]),
                              np.array(cfg["base_y"]), delta=cfg["delta"],
                              k_max=cfg["k_max"])
-    obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
-    bk = birkhoff_probe(sysm, run.evolved.measure, obs, n_steps=cfg["birkhoff_steps"],
-                        n_samples=cfg["n_samples"], seed=cfg["seed"])
+    bk = birkhoff_probe(sysm, run.evolved.measure, Potential(modes=((1.0, 0, 1),)),
+                        n_steps=cfg["birkhoff_steps"], n_samples=cfg["n_samples"],
+                        seed=cfg["seed"])
     rows = [("transit_k", -1 if hit is None else hit["k"]),
             ("dispersion", bk["dispersion"]),
             ("agree_fraction", bk["agree_fraction"])]

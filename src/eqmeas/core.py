@@ -14,9 +14,9 @@ import dataclasses
 
 import numpy as np
 
-# Base points per block wherever many are stepped (evolve's atoms, the probe's
-# orbit points): bounds their arrays and the temporaries made from them,
-# whatever the net or sample count.
+# Points per block wherever many are followed (evolve's float base points, the
+# probe's 64-bit integer phases of both directions): bounds their arrays and the
+# temporaries made from them, whatever the net or sample count.
 BLOCK = 2 ** 14
 ROW = 2 ** 7  # atoms per row in a leaf sum's angle addition
 TILE = 2 ** 4  # rows per matrix product in a leaf sum
@@ -130,13 +130,12 @@ class SystemSpec:
         return np.concatenate((base, self.fiber[direction](pts[..., 2:])), axis=-1)
 
     def step_base(self, b, out=None, scratch=None, direction=0):
-        """The package's one base map: (..., 2) base points b stepped forward
-        (direction 0), backward (1) or, by slice(None), b[0] forward and b[1]
-        backward, reduced as by mod1 into out (may be b) by way of scratch;
-        each is allocated when not given.  Transposes of (2, B) arrays step
-        faster than (B, 2) rows."""
+        """The package's one float base map: (..., 2) base points b stepped
+        forward (direction 0) or backward (1), reduced as by mod1 into out (may
+        be b) by way of scratch; each is allocated when not given.  Transposes
+        of (2, B) arrays step faster than (B, 2) rows."""
         s = np.matmul(b, self._bases[direction], out=scratch)
-        f = np.floor(s, out=out)  # mod1 written out: this runs once per probe step
+        f = np.floor(s, out=out)  # mod1 written out: this runs once per evolve step
         return np.subtract(s, f, out=f)
 
     # -- leaf charts ------------------------------------------------------

@@ -6,6 +6,7 @@ densities on rectangles, and transitivity / regularity checks.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -557,47 +558,87 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8):
 # -- ergodicity and transitivity probes ---------------------------------------
 
 
-def birkhoff_probe(sysm, mu, observable, *, n_steps=10_000, n_samples=200, seed=0):
-    """Forward and backward Birkhoff averages of a base observable from mu-samples.
+_CELL = 2 * np.pi / 4096  # the angle of a cell of the probe's cosine table
 
-    observable maps (..., 2) arrays of base points to (...) arrays, may
-    return a view of them, and sees the orbit points of both directions as
-    many steps at a time as fit core.BLOCK points (at least one).  The base
-    map ignores the fiber, so only the base is stepped; the steps are added
-    in step order, so the result does not depend on core.BLOCK.  A unique
-    ergodic average shows up as small dispersion across starting points
-    and forward/backward agreement: agree_fraction is the share of starting
-    points whose two averages differ by at most 0.05.  n_steps and n_samples
-    must be at least 1 (ValueError), with 2 n_steps n_samples <= MAX_POINT_STEPS.
+
+def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
+    """Forward and backward Birkhoff averages of a potential table psi from mu-samples.
+
+    psi (a core.Potential) reads base axes only (axis mod dim in {0, 1}, else
+    IndexError before sampling).  The orbits are exact: a sample's base enters
+    once as 64-bit phases X = floor(x 2^64) (a coordinate 1.0 is 0); a mode (a,
+    j, kappa) reads Z = kappa (A^(+-k) X)_j mod 2^64 off a table of the powers of
+    A and A^-1 mod 2^64, k below a block of as many steps as fit core.BLOCK
+    phases of both ways (at least one), and a cos(2 pi Z / 2^64) off a table of
+    4,096 cells by a Taylor step.  The steps are added in step order, so the
+    result does not depend on core.BLOCK.  A unique ergodic average shows up as
+    small dispersion across starting points and forward/backward agreement:
+    agree_fraction is the share of starting points whose two averages differ by
+    at most 0.05.  n_steps and n_samples must be at least 1 (ValueError), with
+    2 n_steps n_samples <= MAX_POINT_STEPS.
     """
     if n_steps < 1 or n_samples < 1:
         raise ValueError(f"birkhoff_probe needs n_steps, n_samples >= 1, "
                          f"got {n_steps}, {n_samples}")
     check_atom_limit(None, {n_steps: 2 * n_steps * n_samples}, "probe")
-    rng = np.random.default_rng(seed)
-    pts = mu.sample(n_samples, rng)[:, :2]  # mu is binned on the full grid; keep the base
-    # base points only (a fiber index raises IndexError), forward block[i, 0] and
-    # backward block[i, 1], in rows: at 200 samples a step costs less than in columns
     steps = max(1, core.BLOCK // (2 * n_samples))
-    block = np.empty((min(n_steps, steps), 2, n_samples, 2))
-    scratch = np.empty((2, n_samples, 2))
-    sums = np.zeros((len(block) + 1, 2, n_samples))  # row 0: the running total
-    block[0] = pts
+    m = min(n_steps, steps)  # every block is computed whole; the last one is read in part
+    power = _powers(sysm.matrix.tobytes() + sysm.inverse.tobytes(), m)
+    cos_cell, sin_cell = _cells()
+    # kappa times row j of A^k and A^-k, k < m; a fiber axis indexes past the base's two
+    modes = [(a, power[:m, :, j % sysm.dim, None] * np.uint64(kappa % 2 ** 64))
+             for a, j, kappa in psi.modes]
+    b = mu.sample(n_samples, np.random.default_rng(seed))[:, :2].T
+    x = np.array(2 * (np.where(b < 1.0, b * 2.0 ** 64, 0.0),), dtype=np.uint64)  # way, axis, point
+    z, h = np.empty((2, m, 2, 1, n_samples), dtype=np.uint64)
+    t, v = np.empty((2, m, 2, n_samples))
+    cell, u = h.view(np.int64).reshape(t.shape), z.view(float).reshape(t.shape)  # u: z as floats
+    sums = np.zeros((1 + m * len(modes), 2, n_samples))  # row 0: the running total
+    rows = sums[1:].reshape(m, len(modes), 2, n_samples)  # per step, a row per mode
     for start in range(0, n_steps, steps):
-        m = min(steps, n_steps - start)
-        for i in range(1 if start == 0 else 0, m):  # block[-1]: the step before block[0]
-            sysm.step_base(block[i - 1], block[i], scratch, slice(None))
+        x = np.matmul(power[m], x) if start else x  # A^(+-m) of the last block's start
+        for i, (a, kappa_row) in enumerate(modes):
+            np.matmul(kappa_row, x, out=z)  # Z: two uint64 products and an add
+            np.right_shift(z, 52, out=h)  # the cell
+            z &= 2 ** 52 - 1  # the 52 bits below it, as the
+            z |= 0x3FF0000000000000  # float 1 + bits / 2^52
+            np.subtract(u, 1.5, out=t)  # theta / _CELL, in [-1/2, 1/2); z is free from here
+            np.multiply(t, t, out=u)
+            np.multiply(u, -a * _CELL ** 3 / 6, out=v)  # a sin theta
+            v += a * _CELL
+            v *= t
+            np.multiply(u, a * _CELL ** 4 / 24, out=t)  # a cos theta
+            t -= a * _CELL ** 2 / 2
+            t *= u
+            t += a
+            t *= cos_cell.take(cell, out=u, mode="clip")
+            v *= sin_cell.take(cell, out=u, mode="clip")
+            np.subtract(t, v, out=rows[:, i])
         # one reduce adds the block's rows to row 0 in step order, as per-step sums round
-        sums[1:m + 1] = observable(block[:m])
-        np.add.reduce(sums[:m + 1], axis=0, out=sums[0])
-    fwd, bwd = sums[0] / n_steps
-    return {
-        "forward": fwd,
-        "backward": bwd,
-        "dispersion": float(np.std(fwd)),
-        "mean": float(np.mean(fwd)),
-        "agree_fraction": float(np.mean(np.abs(fwd - bwd) <= 0.05)),
-    }
+        np.add.reduce(sums[:min(steps, n_steps - start) * len(modes) + 1], axis=0, out=sums[0])
+    fwd, bwd = (sums[0] + n_steps * psi.const) / n_steps
+    return {"forward": fwd, "backward": bwd, "dispersion": float(fwd.std()),
+            "mean": float(fwd.mean()), "agree_fraction": float((np.abs(fwd - bwd) <= 0.05).mean())}
+
+
+@functools.cache
+def _cells():
+    """cos and sin at the centres (h + 1/2) _CELL of the cells h < 4096."""
+    t = (np.pi / 4096) * (2 * np.arange(512) + 1)  # the first octant, where angles round least
+    c = np.concatenate((np.cos(t), np.sin(t)[::-1]))  # a quadrant: cos(pi/2 - t) = sin t
+    s = c[::-1]
+    return np.concatenate((c, -s, -c, s)), np.concatenate((s, c, -s, -c))  # quarter turns
+
+
+@functools.lru_cache(maxsize=4)
+def _powers(bases, m):
+    """power[k] = (A^k, A^-k) mod 2^64, k <= m, from the bytes of float A and A^-1."""
+    power = np.empty((m + 1, 2, 2, 2), dtype=np.uint64)
+    power[0], power[1] = np.eye(2), np.frombuffer(bases).reshape(2, 2, 2).astype(np.int64)
+    for k in range(1, m):
+        np.matmul(power[k], power[1], out=power[k + 1])
+    power.flags.writeable = False  # one table serves every call with these arguments
+    return power
 
 
 def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14):

@@ -24,8 +24,13 @@ reading coarser radii by stride; mass_diagnostics_masses_oracle builds one refer
 (base point, order), as mass_diagnostics still does for a non-constant
 potential; check_separation and is_spanning certify separated nets in the
 d_n metric, and bowen_constants measures the distortion constants the
-closed forms rest on.
+closed forms rest on.  birkhoff_probe_oracle steps the probe's 64-bit
+phases one step at a time in Python integers and sums the potential in
+mpmath, with one rounding per average.
 """
+
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -330,6 +335,49 @@ def leaf_sum_oracle(sysm, phi, x, start, spacing, idx, n, digits=60):
                     total += amp * mpmath.cos(2 * mpmath.pi * kappa * mpmath.frac(v))
             out.append(float(total))
         return np.array(out)
+
+
+def phase64(x):
+    """The 64-bit phase of a coordinate in [0, 1]: floor(x 2^64) mod 2^64, exactly."""
+    return math.floor(Fraction(float(x)) * 2 ** 64) % 2 ** 64
+
+
+def cos_turns_oracle(z, digits=30):
+    """cos(2 pi z / 2^64) of an integer phase z, as a float, at `digits` digits."""
+    with mpmath.workdps(digits):
+        return float(mpmath.cospi(mpmath.mpf(int(z) % 2 ** 64) / 2 ** 63))
+
+
+def birkhoff_probe_oracle(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0,
+                          tol=0.05, digits=30):
+    """The probe on exact orbits: each sample's base point as its 64-bit phases
+    (phase64), stepped one step at a time by the integer matrix and by its
+    inverse in Python integers mod 2^64, and psi summed along each orbit in
+    mpmath at `digits` digits before one rounding to a float average."""
+    b = mu.sample(n_samples, np.random.default_rng(seed))[:, :2]
+    mats = [np.rint(m).astype(int).tolist() for m in (sysm.matrix, sysm.inverse)]
+    modes = [(a, axis % sysm.dim, int(kappa)) for a, axis, kappa in psi.modes]
+    assert all(j < 2 for _, j, _ in modes)
+    avgs = np.zeros((2, n_samples))
+    with mpmath.workdps(digits):
+        for i, point in enumerate(b):
+            for d, ((m00, m01), (m10, m11)) in enumerate(mats):
+                p = [phase64(c) for c in point]
+                total = mpmath.mpf(0)
+                for _ in range(n_steps):
+                    total += mpmath.mpf(psi.const) + sum(
+                        mpmath.mpf(a) * mpmath.cospi(mpmath.mpf(kappa * p[j] % 2 ** 64) / 2 ** 63)
+                        for a, j, kappa in modes)
+                    p = [(m00 * p[0] + m01 * p[1]) % 2 ** 64, (m10 * p[0] + m11 * p[1]) % 2 ** 64]
+                avgs[d, i] = float(total / n_steps)
+    fwd, bwd = avgs
+    return {
+        "forward": fwd,
+        "backward": bwd,
+        "dispersion": float(np.std(fwd)),
+        "mean": float(np.mean(fwd)),
+        "agree_fraction": float(np.mean(np.abs(fwd - bwd) <= tol)),
+    }
 
 
 def _logsumexp(vals):

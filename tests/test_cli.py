@@ -438,6 +438,14 @@ class TestCheckMap:
             c for c in ALL_CHECKS if c[1] not in skipped]
 
 
+def traced_layer_metrics():
+    """The per-layer metrics BENCHMARK.json declares that the tracer computes
+    (bench/worker.py and bench/run.py add the others)."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    added = {"trace.layer_coverage", "trace.overhead_s", "trace.untraced_wall_s", "trace.wall_s"}
+    return {m["name"] for m in bench["per_layer"]} - added
+
+
 class TestTracedRun:
     """The benchmark's traced mode: the same output bytes, every per-layer
     metric, and every patched name restored afterwards."""
@@ -467,12 +475,33 @@ class TestTracedRun:
         assert "summary.json" in plain and len(plain) == 9
         assert traced == plain
 
-        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-        added = {"trace.layer_coverage", "trace.overhead_s", "trace.untraced_wall_s",
-                 "trace.wall_s"}  # by bench/worker.py and bench/run.py
         metrics = tracer.per_run()[0]
-        assert {m["name"] for m in bench["per_layer"]} - added <= metrics.keys()
+        assert traced_layer_metrics() <= metrics.keys()
         assert metrics["caratheodory.cover_cost.calls"] == 1
         for ns, old in zip(spaces, before):
             assert all(getattr(ns, attr) is value for attr, value in old.items()), ns
         assert all(cli._RUNNERS[k] is fn for k, fn in runners.items())
+
+    @pytest.mark.parametrize("call", [c for calls in WORKLOADS.WORKLOADS.values() for c in calls],
+                             ids=lambda c: c.label)
+    def test_traced_benchmark_call(self, tmp_path, capsys, call):
+        # each benchmark call at its own config, set up as bench/worker.py sets
+        # it up: traced, the same exit code, stdout and output bytes as plain,
+        # and every per-layer metric the benchmark declares
+        path = tmp_path / "run.ini"
+        path.write_text(call.ini())
+        catalog.get_system(cli.load_config(str(path))["system"])
+        argv = [call.pipeline, "--config", str(path), "--check", "--seed", "0", "--out"]
+        code = cli.main(argv + [str(tmp_path / "plain")])
+        plain_out = capsys.readouterr().out
+        tracer = TRACER.Tracer()
+        tracer.install()
+        try:
+            assert cli.main(argv + [str(tmp_path / "traced")]) == code
+        finally:
+            tracer.uninstall()
+        assert capsys.readouterr().out == plain_out
+        plain, traced = ({f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+                         for name in ("plain", "traced"))
+        assert "summary.json" in plain and traced == plain
+        assert traced_layer_metrics() <= TRACER.median_metrics(tracer.per_run()).keys()

@@ -359,23 +359,20 @@ class TestSystemSpec:
 
     @pytest.mark.parametrize("key", ["cat", "skew", "toral32"])
     def test_every_base_step_is_step_base(self, monkeypatch, key):
-        # the base map is written once: every caller that steps base points
-        # goes through step_base, one call per step in the directions listed,
-        # and gets the same numbers with step_base wrapped
+        # the float base map is written once: every caller that steps float base
+        # points goes through step_base, one call per step in the directions
+        # listed, and gets the same numbers with step_base wrapped (the probe
+        # follows integer phases: TestBirkhoffProbe.test_steps_no_point)
         sysm = systems_with_oracles()[key][0]
         rng = np.random.default_rng(4)
         pts, x = rng.random((50, sysm.dim)), rng.random(sysm.dim)
         zero = eqmeas.zero_potential()
-        mu = eqmeas.PhaseMeasure.uniform((4,) * sysm.dim)
         runs = {  # name: (run, direction of each step_base call)
             "step_fwd": (lambda: sysm.step_fwd(pts), [0]),
             "step_back": (lambda: sysm.step_back(pts[0]), [1]),
             "evolve_average": (lambda: eqmeas.evolve_average(
                 sysm, zero, 0.0, x, steps=5, grid=(4,) * sysm.dim, order=3,
-                leaf_radius=0.5).measure.masses, [0] * 4),
-            "birkhoff_probe": (lambda: eqmeas.birkhoff_probe(
-                sysm, mu, lambda p: p[..., 0], n_steps=6,
-                n_samples=10)["forward"], [slice(None)] * 5)}
+                leaf_radius=0.5).measure.masses, [0] * 4)}
         want = {name: run() for name, (run, _) in runs.items()}
         calls = []
         step_base = core.SystemSpec.step_base

@@ -9,8 +9,9 @@ import pytest
 import eqmeas
 from eqmeas import caratheodory, core, equilibrium
 from eqmeas.equilibrium import _bin_index
-from oracles import (bin_index_oracle, disintegrate_oracle, evolve_oracle,
-                     gibbs_ratio_oracle, systems_with_oracles)
+from oracles import (bin_index_oracle, birkhoff_probe_oracle, cos_turns_oracle,
+                     disintegrate_oracle, evolve_oracle, gibbs_ratio_oracle,
+                     systems_with_oracles)
 
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
@@ -484,123 +485,162 @@ class TestDisintegration:
             eqmeas.disintegrate(cat.system, mu, rect)
 
 
-def birkhoff_probe_oracle(sysm, mu, observable, *, n_steps=10_000, n_samples=200,
-                          seed=0, tol=0.05):
-    """Per-step Birkhoff probe: one observable call per orbit point."""
-    rng = np.random.default_rng(seed)
-    pts = mu.sample(n_samples, rng)
-    fwd = np.zeros(n_samples)
-    bwd = np.zeros(n_samples)
-    pf, pb = pts.copy(), pts.copy()
-    for _ in range(n_steps):
-        fwd += observable(pf)
-        bwd += observable(pb)
-        pf = sysm.step_fwd(pf)
-        pb = sysm.step_back(pb)
-    fwd /= n_steps
-    bwd /= n_steps
-    return {
-        "forward": fwd,
-        "backward": bwd,
-        "dispersion": float(np.std(fwd)),
-        "mean": float(np.mean(fwd)),
-        "agree_fraction": float(np.mean(np.abs(fwd - bwd) <= tol)),
-    }
-
-
 B = 256  # steps per probe block in these tests
+COS0 = eqmeas.Potential(modes=((1.0, 0, 1),))  # the CLI's probe observable
+
+
+class Given:
+    """A measure whose samples are the given points."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+
+    def sample(self, count, rng):
+        assert count == len(self.points)
+        return self.points
+
+
+class Unsampled:
+    def sample(self, count, rng):
+        raise AssertionError("sampled before the arguments were checked")
+
+
+def table(sysm):
+    """Several modes on both base axes (axis 1 - dim reads axis 1), frequencies
+    above 1 and below 0, and a nonzero constant."""
+    return eqmeas.Potential(0.25, ((1.0, 0, 1), (0.5, 1 - sysm.dim, 3), (-0.7, 0, -2)))
+
+
+def assert_matches_exact(out, ref, bound=1e-15):
+    for k in ("forward", "backward"):
+        assert np.abs(out[k] - ref[k]).max() <= bound, k
+    assert abs(out["mean"] - ref["mean"]) <= bound
+    assert abs(out["dispersion"] - ref["dispersion"]) <= bound
+    assert out["agree_fraction"] == ref["agree_fraction"]
 
 
 class TestBirkhoffProbe:
+    """The probe against the exact orbit: the integer phases stepped one step
+    at a time in Python integers and the table summed in mpmath."""
+
     @pytest.mark.parametrize("n_steps,key", [
         *((n, key) for n in (1, B - 1, B, B + 1, 2 * B + 3)
           for key in ("cat", "skew", "toral32")),
         (1, "slowprod"), (B + 1, "slowprod")])
     def test_matches_per_step_oracle(self, monkeypatch, key, n_steps):
         sysm = systems_with_oracles()[key][0]
-        n_samples = 8 if key == "slowprod" else 40
+        n_samples, psi = 3, table(sysm)
         mu = eqmeas.PhaseMeasure.uniform((8,) * sysm.dim)
-        mixed = lambda pts: np.cos(2 * np.pi * pts[..., 0]) + 0.3 * pts[..., 1]
-        view = lambda pts: pts[..., 1]  # a view of the probe's orbit block
-        # B steps of 2 * n_samples points a block, with a ragged point budget
-        # too; blocks of one step make every block's one row the point stepped next
-        per_step = 2 * n_samples
-        for obs, points, block in ((mixed, B * per_step, B), (view, B * per_step + 7, B),
-                                   (view, 1, 1)):
+        ref = birkhoff_probe_oracle(sysm, mu, psi, n_steps=n_steps, n_samples=n_samples, seed=3)
+        calls = []
+        spied = sysm
+        if sysm.fiber is not None:
+            spied = dataclasses.replace(sysm, fiber=tuple(
+                lambda y, f=f: calls.append(1) or f(y) for f in sysm.fiber))
+        # the default block, B steps a block with a ragged point budget, 3 steps
+        # a block (ragged last blocks) and one step a block: the same bits
+        per_step, outs = 2 * n_samples, []
+        for points in (core.BLOCK, B * per_step + 7, 3 * per_step, 1):
             monkeypatch.setattr(core, "BLOCK", points)
-            calls = {"fwd": 0, "back": 0, "obs": 0}
+            outs.append(eqmeas.birkhoff_probe(spied, mu, psi, n_steps=n_steps,
+                                              n_samples=n_samples, seed=3))
+        for out in outs:
+            assert_matches_exact(out, ref)
+            for k in ("forward", "backward"):
+                assert np.array_equal(out[k], outs[0][k])
+            assert [out[k] for k in ("dispersion", "mean", "agree_fraction")] == [
+                outs[0][k] for k in ("dispersion", "mean", "agree_fraction")]
+        assert not calls  # the table reads the base, so no fiber is stepped
 
-            def counted(name, fn):
-                def wrapper(*args):
-                    calls[name] += 1
-                    return fn(*args)
-                return wrapper
+    def test_negative_entries_in_the_power_table(self, monkeypatch):
+        # A and A^-1 = [[-1, 1], [1, -2]] both hold entries that wrap mod 2^64
+        sysm = eqmeas.make_toral_automorphism(NEG)
+        mu, psi = eqmeas.PhaseMeasure.uniform((8, 8)), table(sysm)
+        ref = birkhoff_probe_oracle(sysm, mu, psi, n_steps=300, n_samples=3, seed=5)
+        for points in (core.BLOCK, 7 * 6):
+            monkeypatch.setattr(core, "BLOCK", points)
+            assert_matches_exact(eqmeas.birkhoff_probe(sysm, mu, psi, n_steps=300,
+                                                       n_samples=3, seed=5), ref)
 
-            spied = sysm
-            if sysm.fiber is not None:
-                spied = dataclasses.replace(sysm, fiber=(counted("fwd", sysm.fiber[0]),
-                                                         counted("back", sysm.fiber[1])))
-            out = eqmeas.birkhoff_probe(spied, mu, counted("obs", obs),
-                                        n_steps=n_steps, n_samples=n_samples, seed=3)
-            ref = birkhoff_probe_oracle(sysm, mu, obs, n_steps=n_steps,
-                                        n_samples=n_samples, seed=3)
-            assert np.array_equal(out["forward"], ref["forward"])
-            assert np.array_equal(out["backward"], ref["backward"])
-            for k in ("dispersion", "mean", "agree_fraction"):
-                assert out[k] == ref[k]
-            # the observable reads the base, so no fiber is stepped; one observable
-            # call per block of both directions
-            if sysm.fiber is not None:
-                assert calls["fwd"] == calls["back"] == 0
-            assert calls["obs"] == -(-n_steps // block)
+    @pytest.mark.parametrize("key", ["cat", "skew"])
+    def test_start_points_enter_as_64_bit_phases(self, key):
+        # a coordinate 1.0 is the point 0; below 2^-11 a float has bits under
+        # 2^-64, and the point is the 64-bit phase just below it
+        sysm = eqmeas.get_system(key).system
+        tiny = 2.0 ** -20 + 2.0 ** -70  # its phase is 2^44
+        assert tiny * 2.0 ** 64 != 2.0 ** 44
+        pts = np.array([[1.0, 0.3, 0.5], [0.6, 1.0, 0.5], [tiny, 0.7, 0.5],
+                        [0.1, 1.75 * 2.0 ** -64, 0.5]])[:, :sysm.dim]
+        same = pts.copy()
+        same[[0, 1], [0, 1]] = 0.0
+        same[2, 0], same[3, 1] = 2.0 ** -20, 2.0 ** -64
+        psi = table(sysm)
+        got = eqmeas.birkhoff_probe(sysm, Given(pts), psi, n_steps=40, n_samples=4)
+        want = eqmeas.birkhoff_probe(sysm, Given(same), psi, n_steps=40, n_samples=4)
+        for k in ("forward", "backward"):
+            assert np.array_equal(got[k], want[k])
+        assert_matches_exact(got, birkhoff_probe_oracle(sysm, Given(pts), psi, n_steps=40,
+                                                        n_samples=4))
+
+    def test_table_cosine(self, cat):
+        # n_steps 1 from the phase X = 1 (x = 2^-64): the average is the mode
+        # a cos(2 pi kappa / 2^64), for phases kappa at the cells' edges (each
+        # side of every 8th edge), at their centres and at 0, 2^63 and 2^64 - 1
+        phases = [h * 2 ** 52 + e for h in range(0, 4096, 8) for e in (-1, 0, 1, 2 ** 51)]
+        phases += [0, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5]  # kappa is read mod 2^64
+        one = Given([[2.0 ** -64, 0.0]])
+        worst = max(abs(eqmeas.birkhoff_probe(
+            cat.system, one, eqmeas.Potential(modes=((1.0, 0, z),)), n_steps=1,
+            n_samples=1)["forward"][0] - cos_turns_oracle(z)) for z in phases)
+        assert worst <= 2.3e-16  # np.cos(2 pi x) of the float x = kappa / 2^64: 6.1e-16
+
+    def test_steps_no_point(self, cat, skew, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probe steps no float point")
+
+        for name in ("step_base", "step_fwd", "step_back"):
+            monkeypatch.setattr(core.SystemSpec, name, refuse)
+        for sysm in (cat.system, skew.system):
+            mu = eqmeas.PhaseMeasure.uniform((4,) * sysm.dim)
+            eqmeas.birkhoff_probe(sysm, mu, table(sysm), n_steps=50, n_samples=5)
 
     @pytest.mark.parametrize("key", ["skew", "slowprod"])
     def test_fiber_coordinate_is_not_observable(self, key):
         sysm = eqmeas.get_system(key).system
-        mu = eqmeas.PhaseMeasure.uniform((4,) * sysm.dim)
-        with pytest.raises(IndexError):
-            eqmeas.birkhoff_probe(sysm, mu, lambda pts: pts[..., 2],
-                                  n_steps=3, n_samples=5)
+        for axis in (2, -1):
+            psi = eqmeas.Potential(modes=((1.0, 0, 1), (1.0, axis, 1)))
+            with pytest.raises(IndexError):
+                eqmeas.birkhoff_probe(sysm, Unsampled(), psi, n_steps=3, n_samples=5)
 
     @pytest.mark.parametrize("n_steps,n_samples", [(0, 40), (40, 0)])
     def test_rejects_empty_runs_before_sampling(self, cat, n_steps, n_samples):
-        class Unsampled:
-            def sample(self, count, rng):
-                raise AssertionError("sampled before the arguments were checked")
-
         with pytest.raises(ValueError, match="n_steps, n_samples >= 1"):
-            eqmeas.birkhoff_probe(cat.system, Unsampled(), lambda pts: pts[..., 0],
+            eqmeas.birkhoff_probe(cat.system, Unsampled(), COS0,
                                   n_steps=n_steps, n_samples=n_samples)
 
     def test_work_limit_before_sampling(self, cat, monkeypatch):
-        class Unsampled:
-            def sample(self, count, rng):
-                raise AssertionError("sampled over the work limit")
-
-        obs = lambda pts: pts[..., 0]
-        # the schema's largest probe: about 12 minutes, refused at once
+        # the schema's largest probe: about 5 minutes, refused at once
         with pytest.raises(ArithmeticError, match=(
                 r"probe of birkhoff_steps 1000000 and n_samples 10000 needs "
                 r"20000000000 point-steps \(limit 268435456\)")):
-            eqmeas.birkhoff_probe(cat.system, Unsampled(), obs, n_steps=10**6,
+            eqmeas.birkhoff_probe(cat.system, Unsampled(), COS0, n_steps=10**6,
                                   n_samples=10**4)
         # the limit itself is allowed, one step more is not
         monkeypatch.setattr(eqmeas.bowen, "MAX_POINT_STEPS", 2 * 40 * 5)
         mu = eqmeas.PhaseMeasure.uniform((4, 4))
-        eqmeas.birkhoff_probe(cat.system, mu, obs, n_steps=40, n_samples=5)
+        eqmeas.birkhoff_probe(cat.system, mu, COS0, n_steps=40, n_samples=5)
         with pytest.raises(ArithmeticError, match=r"birkhoff_steps 41 and n_samples 5 "):
-            eqmeas.birkhoff_probe(cat.system, Unsampled(), obs, n_steps=41, n_samples=5)
+            eqmeas.birkhoff_probe(cat.system, Unsampled(), COS0, n_steps=41, n_samples=5)
 
     def test_time_averages_agree_with_space_average(self, cat, cat_mu40):
-        obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
-        out = eqmeas.birkhoff_probe(cat.system, cat_mu40.measure, obs,
+        out = eqmeas.birkhoff_probe(cat.system, cat_mu40.measure, COS0,
                                     n_steps=4000, n_samples=100)
         assert out["dispersion"] < 0.05
         assert out["agree_fraction"] >= 0.9
         assert abs(out["mean"]) < 0.05   # the observable integrates to zero
 
     def test_forward_backward_symmetry(self, cat, cat_mu40):
-        obs = lambda pts: np.sin(2 * np.pi * pts[..., 1])
+        obs = eqmeas.Potential(modes=((1.0, 1, 1),))  # cos 2 pi x_1
         out = eqmeas.birkhoff_probe(cat.system, cat_mu40.measure, obs,
                                     n_steps=4000, n_samples=100)
         gap = np.abs(out["forward"] - out["backward"]).max()
@@ -747,9 +787,8 @@ class TestWorkingMemory:
         (200, 1.5),      # the CLI default (3.1 MB with 256 steps a block)
         (10 ** 4, 4.0)])  # the schema's most samples (157 MB with 256 steps a block)
     def test_probe_peak(self, cat, cat_mu40, n_samples, limit_mb):
-        obs = lambda pts: np.cos(2 * np.pi * pts[..., 0])
         peak = traced_peak_mb(lambda: eqmeas.birkhoff_probe(
-            cat.system, cat_mu40.measure, obs, n_steps=300, n_samples=n_samples))
+            cat.system, cat_mu40.measure, COS0, n_steps=300, n_samples=n_samples))
         assert peak <= limit_mb
 
     @pytest.mark.parametrize("key", ["cat", "skew"])

@@ -11,8 +11,9 @@ sides; a case is identical when the exit codes, stdout and every output
 file (the pipeline CSVs and summary.json) match byte for byte.  When only
 summary.json differs, the line also names its largest relative change
 among the numbers both sides hold at the same key path, |a - b| / max(|a|,
-|b|): a change that only rounds shows as one of order 1e-12.  The
-slowprod-control and cdim-cos configs are read from the working tree's
+|b|): a change that only rounds shows as one of order 1e-12.  When other
+files differ too, it names the pipelines.<name> entries of summary.json
+whose numbers changed.  The slowprod-control and cdim-cos configs are read from the working tree's
 bench/workloads.py, imported in its copy.  The default slowprod fullsuites
 take about 2.5 s (zero potential) and 3.5 s (cos) a side.  A signal stops
 it as it stops tools/pairs.py: no temporary directory or CLI process is
@@ -123,6 +124,13 @@ def largest_change(a, b, path=""):
                default=(0.0, ""), key=lambda t: t[0])
 
 
+def moved_pipelines(a, b):
+    """The pipelines.<name> entries of two parsed summaries whose numbers differ."""
+    pa, pb = a.get("pipelines", {}), b.get("pipelines", {})
+    return [f"pipelines.{name}" for name in sorted(pa.keys() & pb.keys())
+            if largest_change(pa[name], pb[name])[1]]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ref", default="HEAD")
@@ -146,11 +154,16 @@ def main(argv=None):
             bad = diff(got["ref"], got["change"])
             differ += bool(bad)
             note = ""
-            if bad == ["summary.json"]:
-                rel, path = largest_change(*(json.loads(got[side][2]["summary.json"])
-                                             for side in sides))
-                note = f"; largest relative change {rel:.1e} at {path}" if path else (
-                    "; no number changed")
+            if "summary.json" in bad:
+                a, b = (json.loads(got[side][2]["summary.json"]) for side in sides)
+                rel, path = largest_change(a, b)
+                if bad != ["summary.json"]:
+                    note = "; numbers changed in " + (", ".join(moved_pipelines(a, b))
+                                                      or "no pipelines entry")
+                elif path:
+                    note = f"; largest relative change {rel:.1e} at {path}"
+                else:
+                    note = "; no number changed"
             print(f"{case[0]:36s} exit {got['change'][0]}  "
                   f"{'identical' if not bad else 'DIFFERS: ' + ', '.join(bad)}{note}", flush=True)
     print(f"# {differ} of {len(todo)} cases differ")
