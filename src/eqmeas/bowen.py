@@ -43,13 +43,6 @@ def net_size(sysm, n, r, leaf_radius):
     return int(np.floor(2 * leaf_radius / ball_width(sysm, n, r))) + 1
 
 
-def net_params(sysm, n, r, leaf_radius, idx):
-    """Parameters of the net's atoms at the float indices idx, built in place in idx."""
-    idx *= ball_width(sysm, n, r)
-    idx += -leaf_radius
-    return idx
-
-
 def separated_net(sysm, n, r, leaf_radius=0.5):
     """Parameters, ascending, of the maximal (n, r)-separated net on [-leaf_radius, leaf_radius].
 
@@ -61,5 +54,6 @@ def separated_net(sysm, n, r, leaf_radius=0.5):
     the same on every leaf: its atoms on the leaf through x are
     leaf_point(sysm, x, params).
     """
-    return net_params(sysm, n, r, leaf_radius,
-                      np.arange(net_size(sysm, n, r, leaf_radius), dtype=float))
+    params = np.arange(net_size(sysm, n, r, leaf_radius), dtype=float)
+    params *= ball_width(sysm, n, r)
+    return np.subtract(params, leaf_radius, out=params)

@@ -91,7 +91,7 @@ _SYSTEM_DEFAULTS = {
     "slowprod": {"base_x": [0.2, 0.7, 0.13, 0.86], "base_y": [0.61, 0.13, 0.5, 0.5],
                  "grid": [16, 16, 16, 16]},
 }
-# evolve holds a float array of one entry per cell, plus a chunk of per-step sums
+# evolve holds a float array of one entry per cell, plus one step's base-cell sums
 _MAX_GRID_CELLS = 65_536
 
 

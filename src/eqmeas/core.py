@@ -11,26 +11,28 @@ its straight unstable leaves.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-# Points per block wherever many are followed (evolve's float base points, the
-# probe's 64-bit integer phases of both directions): bounds their arrays and the
+# Points per block wherever many are followed (evolve's atoms, the probe's
+# phases of both directions): bounds their 64-bit phase arrays and the
 # temporaries made from them, whatever the net or sample count.
 BLOCK = 2 ** 14
 ROW = 2 ** 7  # atoms per row in a leaf sum's angle addition
 TILE = 2 ** 4  # rows per matrix product in a leaf sum
+_CELL = 2 * np.pi / 4096  # the angle of a cell of the probe's cosine table
 
 
-def mod1(x, out=None):
-    """Reduce coordinates mod 1, componentwise, as x - floor(x), into out (not x) if given.
+def mod1(x):
+    """Reduce coordinates mod 1, componentwise, as x - floor(x).
 
     Bitwise equal to numpy's x % 1.0 for finite x, at a tenth of its cost.
     Values lie in [0, 1]: 1.0 appears only for inputs at most 2**-54 (half
     an ulp of 1) below an integer, so mod1(-1e-20) == 1.0.
     """
     x = np.asarray(x, dtype=float)
-    f = np.floor(x, out=out)  # the one buffer allocated, as with %
+    f = np.floor(x)  # the one buffer allocated, as with %
     return np.subtract(x, f, out=f) if f.ndim else x - f
 
 
@@ -122,21 +124,13 @@ class SystemSpec:
         """One backward step of points of shape (..., dim)."""
         return self._step(pts, 1)
 
-    def _step(self, pts, direction):
+    def _step(self, pts, direction):  # the package's one float base map, reduced as by mod1
         pts = np.asarray(pts, dtype=float)
-        base = self.step_base(pts[..., :2], direction=direction)
+        s = np.matmul(pts[..., :2], self._bases[direction])
+        base = np.subtract(s, np.floor(s), out=s)
         if self.fiber is None:
             return base
         return np.concatenate((base, self.fiber[direction](pts[..., 2:])), axis=-1)
-
-    def step_base(self, b, out=None, scratch=None, direction=0):
-        """The package's one float base map: (..., 2) base points b stepped
-        forward (direction 0) or backward (1), reduced as by mod1 into out (may
-        be b) by way of scratch; each is allocated when not given.  Transposes
-        of (2, B) arrays step faster than (B, 2) rows."""
-        s = np.matmul(b, self._bases[direction], out=scratch)
-        f = np.floor(s, out=out)  # mod1 written out: this runs once per evolve step
-        return np.subtract(s, f, out=f)
 
     # -- leaf charts ------------------------------------------------------
 
@@ -212,12 +206,13 @@ def leaf_birkhoff_sum(sys, phi, x, start, spacing, count, n):
     x's fiber orbit, mapped once per step.  So S_n phi is n * const, the fiber
     modes on that orbit, and a cos 2 pi kappa (c_k + t v_k) for each base mode
     (a, j, kappa) (axes read mod dim) and k < n, with c_k = (A^k x)_j and v_k =
-    (A^k e_u)_j; the phases at start and their step along the net are stepped by
-    A and reduced mod 1 exactly, in integers.  Atom i = r ROW + m takes its
-    cosine from those at r ROW and at m by angle addition: TILE rows' cos and sin
-    times the offsets' a cos and -a sin, one matrix product of the fixed shape
-    (TILE, 2K) @ (2K, ROW) for K terms (rows zero-padded to whole tiles, offsets
-    zero from count on), so its value depends on neither count nor BLAS threads.
+    (A^k e_u)_j: the net's 64-bit phases (_net_phases) times the power table,
+    exact mod 1, plus their remainders below 2^-64 in float.  Atom i = r ROW +
+    m takes its cosine from those at r ROW and at m by angle addition: TILE
+    rows' cos and sin times the offsets' a cos and -a sin, one matrix product
+    of the fixed shape (TILE, 2K) @ (2K, ROW) for K terms (rows zero-padded to
+    whole tiles, offsets zero from count on), so its value depends on neither
+    count nor BLAS threads.
     """
     if n < 1:
         raise ValueError("birkhoff order must be >= 1")
@@ -229,32 +224,26 @@ def leaf_birkhoff_sum(sys, phi, x, start, spacing, count, n):
         shift += sum(a * np.cos(2 * np.pi * kappa * fib[j - 2]) for a, j, kappa in modes if j > 1)
     if not (base := [mode for mode in modes if mode[1] < 2]):
         return np.full(count, float(shift))
-    (m00, m01), (m10, m11) = sys.matrix.astype(int).tolist()
-    (x0, q0), (x1, q1), (e0, r0), (e1, r1), (s, qs), (w, qw) = (v.as_integer_ratio() for v in (
-        *x[:2].tolist(), *sys.frame[0, :2].tolist(), float(start), float(spacing)))
-    den = max(q0, q1, r0 * qs, r1 * qs, r0 * qw, r1 * qw)  # powers of two: their lcm
-    mask = den - 1  # & mask reduces mod den
-    # A^k (x + start e_u) and A^k (spacing e_u) times den, exactly: mod den, the phases
-    p = [x0 * (den // q0) + e0 * s * (den // (r0 * qs)),
-         x1 * (den // q1) + e1 * s * (den // (r1 * qs))]
-    d = [e0 * w * (den // (r0 * qw)), e1 * w * (den // (r1 * qw))]
-    terms = []  # (a, -a, phase at start, its step) mod 1 per step and mode
-    for _ in range(n):
-        terms += [(a, -a, (kappa * p[j] & mask) / den, (kappa * d[j] & mask) / den)
-                  for a, j, kappa in base]
-        p = [m00 * p[0] + m01 * p[1], m10 * p[0] + m11 * p[1]]
-        d = [m00 * d[0] + m01 * d[1], m10 * d[0] + m11 * d[1]]
-    coef = np.array(terms).T[:, :, None]
-    alpha, beta = coef[2:]
-    hi = np.rint(beta * 2 ** 28) / 2 ** 28  # i * hi is exact for i < 2^24
+    amp, j, kappa = ([mode[c] for mode in base] for c in range(3))
+    words, rems = _net_phases(sys, x, start, spacing)
+    kappa = np.array([k % 2 ** 64 for k in kappa], dtype=np.uint64)[:, None]
+    row = _powers(sys, n)[:n, 0, j] * kappa  # kappa times row j of A^k, k < n, mod 2^64
+    # the (start, step) phases of axis j a step and mode: words mod 2^64, and remainders
+    # by the signed rows, exact while |kappa A^k| < 2^63, long after e_u's rounding shows
+    z = np.matmul(row, words).reshape(-1, 2)
+    rem = np.matmul(row.view(np.int64), rems).reshape(-1, 2)
     width, rows = min(ROW, count), -(-count // ROW)  # offsets m < width, then row heads
-    i = np.concatenate((np.arange(width, dtype=float), np.arange(0, count, ROW, dtype=float)))
-    ang = mod1(i * hi) + i * (beta - hi)
-    ang[:, :width] += alpha
-    ang *= 2 * np.pi
+    i = np.concatenate((np.arange(width), np.arange(0, count, ROW)))
+    zi = z[:, 1:] * i.astype(np.uint64)
+    zi[:, :width] += z[:, :1]  # the offsets from the start
+    ang = rem[:, 1:] * i
+    ang[:, :width] += rem[:, :1]
+    ang += zi
+    ang *= 2 * np.pi / 2 ** 64
     trig = np.array((np.cos(ang), np.sin(ang)))
-    off = np.zeros((2 * len(terms), ROW))  # a cos, -a sin at the offsets; zero past the width
-    np.multiply(trig[:, :, :width], coef[:2], out=off.reshape(2, -1, ROW)[:, :, :width])
+    coef = np.array([amp * n, [-a for a in amp] * n])[:, :, None]
+    off = np.zeros((2 * len(z), ROW))  # a cos, -a sin at the offsets; zero past the width
+    np.multiply(trig[:, :, :width], coef, out=off.reshape(2, -1, ROW)[:, :, :width])
     heads = np.zeros((-(-rows // TILE) * TILE, len(off)))  # cos, sin at the rows; zero-padded
     heads[:rows] = trig[:, :, width:].reshape(len(off), rows).T
     total = np.empty((len(heads), ROW))
@@ -262,6 +251,52 @@ def leaf_birkhoff_sum(sys, phi, x, start, spacing, count, n):
         np.matmul(heads[r:r + TILE], off, out=total[r:r + TILE])
     total = total.ravel()[:count]
     return np.add(total, shift, out=total)
+
+
+# -- the exact base engine: 64-bit phases -----------------------------------
+
+
+def _net_phases(sys, x, start, spacing):
+    """A leaf net x + (start + i spacing) e_u on the base: per base axis j, the words
+    (floor(2^64 (x_j + start e_j)), floor(2^64 spacing e_j)) mod 2^64 of the floats'
+    exact values, and what each floor drops, in units of 2^-64, as floats in [0, 1)."""
+    (s, qs), (w, qw) = float(start).as_integer_ratio(), float(spacing).as_integer_ratio()
+    words, rems = [], []
+    for xj, ej in zip(x[:2].tolist(), sys.frame[0, :2].tolist()):
+        (p, q), (e, r) = xj.as_integer_ratio(), ej.as_integer_ratio()
+        d = max(q, r * qs)  # powers of two: their lcm
+        for num, den in ((p * (d // q) + e * s * (d // (r * qs)), d), (e * w, r * qw)):
+            whole, part = divmod(num << 64, den)
+            words.append(whole & (2 ** 64 - 1))
+            rems.append(part / den)
+    return np.array(words, dtype=np.uint64).reshape(2, 2), np.array(rems).reshape(2, 2)
+
+
+def _powers(sys, m):
+    """power[k] = (A^k, A^-k) mod 2^64 (uint64), k <= m: the head of the matrix's
+    table, whose length is the next power of two above m (at least 64)."""
+    return _power_table(sys.matrix.tobytes() + sys.inverse.tobytes(),
+                        2 ** max(6, m.bit_length()))[:m + 1]
+
+
+@functools.lru_cache(maxsize=4)
+def _power_table(bases, size):
+    """_powers up to size, from the bytes of float A and A^-1."""
+    power = np.empty((size + 1, 2, 2, 2), dtype=np.uint64)
+    power[0], power[1] = np.eye(2), np.frombuffer(bases).reshape(2, 2, 2).astype(np.int64)
+    for k in range(1, size):
+        np.matmul(power[k], power[1], out=power[k + 1])
+    power.flags.writeable = False  # one table serves every call with these arguments
+    return power
+
+
+@functools.cache
+def _cells():
+    """cos and sin at the centres (h + 1/2) _CELL of the cells h < 4096."""
+    t = (np.pi / 4096) * (2 * np.arange(512) + 1)  # the first octant, where angles round least
+    c = np.concatenate((np.cos(t), np.sin(t)[::-1]))  # a quadrant: cos(pi/2 - t) = sin t
+    s = c[::-1]
+    return np.concatenate((c, -s, -c, s)), np.concatenate((s, c, -s, -c))  # quarter turns
 
 
 def leaf_point(sys, x, t):

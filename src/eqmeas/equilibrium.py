@@ -11,18 +11,15 @@ import math
 
 import numpy as np
 
-from .bowen import ball_width, check_atom_limit, net_params, net_size
+from .bowen import ball_width, check_atom_limit, net_size
 from . import core
-from .core import iterate, leaf_point, mod1, torus_dist
+from .core import _CELL, _cells, _net_phases, _powers, iterate, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, atom_weight, equal_mass, reference_measure
 
 MASS_TOL = 1e-9
 # Most cloud points gibbs_ratio steps at once (at least one centre's n_mc):
 # bounds its clouds, densities and distance temporaries.
 GIBBS_POINTS = 2 ** 13
-# Most per-step base-cell sums evolve_average holds at once (one chunk of
-# steps; a chunk has at least one step).
-EVOLVE_SUMS = 2 ** 16
 # Most atoms evolve_average follows; larger nets are thinned to this.
 ATOM_BUDGET = 10 ** 6
 # Most subcells disintegrate makes at once (at least one bin's 4^d): bounds
@@ -86,9 +83,14 @@ class PhaseMeasure:
         """Piecewise-constant density (mass per unit volume) at points."""
         return self.masses[self.bin_index(points)] * float(np.prod(self.grid))
 
+    @functools.cached_property
+    def _cdf(self):
+        return (cdf := self.masses.cumsum()) / cdf[-1]
+
     def sample(self, count, rng):
-        """Draw points: categorical over bins, uniform inside each bin."""
-        flat = rng.choice(self.masses.size, size=count, p=self.masses)
+        """Draw points: categorical over bins, uniform inside each bin.  The bins
+        are rng.choice(masses.size, count, p=masses)'s, from a cdf built once."""
+        flat = self._cdf.searchsorted(rng.random(count), side="right")
         coords = np.column_stack(np.unravel_index(flat, self.grid)).astype(float)
         jitter = rng.random((count, len(self.grid)))
         return (coords + jitter) / np.asarray(self.grid, dtype=float)
@@ -103,17 +105,15 @@ def _unit_points(points):
     return points
 
 
-def _bin_index(points, grid, out=None, scratch=None):
-    """The package's one bin rule: flat C-order bin index of (N, d) points in
-    [0, 1]^d, into out (N int64s) by way of scratch (points' shape), each
-    made if not given.  Transposes of (d, N) arrays bin faster than rows."""
+def _bin_index(points, grid):
+    """The package's one bin rule: flat C-order bin index of (N, d) points in [0, 1]^d."""
     g = np.asarray(grid, dtype=float)
     place = [float(math.prod(grid[j + 1:])) for j in range(len(grid))]  # C order
-    cells = np.multiply(points, g, out=scratch)
+    cells = np.multiply(points, g)
     # mod1 gives 1.0 for tiny negative coordinates; the clamp keeps each cell < g
     np.minimum(cells, g - 1, out=cells)
-    out = np.empty(len(points), dtype=np.int64) if out is None else out
-    return np.matmul(place, np.floor(cells, out=cells).T, out=out, casting="unsafe")
+    return np.matmul(place, np.floor(cells, out=cells).T,
+                     out=np.empty(len(points), dtype=np.int64), casting="unsafe")
 
 
 # -- rectangles --------------------------------------------------------------
@@ -216,13 +216,14 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
 
     The leaf through x runs in the base plane, so its atoms share x's fiber
     point at every step, and an atom's bin is its base bin times the number
-    of fiber cells plus the fiber point's cell.  Blocks of core.BLOCK atoms,
-    in atom order, run through chunks of at most EVOLVE_SUMS // base cells
-    steps as (2, B) base coordinates, and np.add.at adds their weights into
-    per-step base-cell sums in the order one bincount over all atoms would;
-    the (2, N) coordinates outlive a chunk only when there are several.  An
-    atom's image and bin depend on that atom alone, so the result depends
-    on neither constant.
+    of fiber cells plus the fiber point's cell.  The base is exact: atom i
+    is P + i D in 64-bit phases (core._net_phases, D times thin when
+    thinned), so at step k it is Z = P_k + i D_k mod 2^64 with (P_k, D_k)
+    from the power table, and its bin on an axis of g cells is floor(Z g /
+    2^64): Z's top bits when both base axes have powers of two, else from
+    Z's 32-bit halves.  Each step's weights go into base-cell sums by
+    np.add.at over blocks of core.BLOCK atoms in atom order, as one bincount
+    over all atoms would, so the result does not depend on core.BLOCK.
     """
     grid = (32,) * sysm.dim if grid is None else tuple(int(g) for g in grid)
     if len(grid) != sysm.dim:
@@ -239,49 +240,41 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     else:
         v = atom_weight(c, pressure, order)
         w = np.broadcast_to(v / equal_mass(v, n_atoms), (n_atoms,))
-    fib, cells = mod1(x[2:]), []
-    for k in range(steps):
+    words = _net_phases(sysm, x, -leaf_radius, ball_width(sysm, order, r))[0]
+    words[:, 1] *= np.uint64(thin)
+    phases = np.matmul(_powers(sysm, steps)[:steps, 0], words)  # (P_k, D_k) per axis
+    g = np.array(grid[:2], dtype=np.uint64)[:, None]
+    # g = 2^s cells on both axes: floor(Z g / 2^64) is the top s bits of Z
+    top = None if (g & (g - 1)).any() else 64 - np.log2(g).astype(np.uint64)
+    # (base cell, fiber cell); raveled in C order, the flat index of _bin_index
+    acc = np.zeros((grid[0] * grid[1], int(np.prod(grid[2:]))))
+    row = np.empty(len(acc))  # one step's base-cell sums
+    i = np.arange(min(core.BLOCK, n_atoms), dtype=np.uint64)
+    z, low = np.empty((2, 2, len(i)), dtype=np.uint64)
+    snaps, marks, fib = {}, set(int(c) for c in checkpoints), mod1(x[2:])
+    for k, (p, d) in enumerate(phases.transpose(0, 2, 1)):
         if k and sysm.fiber is not None:
             fib = sysm.fiber[0](fib)
-        cells.append(_bin_index(fib[None], grid[2:])[0])
-    n_base = grid[0] * grid[1]
-    # (base cell, fiber cell); raveled in C order, the flat index of _bin_index
-    acc = np.zeros((n_base, int(np.prod(grid[2:]))))
-    chunk = max(1, EVOLVE_SUMS // n_base)
-    size = min(core.BLOCK, n_atoms)
-    keep = steps > chunk  # the (2, N) base coordinates outlive a chunk
-    base = np.empty((2, n_atoms if keep else size))
-    scratch, idx = np.empty((2, size)), np.empty(size, dtype=np.int64)
-    snaps = {}
-    marks = set(int(c) for c in checkpoints)
-    chunk_sums = np.empty((min(chunk, steps), n_base))
-    for k0 in range(0, steps, chunk):
-        sums = chunk_sums[:steps - k0]
-        sums.fill(0.0)
+        row.fill(0.0)
         for start in range(0, n_atoms, core.BLOCK):
-            blk = slice(start, start + core.BLOCK)
-            m = min(core.BLOCK, n_atoms - start)
-            b = base[:, blk] if keep else base[:, :m]
-            p = scratch[:, :m]
-            if not k0:  # the leaf base at every thin-th parameter of the net
-                np.multiply(sysm.frame[0, :2, None], net_params(sysm, order, r, leaf_radius,
-                            np.arange(start * thin, (start + m) * thin, thin, dtype=float)), p)
-                mod1(np.add(p, x[:2, None], out=p), b)
-            for j in range(len(sums)):
-                if k0 + j:
-                    sysm.step_base(b.T, b.T, p.T)
-                np.add.at(sums[j], _bin_index(b.T, grid[:2], idx[:m], p.T), w[blk])
-        for j, row in enumerate(sums, start=k0):
-            acc[:, cells[j]] += row
-            if (j + 1) in marks:
-                snaps[j + 1] = PhaseMeasure(grid, acc / (j + 1))
-    return EvolveResult(
-        measure=PhaseMeasure(grid, np.divide(acc, steps, out=acc)),
-        snapshots=snaps,
-        steps=steps,
-        atom_count=n_atoms,
-        thin=thin,
-    )
+            b, lo = z[:, :n_atoms - start], low[:, :n_atoms - start]
+            np.multiply(i[:b.shape[1]], d[:, None], out=b)
+            b += (p + np.uint64(start) * d)[:, None]  # Z, the phases of the block's atoms
+            if top is not None:
+                b >>= top
+            else:  # floor(Z g / 2^64), the bin on each axis, from Z's 32-bit halves
+                np.multiply(np.bitwise_and(b, 2 ** 32 - 1, out=lo), g, out=lo)
+                lo >>= 32
+                np.multiply(np.right_shift(b, 32, out=b), g, out=b)
+                b += lo
+                b >>= 32
+            np.add(b[0] * g[1], b[1], out=b[0])  # the flat base cell
+            np.add.at(row, b[0].view(np.int64), w[start:start + core.BLOCK])
+        acc[:, _bin_index(fib[None], grid[2:])[0]] += row
+        if (k + 1) in marks:
+            snaps[k + 1] = PhaseMeasure(grid, acc / (k + 1))
+    return EvolveResult(measure=PhaseMeasure(grid, np.divide(acc, steps, out=acc)),
+                        snapshots=snaps, steps=steps, atom_count=n_atoms, thin=thin)
 
 
 def convergence_profile(result):
@@ -558,9 +551,6 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8):
 # -- ergodicity and transitivity probes ---------------------------------------
 
 
-_CELL = 2 * np.pi / 4096  # the angle of a cell of the probe's cosine table
-
-
 def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
     """Forward and backward Birkhoff averages of a potential table psi from mu-samples.
 
@@ -583,7 +573,7 @@ def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
     check_atom_limit(None, {n_steps: 2 * n_steps * n_samples}, "probe")
     steps = max(1, core.BLOCK // (2 * n_samples))
     m = min(n_steps, steps)  # every block is computed whole; the last one is read in part
-    power = _powers(sysm.matrix.tobytes() + sysm.inverse.tobytes(), m)
+    power = _powers(sysm, m)
     cos_cell, sin_cell = _cells()
     # kappa times row j of A^k and A^-k, k < m; a fiber axis indexes past the base's two
     modes = [(a, power[:m, :, j % sysm.dim, None] * np.uint64(kappa % 2 ** 64))
@@ -619,26 +609,6 @@ def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
     fwd, bwd = (sums[0] + n_steps * psi.const) / n_steps
     return {"forward": fwd, "backward": bwd, "dispersion": float(fwd.std()),
             "mean": float(fwd.mean()), "agree_fraction": float((np.abs(fwd - bwd) <= 0.05).mean())}
-
-
-@functools.cache
-def _cells():
-    """cos and sin at the centres (h + 1/2) _CELL of the cells h < 4096."""
-    t = (np.pi / 4096) * (2 * np.arange(512) + 1)  # the first octant, where angles round least
-    c = np.concatenate((np.cos(t), np.sin(t)[::-1]))  # a quadrant: cos(pi/2 - t) = sin t
-    s = c[::-1]
-    return np.concatenate((c, -s, -c, s)), np.concatenate((s, c, -s, -c))  # quarter turns
-
-
-@functools.lru_cache(maxsize=4)
-def _powers(bases, m):
-    """power[k] = (A^k, A^-k) mod 2^64, k <= m, from the bytes of float A and A^-1."""
-    power = np.empty((m + 1, 2, 2, 2), dtype=np.uint64)
-    power[0], power[1] = np.eye(2), np.frombuffer(bases).reshape(2, 2, 2).astype(np.int64)
-    for k in range(1, m):
-        np.matmul(power[k], power[1], out=power[k + 1])
-    power.flags.writeable = False  # one table serves every call with these arguments
-    return power
 
 
 def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14):

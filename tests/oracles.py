@@ -1,10 +1,10 @@
 """Reference implementations the tests hold the package against.
 
 The step maps here are opaque closures over full (..., dim) points, the
-slowed product mapping the fiber of every row; evolve_oracle pushes the
-full (N, dim) atom array through a step map and bins every axis.  The
-package computes the same numbers from a system's base matrix and fiber
-map, and the tests compare the two bit for bit.  The closures multiply by
+slowed product mapping the fiber of every row; evolve_oracle follows each
+atom's base in Python integers over 2^64 and maps the fiber point with a
+step map.  The package computes the same numbers from a system's base
+matrix and fiber map, and the tests compare the two bit for bit.  The closures multiply by
 contiguous transposes, as the package does: by the view m.T numpy maps a
 single point with another kernel, which rounds 3x + 2y (M32) unlike the
 same point in a batch.
@@ -191,31 +191,49 @@ def systems_with_oracles():
 
 def evolve_oracle(sysm, step, phi, pressure, x, *, steps=40, grid=None, order=10,
                   r=0.05, leaf_radius=1.0, checkpoints=(), atom_budget=10**6):
-    """evolve_average with the full (N, dim) atoms mapped by `step` and binned
-    on every axis by bin_index_oracle."""
+    """evolve_average on exact orbits, in Python integers.
+
+    Atom i of the net is the 64-bit phase P + i D per base axis, with P =
+    floor(2^64 (x + start e_u)) and D = floor(2^64 spacing e_u) from the exact
+    values of the floats (start = -leaf_radius, spacing = ball_width); every
+    thin-th atom is stepped one step at a time by the integer matrix mod 2^64
+    and binned floor(X g / 2^64), which is floor(x g) of its coordinate x.  The
+    fiber point is the full point x mapped by `step` (the fiber does not read
+    the base) and binned by bin_index_oracle; the weights are the reference
+    measure's, thinned and normalised."""
     if grid is None:
         grid = (32,) * sysm.dim
     lm = eqmeas.reference_measure(sysm, phi, pressure, x, order, r=r,
                                   leaf_radius=leaf_radius)
-    pts = lm.points()
     w = lm.weights
-    thin = 1
-    if len(pts) > atom_budget:
-        thin = int(np.ceil(len(pts) / atom_budget))
-        pts, w = pts[::thin], w[::thin]
-    w = w / w.sum()
+    thin = int(np.ceil(len(w) / atom_budget)) if len(w) > atom_budget else 1
+    w = w[::thin] / w[::thin].sum()
+    e = [Fraction(float(v)) for v in sysm.frame[0, :2]]
+    start, spacing = Fraction(-float(leaf_radius)), Fraction(float(eqmeas.ball_width(sysm, order, r)))
+    p0 = [math.floor((Fraction(float(x[j])) + start * e[j]) * 2 ** 64) for j in range(2)]
+    d0 = [math.floor(spacing * e[j] * 2 ** 64) for j in range(2)]
+    (m00, m01), (m10, m11) = np.rint(sysm.matrix).astype(int).tolist()
+    n_fib = int(np.prod(grid[2:]))
+    bins = np.empty((steps, len(w)), dtype=np.int64)
+    for i in range(len(w)):
+        b = [(p0[j] + i * thin * d0[j]) % 2 ** 64 for j in range(2)]
+        for k in range(steps):
+            if k:
+                b = [(m00 * b[0] + m01 * b[1]) % 2 ** 64, (m10 * b[0] + m11 * b[1]) % 2 ** 64]
+            bins[k, i] = (b[0] * grid[0] >> 64) * grid[1] + (b[1] * grid[1] >> 64)
+    pt = mod1(np.asarray(x, dtype=float))[None]
     acc = np.zeros(int(np.prod(grid)))
     snaps = {}
     marks = set(int(c) for c in checkpoints)
     for k in range(steps):
         if k:
-            pts = step(pts)
-        acc += np.bincount(bin_index_oracle(pts, grid), weights=w,
-                           minlength=int(np.prod(grid)))
+            pt = step(pt)
+        fib = bin_index_oracle(pt[:, 2:], grid[2:])[0]
+        acc += np.bincount(bins[k] * n_fib + fib, weights=w, minlength=len(acc))
         if (k + 1) in marks:
             snaps[k + 1] = PhaseMeasure(tuple(grid), acc / (k + 1))
     return EvolveResult(measure=PhaseMeasure(tuple(grid), acc / steps), snapshots=snaps,
-                        steps=steps, atom_count=len(pts), thin=thin)
+                        steps=steps, atom_count=len(w), thin=thin)
 
 
 def disintegrate_oracle(sysm, mu, rect, *, n_u=16, n_plaques=32):

@@ -362,7 +362,7 @@ class TestSeededVerdicts:
 
 
 class TestBlockSizes:
-    """Output bytes do not depend on evolve's atom blocks or step chunks, on
+    """Output bytes do not depend on evolve's atom blocks, on
     how many Gibbs centres are stepped together, on how many subcells
     disintegrate makes at once, or on the probe's steps per block."""
 
@@ -377,15 +377,13 @@ class TestBlockSizes:
         path = tmp_path / "run.ini"
         path.write_text(call.ini())
         runs = []
-        # small: ragged evolve blocks of 1,000 points; one
-        # cat or skew centre, or 3 + 1 slowprod centres, per group; evolve
-        # chunks of one cat step, or of 3 + 3 + 2 slowprod steps; 12 cat, 3
+        # small: ragged evolve blocks of 1,000 atoms; one
+        # cat or skew centre, or 3 + 1 slowprod centres, per group; 12 cat, 3
         # skew or 1 slowprod bin of subcells at a time; probe blocks of 2 steps
         # (200 samples) or of 7 + 3 (slowprod's 64 and 10 steps)
         sizes = ((core, "BLOCK"), (equilibrium, "GIBBS_POINTS"),
-                 (equilibrium, "EVOLVE_SUMS"), (equilibrium, "SUBCELL_POINTS"))
-        for values in ([getattr(mod, name) for mod, name in sizes],
-                       (1000, 3 * 256, 3 * 256, 200)):
+                 (equilibrium, "SUBCELL_POINTS"))
+        for values in ([getattr(mod, name) for mod, name in sizes], (1000, 3 * 256, 200)):
             for (mod, name), value in zip(sizes, values):
                 monkeypatch.setattr(mod, name, value)
             out = tmp_path / str(values[0])

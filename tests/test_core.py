@@ -359,29 +359,32 @@ class TestSystemSpec:
 
     @pytest.mark.parametrize("key", ["cat", "skew", "toral32"])
     def test_every_base_step_is_step_base(self, monkeypatch, key):
-        # the float base map is written once: every caller that steps float base
-        # points goes through step_base, one call per step in the directions
-        # listed, and gets the same numbers with step_base wrapped (the probe
-        # follows integer phases: TestBirkhoffProbe.test_steps_no_point)
+        # the float base map is written once, in SystemSpec._step: every caller
+        # that steps float points goes through it, one call per step in the
+        # directions listed, and gets the same numbers with it wrapped; evolve,
+        # the leaf sums and the probe follow 64-bit phases and make no call
         sysm = systems_with_oracles()[key][0]
         rng = np.random.default_rng(4)
         pts, x = rng.random((50, sysm.dim)), rng.random(sysm.dim)
         zero = eqmeas.zero_potential()
-        runs = {  # name: (run, direction of each step_base call)
+        lm = eqmeas.reference_measure(sysm, zero, 0.0, x, 3, leaf_radius=0.5)
+        runs = {  # name: (run, direction of each _step call)
             "step_fwd": (lambda: sysm.step_fwd(pts), [0]),
             "step_back": (lambda: sysm.step_back(pts[0]), [1]),
+            "iterate": (lambda: eqmeas.iterate(sysm, pts, -3), [1] * 3),
+            "pushforward": (lambda: eqmeas.pushforward(sysm, lm).base, [0]),
             "evolve_average": (lambda: eqmeas.evolve_average(
                 sysm, zero, 0.0, x, steps=5, grid=(4,) * sysm.dim, order=3,
-                leaf_radius=0.5).measure.masses, [0] * 4)}
+                leaf_radius=0.5).measure.masses, [])}
         want = {name: run() for name, (run, _) in runs.items()}
         calls = []
-        step_base = core.SystemSpec.step_base
+        step = core.SystemSpec._step
 
-        def counted(self, b, out=None, scratch=None, direction=0):
+        def counted(self, pts, direction):
             calls.append(direction)
-            return step_base(self, b, out, scratch, direction)
+            return step(self, pts, direction)
 
-        monkeypatch.setattr(core.SystemSpec, "step_base", counted)
+        monkeypatch.setattr(core.SystemSpec, "_step", counted)
         for name, (run, directions) in runs.items():
             calls.clear()
             assert np.array_equal(run(), want[name]), name
@@ -502,8 +505,8 @@ class TestLeafBirkhoffSum:
         def refuse(*args, **kwargs):
             raise AssertionError("leaf sums step no point")
 
-        monkeypatch.setattr(core.SystemSpec, "step_base", refuse)
-        monkeypatch.setattr(core.SystemSpec, "step_fwd", refuse)
+        for name in ("_step", "step_fwd", "step_back"):
+            monkeypatch.setattr(core.SystemSpec, name, refuse)
         leaf_birkhoff_sum(cat.system, self.PHI, np.full(2, 0.3), -0.1, 1e-3, 201, 9)
 
     def test_accuracy_table(self, cat):

@@ -1,7 +1,9 @@
 """Evolved measures, Gibbs ratios, holonomy, disintegration, probes."""
 
 import dataclasses
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,21 @@ class TestPhaseMeasure:
         pm = eqmeas.PhaseMeasure.from_points(pts, (2, 2),
                                              weights=np.array([3.0, 1.0]))
         assert pm.reshaped()[0, 0] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("grid", [(4, 4), (16, 16, 8), (8, 8, 8, 8)])
+    def test_sample_draws_the_bins_of_rng_choice(self, grid):
+        # the same bins and jitter as rng.choice(p=masses) at the same seed, on
+        # measures with empty bins, and on a second call that reuses the cdf
+        rng = np.random.default_rng(len(grid))
+        masses = rng.random(int(np.prod(grid))) * (rng.random(int(np.prod(grid))) < 0.7)
+        mu = eqmeas.PhaseMeasure(grid, masses / masses.sum())
+        for seed in range(3):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            for count in (1, 64, 1000):
+                flat = want.choice(mu.masses.size, size=count, p=mu.masses)
+                coords = np.column_stack(np.unravel_index(flat, grid)).astype(float)
+                expect = (coords + want.random((count, len(grid)))) / np.asarray(grid, dtype=float)
+                assert np.array_equal(mu.sample(count, got), expect)
 
     def test_edge_points_clamp_to_last_bin(self):
         pm = eqmeas.PhaseMeasure.from_points(np.array([[1.0 - 1e-16, 0.5]]),
@@ -185,18 +202,37 @@ class TestScaling:
         assert out["deviation"] < 1e-6
 
 
-def step_chunk_sums(grid):
-    """EVOLVE_SUMS values for 6 steps: one chunk, chunks of 4 and 2 steps,
-    and one step a chunk (a constant below the base cell count)."""
-    base_cells = grid[0] * grid[1]
-    return equilibrium.EVOLVE_SUMS, 4 * base_cells, base_cells - 1
-
-
-def assert_same_evolve(got, want):
+def assert_same_evolve(got, want, marks=(1, 2, 5, 6)):
     assert np.array_equal(got.measure.masses, want.measure.masses)
-    assert sorted(got.snapshots) == sorted(want.snapshots) == [1, 2, 5, 6]
+    assert sorted(got.snapshots) == sorted(want.snapshots) == list(marks)
     for n, snap in want.snapshots.items():
-        assert np.array_equal(got.snapshots[n].masses, snap.masses)
+        assert np.array_equal(got.snapshots[n].masses, snap.masses), n
+
+
+# the five systems on power-of-two grids, whose bins are the phases' top bits,
+# and on grids with axes that are not, whose bins take the full product
+EVOLVE_CASES = [
+    ("cat", [0.2, 0.7], (8, 8)),
+    ("skew", [0.2, 0.7, 0.37], (8, 8, 4)),
+    ("slowprod", [0.2, 0.7, 0.13, 0.86], (4, 4, 4, 4)),
+    ("toral32", [0.2, 0.7], (8, 8)),
+    ("signed", [0.2, 0.7], (8, 8))]
+ODD_GRIDS = {"cat": (7, 5), "skew": (7, 5, 3), "slowprod": (7, 5, 3, 3),
+             "toral32": (255, 3), "signed": (7, 5)}
+STEPS = 200
+
+
+def evolve_across_blocks(monkeypatch, sysm, x, **kw):
+    """evolve_average at BLOCK 7 (ragged blocks), 64 and the default, checked
+    bit-identical; returns the default's result."""
+    outs = []
+    for block in (7, 64, core.BLOCK):
+        monkeypatch.setattr(core, "BLOCK", block)
+        outs.append(eqmeas.evolve_average(sysm, eqmeas.zero_potential(),
+                                          float(np.log(sysm.leaf_rate)), x, **kw))
+    for out in outs[:-1]:
+        assert_same_evolve(out, outs[-1], sorted(outs[-1].snapshots))
+    return outs[-1]
 
 
 class TestEvolveAverage:
@@ -229,36 +265,48 @@ class TestEvolveAverage:
             steps=40, grid=(32, 32), order=10, leaf_radius=1.0)
         assert out["max_tv"] < 0.1
 
-    @pytest.mark.parametrize("key,x,grid", [
-        ("cat", [0.2, 0.7], (8, 8)),
-        ("skew", [0.2, 0.7, 0.37], (8, 8, 4)),
-        ("slowprod", [0.2, 0.7, 0.13, 0.86], (4, 4, 4, 4)),
-        ("toral32", [0.2, 0.7], (8, 8)),
-        ("signed", [0.2, 0.7], (8, 8))])
+    @pytest.mark.parametrize("key,x,grid", EVOLVE_CASES)
     def test_matches_full_atom_oracle(self, phi0, monkeypatch, key, x, grid):
+        # every atom's bin at every step up to STEPS, against its exact orbit:
+        # every 6th of 359 atoms (every 17th of 1,040 on toral32)
         sysm, (fwd, _) = systems_with_oracles()[key]
         h = float(np.log(sysm.leaf_rate))
-        # every 6th of 359 atoms (every 17th of 1,040 on toral32)
         monkeypatch.setattr(equilibrium, "ATOM_BUDGET", 64)
-        kw = dict(steps=6, grid=grid, order=4, r=0.05, leaf_radius=0.5,
-                  checkpoints=(1, 2, 5, 6))
+        kw = dict(steps=STEPS, grid=grid, order=4, r=0.05, leaf_radius=0.5,
+                  checkpoints=range(1, STEPS + 1))
         want = evolve_oracle(sysm, fwd, phi0, h, np.array(x), atom_budget=64, **kw)
-        for sums in step_chunk_sums(grid):
-            monkeypatch.setattr(equilibrium, "EVOLVE_SUMS", sums)
-            got = eqmeas.evolve_average(sysm, phi0, h, np.array(x), **kw)
-            assert got.thin == want.thin > 1
-            assert got.atom_count == want.atom_count
-            assert got.measure.grid == want.measure.grid == grid
-            assert_same_evolve(got, want)
+        got = evolve_across_blocks(monkeypatch, sysm, np.array(x), **kw)
+        assert got.thin == want.thin > 1
+        assert got.atom_count == want.atom_count
+        assert got.measure.grid == want.measure.grid == grid
+        assert_same_evolve(got, want, range(1, STEPS + 1))
+
+    @pytest.mark.parametrize("key", ODD_GRIDS)
+    def test_bins_on_axes_that_are_not_powers_of_two(self, phi0, monkeypatch, key):
+        # floor(Z g / 2^64) needs the low half of Z: (Z >> 32) g >> 32 alone
+        # puts the first atom, just above the cut of bin 1, in bin 0
+        sysm, (fwd, _) = systems_with_oracles()[key]
+        h, x = float(np.log(sysm.leaf_rate)), np.array(dict(
+            (k, x) for k, x, _ in EVOLVE_CASES)[key])
+        g, e = ODD_GRIDS[key][0], Fraction(float(sysm.frame[0, 0]))
+        x[0] = float(Fraction(1, g) + e / 2)  # the first atom is at x - e_u / 2
+
+        def phase():
+            return math.floor((Fraction(float(x[0])) - e / 2) * 2 ** 64)
+
+        while phase() < -(-2 ** 64 // g):
+            x[0] = np.nextafter(x[0], np.inf)
+        assert (phase() >> 32) * g >> 32 == 0
+        monkeypatch.setattr(equilibrium, "ATOM_BUDGET", 64)
+        kw = dict(steps=STEPS, grid=ODD_GRIDS[key], order=4, r=0.05, leaf_radius=0.5,
+                  checkpoints=range(1, STEPS + 1))
+        want = evolve_oracle(sysm, fwd, phi0, h, x, atom_budget=64, **kw)
+        assert_same_evolve(evolve_across_blocks(monkeypatch, sysm, x, **kw), want,
+                           range(1, STEPS + 1))
 
     @pytest.mark.parametrize("leaf", ["generic", "edge"])
     @pytest.mark.parametrize("block", [7, 64])
-    @pytest.mark.parametrize("key,x,grid", [
-        ("cat", [0.2, 0.7], (8, 8)),
-        ("skew", [0.2, 0.7, 0.37], (8, 8, 4)),
-        ("slowprod", [0.2, 0.7, 0.13, 0.86], (4, 4, 4, 4)),
-        ("toral32", [0.2, 0.7], (8, 8)),
-        ("signed", [0.2, 0.7], (8, 8))])
+    @pytest.mark.parametrize("key,x,grid", EVOLVE_CASES)
     def test_matches_oracle_across_blocks(self, phi0, monkeypatch, key, x, grid,
                                           block, leaf):
         sysm, (fwd, _) = systems_with_oracles()[key]
@@ -268,34 +316,46 @@ class TestEvolveAverage:
         if leaf == "generic":  # 359 atoms (1,040 on toral32): a ragged last block
             x, kw["order"] = np.array(x), 4
         else:
-            # order 1 puts an atom at t = 0, whose coordinates all reduce to
-            # 1.0 and take the clamp of _bin_index
+            # order 1 puts an atom at t = 0, whose phases are all 2^64 - 1
+            # (floor of -1e-20 2^64): the last bin of every axis, with no clamp
             x, kw["order"] = np.full(sysm.dim, -1e-20), 1
-            assert (eqmeas.mod1(x) == 1.0).all()
             assert 0.0 in eqmeas.reference_measure(sysm, phi0, h, x, 1, r=0.05,
                                                    leaf_radius=0.5).params
         want = evolve_oracle(sysm, fwd, phi0, h, x, **kw)
-        for sums in step_chunk_sums(grid):
-            monkeypatch.setattr(equilibrium, "EVOLVE_SUMS", sums)
-            got = eqmeas.evolve_average(sysm, phi0, h, x, **kw)
-            assert got.atom_count == want.atom_count
-            if leaf == "generic":
-                assert got.atom_count > block and got.atom_count % block
-            assert_same_evolve(got, want)
+        got = eqmeas.evolve_average(sysm, phi0, h, x, **kw)
+        assert got.atom_count == want.atom_count
+        if leaf == "generic":
+            assert got.atom_count > block and got.atom_count % block
+        assert_same_evolve(got, want)
 
-    def test_signed_matrix_clamps_after_the_first_step(self, phi0, monkeypatch):
-        # the order-1 atom at t = 0 sits at x; one step of M_SIGNED takes it to
-        # 2x0 - x1 = -2^-111, whose mod1 is 1.0 and takes the clamp of _bin_index
+    def test_signed_matrix_clamps_after_the_first_step(self, phi0):
+        # the order-1 atom at t = 0 sits at x, of phases (16, 33); one step of
+        # M_SIGNED takes it to 2 16 - 33 = -1, the phase 2^64 - 1 of the last
+        # bin, where the float step gave 1.0 and needed the clamp of _bin_index
         sysm, (fwd, _) = systems_with_oracles()["signed"]
-        x = np.array([2.0 ** -60, 2.0 ** -59 + 2.0 ** -111])
+        x = np.array([2.0 ** -60, 2.0 ** -59 + 2.0 ** -64])
         assert eqmeas.mod1(sysm.matrix @ x)[0] == 1.0
         h = float(np.log(sysm.leaf_rate))
         kw = dict(steps=6, grid=(8, 8), order=1, r=0.05, leaf_radius=0.5,
                   checkpoints=(1, 2, 5, 6))
         want = evolve_oracle(sysm, fwd, phi0, h, x, **kw)
-        for sums in step_chunk_sums(kw["grid"]):
-            monkeypatch.setattr(equilibrium, "EVOLVE_SUMS", sums)
-            assert_same_evolve(eqmeas.evolve_average(sysm, phi0, h, x, **kw), want)
+        got = eqmeas.evolve_average(sysm, phi0, h, x, **kw)
+        assert_same_evolve(got, want)
+        assert got.snapshots[2].reshaped()[7].sum() > 0  # step 1 lands in the last row
+
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod"])
+    def test_steps_no_point(self, monkeypatch, key):
+        # the base follows 64-bit phases and the fiber point its own map, so
+        # no float point is stepped
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve steps no float point")
+
+        sysm = eqmeas.get_system(key).system
+        for name in ("_step", "step_fwd", "step_back"):
+            monkeypatch.setattr(core.SystemSpec, name, refuse)
+        eqmeas.evolve_average(sysm, eqmeas.base_cosine_potential(0.05),
+                              float(np.log(sysm.leaf_rate)), np.full(sysm.dim, 0.3),
+                              steps=5, grid=(4,) * sysm.dim, order=4, leaf_radius=0.5)
 
     @pytest.mark.parametrize("make", [
         lambda sysm: eqmeas.zero_potential(),
@@ -598,7 +658,7 @@ class TestBirkhoffProbe:
         def refuse(*args, **kwargs):
             raise AssertionError("the probe steps no float point")
 
-        for name in ("step_base", "step_fwd", "step_back"):
+        for name in ("_step", "step_fwd", "step_back"):
             monkeypatch.setattr(core.SystemSpec, name, refuse)
         for sysm in (cat.system, skew.system):
             mu = eqmeas.PhaseMeasure.uniform((4,) * sysm.dim)
@@ -733,8 +793,8 @@ class TestWorkingMemory:
 
     @pytest.mark.parametrize("order,grid,steps,marks,limit_mb", [
         (10, (32, 32), 40, (10, 20, 40), 6.0),  # the CLI default (12.3 MB unblocked)
-        (6, (256, 256), 200, (), 2.0),          # most base cells: one step a chunk
-        (10, (256, 256), 200, (), 12.3)])       # and the (2, N) state between chunks
+        (6, (256, 256), 200, (), 2.0),          # most base cells, 200 steps
+        (10, (256, 256), 200, (), 12.3)])       # and 231,120 atoms
     def test_evolve_peak(self, cat, phi0, order, grid, steps, marks, limit_mb):
         peak = traced_peak_mb(lambda: eqmeas.evolve_average(
             cat.system, phi0, H, X0, steps=steps, grid=grid, order=order,

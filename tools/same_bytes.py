@@ -69,8 +69,7 @@ def cases(checkout):
         call("slowprod.fullsuite", "fullsuite", "slowprod", {}),
         # the leaf sums of a base-only potential on the 4-d system
         call("slowprod.cos.fullsuite", "fullsuite", "slowprod", {"potential": "cos"}),
-        # 4,096 base cells: evolve runs in chunks of 16 steps and keeps its
-        # (2, N) base coordinates between them
+        # a 64 x 64 grid: 4,096 base-cell sums a step
         call("cat.grid64.evolve", "evolve", "cat", {"grid": 64}),
         # one probe step per block, both directions stepped in one call
         call("skew.samples1e4.probe", "probe", "skew",
