@@ -22,6 +22,8 @@ MASS_TOL = 1e-9
 GIBBS_POINTS = 2 ** 13
 # Most atoms evolve_average follows; larger nets are thinned to this.
 ATOM_BUDGET = 10 ** 6
+# Least B at which evolve counts a constant potential's atoms by runs (break-even: 8-16).
+RUN_MIN = 16
 # Most subcells disintegrate makes at once (at least one bin's 4^d): bounds
 # its subcell points and their frame coordinates.
 SUBCELL_POINTS = 2 ** 12
@@ -221,9 +223,12 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     thinned), so at step k it is Z = P_k + i D_k mod 2^64 with (P_k, D_k)
     from the power table, and its bin on an axis of g cells is floor(Z g /
     2^64): Z's top bits when both base axes have powers of two, else from
-    Z's 32-bit halves.  Each step's weights go into base-cell sums by
-    np.add.at over blocks of core.BLOCK atoms in atom order, as one bincount
-    over all atoms would, so the result does not depend on core.BLOCK.
+    Z's 32-bit halves.  A step's base-cell sums are np.add.at's of the
+    weights in atom order, over blocks of core.BLOCK atoms.  For a constant
+    phi and B >= RUN_MIN, B the largest power of two with B |D_k| < 2^64 // g
+    on both axes (D_k signed), B atoms cross at most one cell edge an axis,
+    at an offset one uint64 floor division gives: cells count their atoms
+    by these runs, and n atoms hold S[n] = (0.0 + w) + ... + w, as add.at adds.
     """
     grid = (32,) * sysm.dim if grid is None else tuple(int(g) for g in grid)
     if len(grid) != sysm.dim:
@@ -246,30 +251,64 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
     g = np.array(grid[:2], dtype=np.uint64)[:, None]
     # g = 2^s cells on both axes: floor(Z g / 2^64) is the top s bits of Z
     top = None if (g & (g - 1)).any() else 64 - np.log2(g).astype(np.uint64)
+    # z_0 g_1 + z_1 for cells z, as (Z_0 >> t_0) << s_1 + (Z_1 >> t_1) on 2^s cells
+    place = (np.multiply, g[1]) if top is None else (np.left_shift, 64 - top[1])
+    # E_c = ceil(c 2^64 / g), the first phase of cell c on an axis, mod 2^64 (E_g = 0)
+    edges = [np.array([-(-(c << 64) // n) % 2 ** 64 for c in range(n + 1)], dtype=np.uint64)
+             for n in grid[:2]]
+
+    def bins(z, lo, flat=True):  # phases z (2, N) to cells on each axis in place, or flat in z[0]
+        if top is not None:
+            z >>= top
+        else:  # floor(Z g / 2^64), the bin on each axis, from Z's 32-bit halves
+            np.multiply(np.bitwise_and(z, 2 ** 32 - 1, out=lo), g, out=lo)
+            lo >>= 32
+            np.multiply(np.right_shift(z, 32, out=z), g, out=z)
+            z += lo
+            z >>= 32
+        if not flat:
+            return z
+        place[0](z[0], place[1], out=z[0])
+        z[0] += z[1]
+        return z[0].view(np.int64)
+
     # (base cell, fiber cell); raveled in C order, the flat index of _bin_index
     acc = np.zeros((grid[0] * grid[1], int(np.prod(grid[2:]))))
     row = np.empty(len(acc))  # one step's base-cell sums
     i = np.arange(min(core.BLOCK, n_atoms), dtype=np.uint64)
-    z, low = np.empty((2, 2, len(i)), dtype=np.uint64)
+    z, low, di = np.empty((3, 2, len(i)), dtype=np.uint64)
+    sums = np.zeros(1)  # S[n]: n weights added one by one to 0.0, grown as counts need
     snaps, marks, fib = {}, set(int(c) for c in checkpoints), mod1(x[2:])
     for k, (p, d) in enumerate(phases.transpose(0, 2, 1)):
         if k and sysm.fiber is not None:
             fib = sysm.fiber[0](fib)
         row.fill(0.0)
-        for start in range(0, n_atoms, core.BLOCK):
-            b, lo = z[:, :n_atoms - start], low[:, :n_atoms - start]
-            np.multiply(i[:b.shape[1]], d[:, None], out=b)
-            b += (p + np.uint64(start) * d)[:, None]  # Z, the phases of the block's atoms
-            if top is not None:
-                b >>= top
-            else:  # floor(Z g / 2^64), the bin on each axis, from Z's 32-bit halves
-                np.multiply(np.bitwise_and(b, 2 ** 32 - 1, out=lo), g, out=lo)
-                lo >>= 32
-                np.multiply(np.right_shift(b, 32, out=b), g, out=b)
-                b += lo
-                b >>= 32
-            np.add(b[0] * g[1], b[1], out=b[0])  # the flat base cell
-            np.add.at(row, b[0].view(np.int64), w[start:start + core.BLOCK])
+        signed = d.view(np.int64).tolist()
+        q = min((2 ** 64 // n - 1) // max(abs(v), 1) for n, v in zip(grid, signed))
+        b = 1 << q.bit_length() - 1 if q else 0  # B atoms cross at most one edge an axis
+        if c is not None and b >= RUN_MIN:  # row: the atom counts
+            # core.BLOCK // 8 blocks a chunk: their runs' phases take a quarter of z, low, di
+            for start in range(0, n_atoms, span := b * max(1, core.BLOCK // 8)):
+                stop = min(start + span, n_atoms)
+                s = np.arange(start, stop, b, dtype=np.uint64)  # the block starts
+                zs = np.multiply.outer(d, s) + p[:, None]
+                cell, cuts = bins(zs.copy(), np.empty_like(zs), False), [s]
+                for j, v in enumerate(signed):  # each block's first atom past the edge ahead
+                    e = edges[j][cell[j] + 1] - 1 - zs[j] if v >= 0 else zs[j] - edges[j][cell[j]]
+                    cuts.append(np.minimum(e // np.uint64(max(abs(v), 1)) + 1, b) + s)
+                runs = np.minimum(np.sort(np.concatenate(cuts)), stop)
+                zr = np.multiply.outer(d, runs) + p[:, None]
+                row += np.bincount(bins(zr, np.empty_like(zr)), np.diff(
+                    runs, append=np.uint64(stop)), len(row))
+            if (most := int(row.max())) >= len(sums):
+                sums = np.cumsum(np.r_[0.0, np.full(most, w[0])])
+            sums.take(row.astype(np.int64), out=row)
+        else:
+            np.multiply(i, d[:, None], out=di)  # i D_k, once a step
+            for start in range(0, n_atoms, core.BLOCK):
+                zb, lo = z[:, :n_atoms - start], low[:, :n_atoms - start]
+                np.add(di[:, :zb.shape[1]], (p + np.uint64(start) * d)[:, None], out=zb)
+                np.add.at(row, bins(zb, lo), w[start:start + core.BLOCK])
         acc[:, _bin_index(fib[None], grid[2:])[0]] += row
         if (k + 1) in marks:
             snaps[k + 1] = PhaseMeasure(grid, acc / (k + 1))

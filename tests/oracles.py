@@ -189,18 +189,27 @@ def systems_with_oracles():
     }
 
 
+def net_words_oracle(sysm, x, order, r, leaf_radius):
+    """(P, D) per base axis of the net evolve follows, in Python integers: P =
+    floor(2^64 (x + start e_u)) and D = floor(2^64 spacing e_u) from the exact
+    values of the floats, start = -leaf_radius and spacing = ball_width."""
+    e = [Fraction(float(v)) for v in sysm.frame[0, :2]]
+    start, spacing = Fraction(-float(leaf_radius)), Fraction(float(eqmeas.ball_width(sysm, order, r)))
+    return ([math.floor((Fraction(float(x[j])) + start * e[j]) * 2 ** 64) for j in range(2)],
+            [math.floor(spacing * e[j] * 2 ** 64) for j in range(2)])
+
+
 def evolve_oracle(sysm, step, phi, pressure, x, *, steps=40, grid=None, order=10,
                   r=0.05, leaf_radius=1.0, checkpoints=(), atom_budget=10**6):
     """evolve_average on exact orbits, in Python integers.
 
-    Atom i of the net is the 64-bit phase P + i D per base axis, with P =
-    floor(2^64 (x + start e_u)) and D = floor(2^64 spacing e_u) from the exact
-    values of the floats (start = -leaf_radius, spacing = ball_width); every
-    thin-th atom is stepped one step at a time by the integer matrix mod 2^64
-    and binned floor(X g / 2^64), which is floor(x g) of its coordinate x.  The
-    fiber point is the full point x mapped by `step` (the fiber does not read
-    the base) and binned by bin_index_oracle; the weights are the reference
-    measure's, thinned and normalised."""
+    Atom i of the net is the 64-bit phase P + i D per base axis, with (P, D)
+    from net_words_oracle; every thin-th atom is stepped one step at a time by
+    the integer matrix mod 2^64 and binned floor(X g / 2^64), which is floor(x
+    g) of its coordinate x.  The fiber point is the full point x mapped by
+    `step` (the fiber does not read the base) and binned by bin_index_oracle;
+    the weights are the reference measure's, thinned and normalised, and
+    bincount adds each cell's in atom order."""
     if grid is None:
         grid = (32,) * sysm.dim
     lm = eqmeas.reference_measure(sysm, phi, pressure, x, order, r=r,
@@ -208,10 +217,7 @@ def evolve_oracle(sysm, step, phi, pressure, x, *, steps=40, grid=None, order=10
     w = lm.weights
     thin = int(np.ceil(len(w) / atom_budget)) if len(w) > atom_budget else 1
     w = w[::thin] / w[::thin].sum()
-    e = [Fraction(float(v)) for v in sysm.frame[0, :2]]
-    start, spacing = Fraction(-float(leaf_radius)), Fraction(float(eqmeas.ball_width(sysm, order, r)))
-    p0 = [math.floor((Fraction(float(x[j])) + start * e[j]) * 2 ** 64) for j in range(2)]
-    d0 = [math.floor(spacing * e[j] * 2 ** 64) for j in range(2)]
+    p0, d0 = net_words_oracle(sysm, x, order, r, leaf_radius)
     (m00, m01), (m10, m11) = np.rint(sysm.matrix).astype(int).tolist()
     n_fib = int(np.prod(grid[2:]))
     bins = np.empty((steps, len(w)), dtype=np.int64)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import eqmeas
+import oracles
 from eqmeas import caratheodory, core, equilibrium
 from eqmeas.equilibrium import _bin_index
 from oracles import (bin_index_oracle, birkhoff_probe_oracle, cos_turns_oracle,
                      disintegrate_oracle, evolve_oracle, gibbs_ratio_oracle,
-                     systems_with_oracles)
+                     net_words_oracle, systems_with_oracles, toral_steps)
 
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
@@ -377,6 +378,175 @@ class TestEvolveAverage:
             eqmeas.evolve_average(skew.system, phi0, skew.h_top,
                                   np.array([0.2, 0.7, 0.37]), steps=2, grid=grid,
                                   order=4, leaf_radius=0.5)
+
+
+def run_blocks(sysm, x, grid, steps, order, leaf_radius, thin=1, r=0.05):
+    """(B, signs of the two D_k) at each step k < steps, from Python integers: B is
+    the largest power of two with B |D_k| < 2^64 // g on both base axes, D_k read
+    as signed, and 0 when there is none."""
+    d = [v * thin % 2 ** 64 for v in net_words_oracle(sysm, x, order, r, leaf_radius)[1]]
+    (m00, m01), (m10, m11) = np.rint(sysm.matrix).astype(int).tolist()
+    out = []
+    for k in range(steps):
+        if k:
+            d = [(m00 * d[0] + m01 * d[1]) % 2 ** 64, (m10 * d[0] + m11 * d[1]) % 2 ** 64]
+        signed = [v - 2 ** 64 if v >= 2 ** 63 else v for v in d]
+        b = 0
+        while all(max(2 * b, 1) * abs(v) < 2 ** 64 // g for v, g in zip(signed, grid)):
+            b = max(2 * b, 1)
+        out.append((b, tuple(v > 0 for v in signed)))
+    return out
+
+
+def run_systems():
+    """systems_with_oracles, and minus the cat matrix, whose D_k changes sign every step."""
+    return {**systems_with_oracles(),
+            "neg": (eqmeas.make_toral_automorphism(NEG), toral_steps(NEG))}
+
+
+# nets where most steps count atoms by runs: (system, x, grid, order, leaf
+# radius, steps, the steps with B >= RUN_MIN)
+RUN_CASES = [
+    ("cat", [0.2, 0.7], (8, 8), 8, 0.5, 12, range(6)),  # 16,860 atoms
+    ("signed", [0.2, 0.7], (8, 8), 8, 0.5, 8, range(6)),  # D_k < 0 on axis 1
+    ("neg", [0.2, 0.7], (8, 8), 8, 0.5, 8, range(6)),
+    ("slowprod", [0.2, 0.7, 0.13, 0.86], (8, 8, 4, 4), 8, 0.5, 8, range(6)),
+    ("cat", [0.2, 0.7], (7, 5), 8, 0.5, 8, range(6)),  # cell edges from the table
+    ("cat", [0.2, 0.7], (255, 3), 10, 0.05, 6, range(4))]  # 11,556 atoms
+
+
+class TestEvolveRuns:
+    """A constant potential's atoms, counted by runs, give the bytes of the
+    atom-by-atom sums."""
+
+    @pytest.mark.parametrize("key,x,grid,order,radius,steps,runs", RUN_CASES)
+    def test_matches_oracle(self, phi0, monkeypatch, key, x, grid, order, radius, steps,
+                            runs):
+        sysm, (fwd, _) = run_systems()[key]
+        blocks = run_blocks(sysm, x, grid, steps, order, radius)
+        assert [k for k, (b, _) in enumerate(blocks) if b >= equilibrium.RUN_MIN] == list(runs)
+        if key == "signed":
+            assert all(signs == (True, False) for _, signs in blocks)
+        if key == "neg":
+            assert all(signs == (k % 2 == 0,) * 2 for k, (_, signs) in enumerate(blocks))
+        kw = dict(steps=steps, grid=grid, order=order, r=0.05, leaf_radius=radius,
+                  checkpoints=range(1, steps + 1))
+        want = evolve_oracle(sysm, fwd, phi0, float(np.log(sysm.leaf_rate)), np.array(x), **kw)
+        got = evolve_across_blocks(monkeypatch, sysm, np.array(x), **kw)
+        assert_same_evolve(got, want, range(1, steps + 1))
+
+    def test_thinned_net(self, phi0, monkeypatch):
+        # every 17th atom of 16,860: D_k is 17 times the net's, and B with it
+        sysm, (fwd, _) = run_systems()["cat"]
+        x = [0.2, 0.7]
+        monkeypatch.setattr(equilibrium, "ATOM_BUDGET", 1000)
+        blocks = run_blocks(sysm, x, (8, 8), 5, 8, 0.5, thin=17)
+        assert [b >= equilibrium.RUN_MIN for b, _ in blocks] == [True] * 3 + [False] * 2
+        kw = dict(steps=5, grid=(8, 8), order=8, r=0.05, leaf_radius=0.5,
+                  checkpoints=range(1, 6))
+        want = evolve_oracle(sysm, fwd, phi0, H, np.array(x), atom_budget=1000, **kw)
+        got = evolve_across_blocks(monkeypatch, sysm, np.array(x), **kw)
+        assert (got.thin, got.atom_count) == (want.thin, want.atom_count) == (17, 992)
+        assert_same_evolve(got, want, range(1, 6))
+
+    @pytest.mark.parametrize("offset", [0, -1], ids=["on", "below"])
+    @pytest.mark.parametrize("grid", [(8, 8), (7, 5)])
+    @pytest.mark.parametrize("key", ["cat", "signed", "neg"])
+    def test_atoms_on_cell_edges(self, phi0, monkeypatch, key, grid, offset):
+        # words of a net whose atom 5 is at the first phase of cell 1 on axis 0
+        # (or one below) and atom 9 at that of cell 3 on axis 1, where D < 0 (or
+        # one below): a crossing one atom early or late moves an atom's cell.  Step
+        # 0 counts the net's 16,860 atoms by runs, B = 2^10 on both grids; at step
+        # 1, D is 0 on axis 1 on cat and neg
+        sysm, (fwd, _) = run_systems()[key]
+        a, (e0, e1) = 2 ** 50, (-(-(c << 64) // g) for c, g in zip((1, 3), grid))
+        p, d = [e0 + offset - 5 * a, e1 + offset + 9 * a], [a, 2 ** 64 - a]
+        monkeypatch.setattr(equilibrium, "_net_phases", lambda *args: (
+            np.array([p, d], dtype=np.uint64).T, np.zeros((2, 2))))
+        monkeypatch.setattr(oracles, "net_words_oracle", lambda *args: (p, d))
+        kw = dict(steps=4, grid=grid, order=8, r=0.05, leaf_radius=0.5,
+                  checkpoints=(1, 2, 3, 4))
+        want = evolve_oracle(sysm, fwd, phi0, float(np.log(sysm.leaf_rate)), X0, **kw)
+        assert_same_evolve(evolve_across_blocks(monkeypatch, sysm, X0, **kw), want, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("order,radius,atoms", [(12, 5e-7, 1), (10, 0.002, 463)],
+                             ids=["one-atom", "one-cell"])
+    def test_net_in_one_cell_holds_the_sequential_sum(self, cat, monkeypatch, order, radius,
+                                                      atoms):
+        # the cell of n atoms holds S[n]: n weights added one by one to 0.0
+        x = np.array([2.5, 5.5]) / 8  # a cell's centre
+        assert run_blocks(cat.system, x, (8, 8), 1, order, radius)[0][0] >= equilibrium.RUN_MIN
+        got = evolve_across_blocks(monkeypatch, cat.system, x, steps=1, grid=(8, 8),
+                                   order=order, r=0.05, leaf_radius=radius)
+        v = caratheodory.atom_weight(0.0, float(np.log(cat.system.leaf_rate)), order)
+        w, total = v / caratheodory.equal_mass(v, atoms), 0.0
+        for _ in range(atoms):
+            total += w
+        assert got.atom_count == atoms
+        assert np.flatnonzero(got.measure.masses).tolist() == [2 * 8 + 5]
+        assert got.measure.masses[2 * 8 + 5] == total
+
+    def test_cells_hold_the_sequential_sums(self, cat, phi0):
+        # every count of the 16,860-atom net's first step: S[n] for its n atoms
+        x, order = [0.2, 0.7], 8
+        p, d = net_words_oracle(cat.system, x, order, 0.05, 0.5)
+        atoms = eqmeas.net_size(cat.system, order, 0.05, 0.5)
+        cells = [((p[0] + i * d[0]) % 2 ** 64 >> 61) * 8 + ((p[1] + i * d[1]) % 2 ** 64 >> 61)
+                 for i in range(atoms)]
+        counts = np.bincount(cells, minlength=64)
+        got = eqmeas.evolve_average(cat.system, phi0, H, np.array(x), steps=1, grid=(8, 8),
+                                    order=order, leaf_radius=0.5)
+        v = caratheodory.atom_weight(0.0, H, order)
+        w = v / caratheodory.equal_mass(v, atoms)
+        sums = [0.0]
+        for _ in range(counts.max()):
+            sums.append(sums[-1] + w)
+        assert len(set(counts[counts > 0])) > 10
+        assert got.measure.masses.tolist() == [sums[n] for n in counts]
+
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod"])
+    def test_switch_leaves_the_bytes(self, monkeypatch, key):
+        # the CLI's default evolve nets at every B, at none and at the default switch
+        spec = eqmeas.get_system(key)
+        x = {"cat": [0.2, 0.7], "skew": [0.2, 0.7, 0.37], "slowprod": [0.2, 0.7, 0.13, 0.86]}
+        grid = {"cat": (32, 32), "skew": (16, 16, 8), "slowprod": (16,) * 4}[key]
+        outs = []
+        for least in (2, equilibrium.RUN_MIN, 2 ** 62):
+            monkeypatch.setattr(equilibrium, "RUN_MIN", least)
+            outs.append(eqmeas.evolve_average(
+                spec.system, eqmeas.zero_potential(), spec.h_top, np.array(x[key]), steps=40,
+                grid=grid, order=10, leaf_radius=1.0, checkpoints=(10, 20, 40)))
+        for out in outs[:-1]:
+            assert_same_evolve(out, outs[-1], (10, 20, 40))
+
+    def test_runs_count_by_bincount(self, phi0, monkeypatch):
+        # one bincount a run step (one chunk at the default block), none without runs
+        calls, bincount = [], np.bincount
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        kw = dict(steps=12, grid=(8, 8), order=8, leaf_radius=0.5)
+        want = eqmeas.evolve_average(run_systems()["cat"][0], phi0, H, X0, **kw)
+        assert len(calls) == 6 and max(calls) < 16_860 // 4
+        calls.clear()
+        monkeypatch.setattr(equilibrium, "RUN_MIN", 2 ** 62)
+        assert_same_evolve(eqmeas.evolve_average(run_systems()["cat"][0], phi0, H, X0, **kw),
+                           want, ())
+        assert calls == []
+
+    def test_non_constant_potential_adds_atom_by_atom(self, cat, monkeypatch):
+        # its weights differ, so runs would round otherwise: even at B >= 1 no runs
+        monkeypatch.setattr(np, "bincount", None)
+        phi = eqmeas.base_cosine_potential(0.05)
+        kw = dict(steps=8, grid=(8, 8), order=8, leaf_radius=0.5, checkpoints=(1, 2, 5, 6))
+        monkeypatch.setattr(equilibrium, "RUN_MIN", 1)
+        got = eqmeas.evolve_average(cat.system, phi, H, X0, **kw)
+        monkeypatch.undo()
+        want = evolve_oracle(cat.system, run_systems()["cat"][1][0], phi, H, X0, **kw)
+        assert_same_evolve(got, want)
 
 
 class TestBinIndex:

@@ -7,6 +7,9 @@ copies in one temporary directory: the ref (default HEAD) is extracted with
 `git archive`, and the working tree is copied from the files git tracks or
 would track (`git ls-files --cached --others --exclude-standard`), so
 neither side runs in the repository itself and nothing is written to .git.
+Every file of both copies then gets one modification time (same_times):
+with the archive's commit dates on one side and copy times on the other,
+the worker's peak RSS read about 1% apart on identical sources.
 Each pair runs the two sides back to back with the same seed and
 --seconds, alternating which side goes first.  On SIGTERM, SIGINT or SIGHUP
 the running benchmark and its worker are killed and the temporary directory
@@ -31,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 
 class Scratch:
@@ -97,6 +101,15 @@ def copy_working_tree(repo, dest):
             shutil.copy2(src, os.path.join(dest, rel))
 
 
+def same_times(*roots):
+    """Give every file and directory under roots one access and modification time."""
+    stamp = int(time.time())
+    for root in roots:
+        for top, dirs, files in os.walk(root):
+            for name in dirs + files:
+                os.utime(os.path.join(top, name), (stamp, stamp), follow_symlinks=False)
+
+
 def bench(scratch, checkout, args):
     """One bench/run.py run in checkout: (correct, {metric: value})."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
@@ -136,6 +149,7 @@ def main(argv=None):
         sides = {side: os.path.join(scratch.path, side) for side in ("ref", "change")}
         extract_ref(repo, sha, sides["ref"])
         copy_working_tree(repo, sides["change"])
+        same_times(*sides.values())
         print(f"# {args.workload}: ref {args.ref} ({sha[:12]}) against the working tree, "
               f"{args.pairs} pairs, seed {args.seed}, --seconds {args.seconds:g}")
         for i in range(args.pairs):

@@ -71,6 +71,13 @@ def cases(checkout):
         call("slowprod.cos.fullsuite", "fullsuite", "slowprod", {"potential": "cos"}),
         # a 64 x 64 grid: 4,096 base-cell sums a step
         call("cat.grid64.evolve", "evolve", "cat", {"grid": 64}),
+        # constant-potential evolves whose first steps count atoms by runs: cell
+        # edges from the table, a net thinned to every 149th of 148,839,840
+        # atoms, and 200 steps, most of them atom by atom
+        call("cat.grid7x5.evolve", "evolve", "cat", {"grid": "7, 5"}),
+        call("cat.order16.evolve", "evolve", "cat",
+             {"evolve_order": 16, "evolve_leaf_radius": 2}),
+        call("skew.steps200.evolve", "evolve", "skew", {"steps": 200}),
         # one probe step per block, both directions stepped in one call
         call("skew.samples1e4.probe", "probe", "skew",
              {"n_samples": 10000, "birkhoff_steps": 100}),
