@@ -17,16 +17,16 @@ MAX_POINT_STEPS = 2 ** 28  # point-steps of one probe: ~2-4 s at 8-15 ns each, 2
 
 
 def check_atom_limit(phi, sizes, kind="net"):
-    """Raise ArithmeticError, naming the first order over its limit: MAX_CENTERS when
-    phi is not constant and the net ("net") or cover ("cover") of an order n in sizes
-    {n: atoms} is over it, MAX_POINT_STEPS for a probe ("probe", phi None) {steps: work}."""
-    limit = MAX_POINT_STEPS if phi is None else MAX_CENTERS
+    """Raise ArithmeticError, naming the first entry of sizes over its limit: MAX_CENTERS
+    for a net ("net") or cover ("cover") {order: atoms} of a phi not constant, and with phi
+    None, {parameters as text: work} of a probe ("probe", MAX_POINT_STEPS) or a window."""
+    limit = MAX_POINT_STEPS if kind == "probe" else MAX_CENTERS
     over = [n for n, k in sizes.items() if k > limit]
     if over and (phi is None or phi.constant_value is None):
-        n, k = over[0], sizes[over[0]]
-        what = f"birkhoff_steps {n} and n_samples {k // (2 * n)}" if phi is None else f"order {n}"
-        unit = {"net": "atoms", "cover": "centers"}.get(kind, "point-steps")
-        raise ArithmeticError(f"{kind} of {what} needs {k} {unit} (limit {limit})")
+        n, unit = over[0], {"net": "atoms", "cover": "centers", "probe": "point-steps"}
+        what = n if isinstance(n, str) else f"order {n}"
+        raise ArithmeticError(f"{kind} of {what} needs {sizes[n]} "
+                              f"{unit.get(kind, 'deck translations')} (limit {limit})")
 
 
 def ball_width(sysm, n, r):

@@ -256,6 +256,11 @@ def leaf_birkhoff_sum(sys, phi, x, start, spacing, count, n):
 # -- the exact base engine: 64-bit phases -----------------------------------
 
 
+def _phases(b):
+    """uint64 phases floor(b 2^64) of coordinates b in [0, 1]; 1.0 (from mod1) is 0."""
+    return np.where(b < 1.0, b * 2.0 ** 64, 0.0).astype(np.uint64)
+
+
 def _net_phases(sys, x, start, spacing):
     """A leaf net x + (start + i spacing) e_u on the base: per base axis j, the words
     (floor(2^64 (x_j + start e_j)), floor(2^64 spacing e_j)) mod 2^64 of the floats'

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bowen import ball_width, check_atom_limit, net_size
 from . import core
-from .core import _CELL, _cells, _net_phases, _powers, iterate, leaf_point, mod1, torus_dist
+from .core import _CELL, _cells, _net_phases, _phases, _powers, leaf_point, mod1, torus_dist
 from .caratheodory import LeafMeasure, atom_weight, equal_mass, reference_measure
 
 MASS_TOL = 1e-9
@@ -609,7 +609,8 @@ def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
     if n_steps < 1 or n_samples < 1:
         raise ValueError(f"birkhoff_probe needs n_steps, n_samples >= 1, "
                          f"got {n_steps}, {n_samples}")
-    check_atom_limit(None, {n_steps: 2 * n_steps * n_samples}, "probe")
+    check_atom_limit(None, {f"birkhoff_steps {n_steps} and n_samples {n_samples}":
+                            2 * n_steps * n_samples}, "probe")
     steps = max(1, core.BLOCK // (2 * n_samples))
     m = min(n_steps, steps)  # every block is computed whole; the last one is read in part
     power = _powers(sysm, m)
@@ -618,7 +619,7 @@ def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
     modes = [(a, power[:m, :, j % sysm.dim, None] * np.uint64(kappa % 2 ** 64))
              for a, j, kappa in psi.modes]
     b = mu.sample(n_samples, np.random.default_rng(seed))[:, :2].T
-    x = np.array(2 * (np.where(b < 1.0, b * 2.0 ** 64, 0.0),), dtype=np.uint64)  # way, axis, point
+    x = np.stack(2 * (_phases(b),))  # way, axis, point
     z, h = np.empty((2, m, 2, 1, n_samples), dtype=np.uint64)
     t, v = np.empty((2, m, 2, n_samples))
     cell, u = h.view(np.int64).reshape(t.shape), z.view(float).reshape(t.shape)  # u: z as floats
@@ -651,67 +652,41 @@ def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
 
 
 def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14):
-    """Smallest k <= k_max such that the forward image of the leaf
-    delta-segment at x meets the delta-neighborhood of y's local
-    centre-stable set, or None.
+    """Smallest k <= k_max at which the image of the leaf delta-segment at x
+    meets the delta-neighborhood of y's local centre-stable set, as {"k": k,
+    "param": t} with f^k(leaf point at t) the meeting point, or None.
 
-    Works on the closed-form leaf geometry: at time k the image segment
-    is a straight run of length 2*delta*rate^k along the unstable
-    direction, and meeting the target reduces to an integer search over
-    deck translations inside a thin slab.  Coordinates past the first two
-    form the fiber, which the step map carries along; a candidate k also
-    needs the fiber of f^k(x) within delta of y's.
+    d_k = A^k x - y comes exact for every k from one product of the power
+    table (core._powers) with the 64-bit phases of x and y.  A deck
+    translation m is a hit at k when d_k + m, read through coframe as (u, s),
+    has |s| <= delta and |u| <= delta (|lambda|^k + 1): t = clip(-u /
+    lambda^k, +-delta) then lands within delta.  The search keeps the hit of
+    least |u| over m_1 within +-ceil(min(delta |lambda|^k + 2, max(64, 8 /
+    delta))), past which a long segment's stable residues equidistribute, and
+    the three m_2 nearest s = 0.  The fiber, stepped by fiber[0], must lie
+    within delta of y's.  ArithmeticError (bowen.check_atom_limit) before
+    any search when the window at k_max holds over MAX_CENTERS.
     """
-    x = mod1(np.asarray(x, dtype=float))
-    y = mod1(np.asarray(y, dtype=float))
-    lam = sysm.eigenvalue
-    e_u = sysm.frame[0, :2]
-    e_cs = sysm.frame[1, :2]
-    z = x
-    for k in range(k_max + 1):
-        if k:
-            z = sysm.step_fwd(z)
-        if torus_dist(z[2:], y[2:]) <= delta:
-            t = _leaf_hit(z[:2], y[:2], e_u, e_cs, delta, lam ** k)
-            if t is not None:
-                w = iterate(sysm, leaf_point(sysm, x, t), k)
-                uw, csw = sysm.split(w - y)
-                if not (abs(uw) > delta * 1.01 or np.max(np.abs(csw)) > delta * 1.01):
-                    return {"k": k, "param": t}
-    return None
-
-
-def _leaf_hit(b0, by, e_u, e_cs, delta, stretch):
-    """Deck-translation search: does the leaf segment through b0, times the signed
-    stretch, pass within the delta slab around by?  Returns the launch parameter."""
-    d0 = b0 - by
-    u_d = float(np.dot(d0, e_u))
-    s_d = float(np.dot(d0, e_cs))
-    reach = delta * abs(stretch)
-    # once the stretched segment spans several fundamental domains, a small
-    # window of deck translations already contains a slab hit (the stable
-    # residues equidistribute), so the enumeration never needs to cover reach
-    m_span = int(np.ceil(min(reach + 2, max(64.0, 8.0 / delta))))
-    m1 = np.arange(-m_span, m_span + 1)
-    # lattice vectors with cs-component inside the slab: solve for m2
-    c_u1, c_u2 = e_u[0], e_u[1]
-    c_s1, c_s2 = e_cs[0], e_cs[1]
-    if abs(c_s2) < 1e-12:
-        return None
-    center = (-s_d - c_s1 * m1) / c_s2
-    for shift in (0, -1, 1):
-        m2 = np.round(center).astype(int) + shift
-        s_val = s_d + c_s1 * m1 + c_s2 * m2
-        u_val = u_d + c_u1 * m1 + c_u2 * m2
-        good = (np.abs(s_val) <= delta) & (np.abs(u_val) <= reach + delta)
-        if good.any():
-            idx = np.nonzero(good)[0]
-            i = int(idx[np.argmin(np.abs(u_val[idx]))])
-            t = -u_val[i] / stretch
-            if abs(t) <= delta:
-                return float(t)
-            # clamp: a boundary launch point still lands within 2*delta
-            t = float(np.clip(t, -delta, delta))
-            if abs(u_val[i] + t * stretch) <= delta:
-                return t
+    x, y = mod1(x), mod1(y)
+    lam, rate = sysm.eigenvalue, sysm.leaf_rate
+    spans = [math.ceil(min(delta * rate ** k + 2, max(64.0, 8.0 / delta)))
+             for k in range(k_max + 1)]
+    check_atom_limit(None, {f"delta {delta:g} and k_max {k_max}": 3 * (2 * spans[-1] + 1)},
+                     "transitivity window")
+    d = np.matmul(_powers(sysm, k_max)[:, 0], _phases(x[:2])) - _phases(y[:2])
+    us = np.matmul(d.view(np.int64) * 2.0 ** -64, sysm.coframe[:2, :2])  # (u, s) of d, per k
+    (c_u1, c_s1), (c_u2, c_s2) = sysm.coframe[:2, :2]
+    fiber = x[2:]
+    for k, ((u_d, s_d), span) in enumerate(zip(us, spans)):
+        fiber = sysm.fiber[0](fiber) if k and sysm.fiber else fiber
+        if torus_dist(fiber, y[2:]) > delta:
+            continue
+        m1 = np.arange(-span, span + 1)
+        m2 = np.rint((-s_d - c_s1 * m1) / c_s2) + np.arange(-1.0, 2.0)[:, None]
+        s = s_d + c_s1 * m1 + c_s2 * m2
+        u = u_d + c_u1 * m1 + c_u2 * m2
+        u = u[(np.abs(s) <= delta) & (np.abs(u) <= delta * rate ** k + delta)]
+        if u.size:
+            return {"k": k, "param": float(np.clip(-u[np.argmin(np.abs(u))] / lam ** k,
+                                                   -delta, delta))}
     return None

@@ -26,7 +26,8 @@ potential; check_separation and is_spanning certify separated nets in the
 d_n metric, and bowen_constants measures the distortion constants the
 closed forms rest on.  birkhoff_probe_oracle steps the probe's 64-bit
 phases one step at a time in Python integers and sums the potential in
-mpmath, with one rounding per average.
+mpmath, with one rounding per average.  exact_landing certifies a
+transitivity hit on the exact orbit of its launch point, in rationals.
 """
 
 import math
@@ -364,6 +365,26 @@ def leaf_sum_oracle(sysm, phi, x, start, spacing, idx, n, digits=60):
 def phase64(x):
     """The 64-bit phase of a coordinate in [0, 1]: floor(x 2^64) mod 2^64, exactly."""
     return math.floor(Fraction(float(x)) * 2 ** 64) % 2 ** 64
+
+
+def exact_leaf_image(sysm, x, t, k):
+    """A^k (x + t e_u) on the base, exact in the rationals of the floats x, t and
+    frame[0], not reduced mod 1: the k-th image of a launch point."""
+    a = [[int(v) for v in row] for row in sysm.matrix]
+    p = [Fraction(float(x[j])) + Fraction(float(t)) * Fraction(float(sysm.frame[0, j]))
+         for j in range(2)]
+    for _ in range(k):
+        p = [a[0][0] * p[0] + a[0][1] * p[1], a[1][0] * p[0] + a[1][1] * p[1]]
+    return p
+
+
+def exact_landing(sysm, x, y, k, t):
+    """Frame coordinates (u, s) of f^k(x + t e_u) - y on the base, exact and taken
+    to the nearest lattice point, read through coframe; as floats."""
+    d = [p - Fraction(float(y[j])) for j, p in enumerate(exact_leaf_image(sysm, x, t, k))]
+    d = [dj - round(dj) for dj in d]
+    c = [[Fraction(float(v)) for v in row] for row in sysm.coframe[:2, :2]]
+    return tuple(float(d[0] * c[0][i] + d[1] * c[1][i]) for i in range(2))
 
 
 def cos_turns_oracle(z, digits=30):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,20 @@ class TestMain:
         assert code == 3
         assert ("numeric failure: probe of birkhoff_steps 1000000 and n_samples 10000 "
                 "needs 20000000000 point-steps (limit 268435456)") in capsys.readouterr().out
+
+    def test_transitivity_window_limit_exits_3(self, tmp_path, capsys):
+        # 4.8e9 deck translations at k_max: refused before the search allocates any
+        path = _write(tmp_path, BASE + "delta = 1e-8\nk_max = 64\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["probe", "--config", path, "--out", str(tmp_path / "o")])
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak_mb < 1
+        assert ("numeric failure: transitivity window of delta 1e-08 and k_max 64 needs "
+                "4800000003 deck translations (limit 4194304)") in capsys.readouterr().out
 
     def test_cdim_cover_size_limit_skips_pressure(self, tmp_path, monkeypatch):
         calls = []

@@ -13,7 +13,7 @@ import oracles
 from eqmeas import caratheodory, core, equilibrium
 from eqmeas.equilibrium import _bin_index
 from oracles import (bin_index_oracle, birkhoff_probe_oracle, cos_turns_oracle,
-                     disintegrate_oracle, evolve_oracle, gibbs_ratio_oracle,
+                     disintegrate_oracle, evolve_oracle, exact_landing, gibbs_ratio_oracle,
                      net_words_oracle, systems_with_oracles, toral_steps)
 
 LAM = (3 + np.sqrt(5.0)) / 2
@@ -943,6 +943,73 @@ class TestTransitivityProbe:
                                         np.array([0.61, 0.13, 0.8]), k_max=2)
         assert hit is None
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], oracles.M32, [[2, 3], [1, 2]]],
+                             ids=["cat", "m32", "m23"])
+    def test_frames_that_are_not_orthonormal(self, matrix):
+        # y = f^k(leaf point at t) + s e_s is reachable at k; frame coordinates come
+        # through the coframe, which is not the frame's transpose on m32 and m23
+        sysm = eqmeas.make_toral_automorphism(matrix)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            x, t, s = rng.random(2), rng.uniform(-0.08, 0.08), rng.uniform(-0.05, 0.05)
+            k = int(rng.integers(1, 6))
+            y = eqmeas.mod1(eqmeas.iterate(sysm, eqmeas.leaf_point(sysm, x, t), k)
+                            + s * sysm.frame[1])
+            hit = eqmeas.transitivity_probe(sysm, x, y, k_max=k)
+            assert hit is not None
+            assert max(map(abs, exact_landing(sysm, x, y, hit["k"], hit["param"]))) <= 0.1
+
+    @pytest.mark.parametrize("k,t,s", [(22, 0.3, 0.4), (25, -0.6, -0.2), (28, 0.8, 0.5)])
+    def test_far_hits_land_on_the_exact_orbit(self, cat, k, t, s):
+        # at delta 1e-6 the image segment is 10^3-10^6 long at k = 22-28: a float
+        # orbit of the launch point drifts past delta, the exact one lands within it.
+        # k = 28 is the largest k_max whose window stays under MAX_CENTERS here.
+        delta, sysm = 1e-6, cat.system
+        image = oracles.exact_leaf_image(sysm, X0, t * delta, k)
+        y = np.array([float((image[j] + Fraction(s * delta) * Fraction(sysm.frame[1, j])) % 1)
+                      for j in range(2)])
+        hit = eqmeas.transitivity_probe(sysm, X0, y, delta=delta, k_max=k)
+        assert hit is not None
+        assert max(map(abs, exact_landing(sysm, X0, y, hit["k"], hit["param"]))) <= delta
+
+    def test_slowprod_default_pair_at_k_max_64(self, slowprod):
+        # the CLI's default slowprod pair: its fiber first comes within delta at k = 40
+        x, y = np.array([0.2, 0.7, 0.13, 0.86]), np.array([0.61, 0.13, 0.5, 0.5])
+        hit = eqmeas.transitivity_probe(slowprod.system, x, y, k_max=64)
+        assert hit["k"] == 40
+        assert max(map(abs, exact_landing(slowprod.system, x, y, 40, hit["param"]))) <= 0.1
+
+    def test_steps_no_point(self, cat, skew, slowprod, monkeypatch):
+        # the base follows its exact phases and only the fiber is stepped
+        def refuse(*args, **kwargs):
+            raise AssertionError("transitivity steps or splits no float point")
+
+        for name in ("_step", "step_fwd", "step_back", "split"):
+            monkeypatch.setattr(core.SystemSpec, name, refuse)
+        pairs = [(cat, X0, [0.61, 0.13], 14, 3), (skew, [0.2, 0.7, 0.37], [0.61, 0.13, 0.8], 14, 6),
+                 (slowprod, [0.2, 0.7, 0.13, 0.86], [0.61, 0.13, 0.95, 0.58], 15, 12)]
+        for entry, x, y, k_max, k in pairs:
+            hit = eqmeas.transitivity_probe(entry.system, np.array(x), np.array(y), k_max=k_max)
+            assert hit["k"] == k
+
+    def test_window_limit_before_any_search(self, cat, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched over the limit")
+
+        monkeypatch.setattr(equilibrium, "_powers", refuse)
+        with pytest.raises(ArithmeticError, match=(
+                r"transitivity window of delta 1e-08 and k_max 64 needs 4800000003 deck "
+                r"translations \(limit 4194304\)")):
+            eqmeas.transitivity_probe(cat.system, X0, np.array([0.61, 0.13]), delta=1e-8,
+                                      k_max=64)
+        monkeypatch.undo()
+        # the default window, 3 (2 * 80 + 1) deck translations, is the limit itself
+        monkeypatch.setattr(eqmeas.bowen, "MAX_CENTERS", 483)
+        assert eqmeas.transitivity_probe(cat.system, X0, np.array([0.61, 0.13]))["k"] == 3
+        monkeypatch.setattr(eqmeas.bowen, "MAX_CENTERS", 482)
+        with pytest.raises(ArithmeticError, match="needs 483 deck translations"):
+            eqmeas.transitivity_probe(cat.system, X0, np.array([0.61, 0.13]))
 
 
 def traced_peak_mb(fn):

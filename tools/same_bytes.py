@@ -81,6 +81,8 @@ def cases(checkout):
         # one probe step per block, both directions stepped in one call
         call("skew.samples1e4.probe", "probe", "skew",
              {"n_samples": 10000, "birkhoff_steps": 100}),
+        # the default slowprod pair: its fiber first comes within delta at k = 40
+        call("slowprod.kmax64.probe", "probe", "slowprod", {"k_max": 64}),
     ]
 
 
