@@ -171,11 +171,13 @@ def write_csv(path, pipeline, cols, rows):
 
 
 class Run:
-    """One invocation's config, system and shared stages, each computed on first use."""
+    """One invocation's config, system, pipeline names and shared stages,
+    each stage computed on first use."""
 
-    def __init__(self, cfg, sysm):
+    def __init__(self, cfg, sysm, pipelines):
         self.cfg = cfg
         self.sys = sysm
+        self.pipelines = pipelines
 
     @functools.cached_property
     def phi(self):
@@ -199,7 +201,8 @@ class Run:
     def evolved(self):
         # snapshots serve only run_evolve; the averaged measure does not depend on them
         cfg = self.cfg
-        marks = sorted({max(1, cfg["steps"] // 4), cfg["steps"] // 2, cfg["steps"]})
+        marks = (sorted({max(1, cfg["steps"] // 4), cfg["steps"] // 2, cfg["steps"]})
+                 if "evolve" in self.pipelines else ())
         return evolve_average(self.sys, self.phi, self.pressure.value,
                               np.array(cfg["base_x"]), steps=cfg["steps"],
                               grid=tuple(cfg["grid"]), order=cfg["evolve_order"],
@@ -382,7 +385,7 @@ def main(argv=None):
                "system": cfg["system"], "pipelines": {}, "checks": []}
     all_ok = True
     try:
-        run = Run(cfg, system)
+        run = Run(cfg, system, names)
         for name in names:
             rows, cols, part, checks = _RUNNERS[name](run)
             write_csv(os.path.join(args.out, f"{name}.csv"), name, cols, rows)

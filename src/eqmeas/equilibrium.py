@@ -363,11 +363,19 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
 
     Centres are taken in groups of GIBBS_POINTS // n_mc (at least one),
     whose clouds are drawn by one rng call (the stream of one call per
-    centre) and stepped with their centres as one array, one step_fwd per
-    order.  The step, the distances and the per-centre means are computed
-    row by row, so the report does not depend on GIBBS_POINTS.  S_n phi of
-    a centre is summed along its stepped row (n c for a constant phi = c),
-    which is birkhoff_sum's value unless a centre coordinate is exactly 1.0.
+    centre).  d_n is a running maximum, so a point whose distance to its
+    centre has reached r lies outside every later ball: hits, True while
+    d_k < r at every order so far, is only ever cleared, and a group's
+    centres are stepped with only the points they still hold, as one
+    array, one step_fwd per order.  Points that have left are dropped once
+    they are half of those followed (so copying stays within a constant
+    factor of stepping), and with a constant phi a group that holds no
+    point is not stepped.  The estimates read the full-length densities
+    and hits, and the step, the distances and the per-centre means are
+    computed row by row, so the report depends neither on GIBBS_POINTS
+    nor on which points are followed.  S_n phi of a centre is summed along
+    its stepped row (n c for a constant phi = c), which is birkhoff_sum's
+    value unless a centre coordinate is exactly 1.0.
 
     The report aggregates per-order medians m_n over centers,
     qhat_n = max(m_n, 1/m_n), and the least-squares trend of log qhat_n.
@@ -388,20 +396,27 @@ def gibbs_ratio(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
     c = phi.constant_value
     for lo in range(0, n_centers, group):
         x = centers[lo:lo + group, None]
-        coeff = (2 * rng.random((len(x), n_mc, sysm.dim)) - 1) * exts
-        cloud = mod1(x + coeff @ sysm.frame)
-        dens = mu.density(cloud.reshape(-1, sysm.dim)).reshape(len(x), n_mc)
-        dmax = torus_dist(x, cloud)
-        z = np.concatenate((x, cloud), axis=1)  # row 0 of each: the centre
+        g = len(x)
+        coeff = (2 * rng.random((g, n_mc, sysm.dim)) - 1) * exts
+        cloud = mod1(x + coeff @ sysm.frame).reshape(-1, sysm.dim)
+        dens = mu.density(cloud).reshape(g, n_mc)
+        hits = torus_dist(x, cloud.reshape(g, n_mc, -1)) < r
+        hit = hits.reshape(-1)  # a view: clearing hit clears hits
+        at = np.arange(g * n_mc)  # the followed points, as indices into hit
+        z = np.concatenate((x[:, 0], cloud))  # rows 0..g-1: the centres
         for n in range(1, n_max + 1):
             if n > 1:
-                z = sysm.step_fwd(z)
-                dmax = np.maximum(dmax, torus_dist(z[:, :1], z[:, 1:]))
+                keep = hit[at]
+                if 2 * np.count_nonzero(keep) <= len(at):  # half or more have left
+                    at = np.compress(keep, at)
+                    z = np.concatenate((z[:g], np.compress(keep, z[g:], axis=0)))
+                if c is None or len(at):
+                    z = sysm.step_fwd(z)
+                    hit[at] &= torus_dist(np.take(z, at // n_mc, axis=0), z[g:]) < r
             if c is None:
-                sn = phi(z[:, 0]) if n == 1 else sn + phi(z[:, 0])
+                sn = phi(z[:g]) if n == 1 else sn + phi(z[:g])
             if n in pos:
                 j = pos[n]
-                hits = dmax < r
                 est = volume * np.mean(dens * hits, axis=1)
                 low = ~hits.any(axis=1) | (est <= 0)
                 if low.any():

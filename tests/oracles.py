@@ -317,6 +317,30 @@ def gibbs_ratio_oracle(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,
         params={"r": r, "n_mc": n_mc, "n_centers": n_centers, "seed": seed})
 
 
+def gibbs_inside_oracle(sysm, mu, *, orders=range(3, 9), r=0.2, n_centers=12, n_mc=8192,
+                        pad=1.05, seed=0):
+    """gibbs_ratio's centres and clouds, one centre at a time, with every
+    cloud point stepped to the last order: (centres, inside), where
+    inside[i, n - 1] counts the points of centre i with d_k < r at every
+    order k <= n."""
+    n_max = max(orders)
+    rng = np.random.default_rng(seed)
+    centers = mu.sample(n_centers, rng)
+    exts = np.full(sysm.dim, r * pad)
+    exts[0] = eqmeas.ball_width(sysm, min(orders), r) * pad
+    inside = np.zeros((n_centers, n_max), dtype=int)
+    for i, x in enumerate(centers):
+        coeff = (2 * rng.random((n_mc, sysm.dim)) - 1) * exts
+        zx, zc = x, eqmeas.mod1(x + coeff @ sysm.frame)
+        still = np.ones(n_mc, dtype=bool)
+        for n in range(1, n_max + 1):
+            if n > 1:
+                zx, zc = sysm.step_fwd(zx), sysm.step_fwd(zc)
+            still &= eqmeas.torus_dist(zx, zc) < r
+            inside[i, n - 1] = np.count_nonzero(still)
+    return centers, inside
+
+
 def bin_index_oracle(points, grid):
     """Flat C-order bin index, one temporary array per operation."""
     idx = np.zeros(len(points), dtype=np.int64)

@@ -8,8 +8,8 @@ import pytest
 import eqmeas
 import eqmeas.catalog as catalog
 from eqmeas.catalog import CAT_MATRIX, SlowFlowProfile
-from oracles import (evolve_oracle, flow_time_one_oracle, slowprod_steps,
-                     systems_with_oracles)
+from oracles import (evolve_oracle, flow_time_one_oracle, gibbs_inside_oracle,
+                     slowprod_steps, systems_with_oracles)
 
 LAM = (3 + np.sqrt(5.0)) / 2
 
@@ -385,12 +385,23 @@ class TestSlowedProduct:
         assert res.atom_count > 1
         assert mapped_rows == [1] * 4
 
+    @staticmethod
+    def _assert_gibbs_rows(sysm, mu, mapped_rows):
+        # one map per order of the 4 centres and of the cloud points followed:
+        # every point still inside the Bowen ball, and fewer than as many again
+        # that have left (dropped once they are half of those followed)
+        rows = list(mapped_rows)  # before the oracle's own steps add to them
+        _, inside = gibbs_inside_oracle(sysm, mu, orders=range(1, 6), n_centers=4, n_mc=256)
+        live = inside.sum(axis=0)[:-1]  # inside at orders 1-4, each stepped once more
+        assert rows == [274, 112, 50, 15]
+        assert all(4 + k <= m <= 4 + 2 * k for m, k in zip(rows, live, strict=True))
+
     def test_gibbs_maps_each_order_once(self, slowprod, mapped_rows, phi0):
-        # the 4 centres and their clouds of 256 points take each step together
+        # the 4 centres and the cloud points they still hold take each step together
         mu = eqmeas.PhaseMeasure.uniform((4,) * 4)
         eqmeas.gibbs_ratio(slowprod.system, phi0, mu, slowprod.h_top,
                            orders=range(1, 6), n_centers=4, n_mc=256)
-        assert mapped_rows == [4 * 257] * 4
+        self._assert_gibbs_rows(slowprod.system, mu, mapped_rows)
 
     def test_gibbs_sums_a_nonconstant_potential_along_the_centre_rows(
             self, slowprod, mapped_rows):
@@ -398,7 +409,7 @@ class TestSlowedProduct:
         mu = eqmeas.PhaseMeasure.uniform((4,) * 4)
         eqmeas.gibbs_ratio(slowprod.system, eqmeas.base_cosine_potential(0.05), mu,
                            slowprod.h_top, orders=range(1, 6), n_centers=4, n_mc=256)
-        assert mapped_rows == [4 * 257] * 4
+        self._assert_gibbs_rows(slowprod.system, mu, mapped_rows)
 
     def test_evolve_matches_mapping_every_row(self, slowprod, phi0):
         sysm = slowprod.system

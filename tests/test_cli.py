@@ -332,6 +332,22 @@ class TestSharedStages:
                          "--out", str(tmp_path / "o")]) == 0
         assert calls == {"evolve_average": 1, "estimate_pressure": 1}
 
+    @pytest.mark.parametrize("pipeline,marks", [("gibbs", []), ("probe", []),
+                                                ("evolve", [2, 4, 8]), ("fullsuite", [2, 4, 8])])
+    def test_checkpoints_only_for_evolve(self, tmp_path, monkeypatch, pipeline, marks):
+        # the snapshots serve only run_evolve's convergence profile
+        runs = []
+
+        class Spy(cli.Run):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        monkeypatch.setattr(cli, "Run", Spy)
+        path = _write(tmp_path, SMALL)
+        assert cli.main([pipeline, "--config", path, "--out", str(tmp_path / "o")]) == 0
+        assert sorted(runs[0].evolved.snapshots) == marks
+
 
 ROOT = pathlib.Path(__file__).parents[1]
 

@@ -13,8 +13,8 @@ import oracles
 from eqmeas import caratheodory, core, equilibrium
 from eqmeas.equilibrium import _bin_index
 from oracles import (bin_index_oracle, birkhoff_probe_oracle, cos_turns_oracle,
-                     disintegrate_oracle, evolve_oracle, exact_landing, gibbs_ratio_oracle,
-                     net_words_oracle, systems_with_oracles, toral_steps)
+                     disintegrate_oracle, evolve_oracle, exact_landing, gibbs_inside_oracle,
+                     gibbs_ratio_oracle, net_words_oracle, systems_with_oracles, toral_steps)
 
 LAM = (3 + np.sqrt(5.0)) / 2
 H = np.log(LAM)
@@ -617,6 +617,45 @@ class TestGibbsRatio:
         assert want.floored.any()
         self._assert_same_report(
             eqmeas.gibbs_ratio(cat.system, phi0, cat_mu40.measure, H, **kw), want)
+
+    @pytest.mark.parametrize("points", [64, 8 * 64], ids=["1", "all"])
+    @pytest.mark.parametrize("pot", ["cos", "geom"])
+    @pytest.mark.parametrize("key", ["cat", "slowprod"])
+    def test_follows_only_the_points_inside(self, monkeypatch, key, pot, points):
+        # each step maps a group's centres and from 1 to 2 times as many cloud
+        # points as are still inside the Bowen ball (the halving rule); a
+        # constant phi steps nothing of a group once all its points have left
+        sysm = dataclasses.replace(systems_with_oracles()[key][0])
+        masses = np.random.default_rng(4).random(6 ** sysm.dim)
+        mu = eqmeas.PhaseMeasure((6,) * sysm.dim, masses / masses.sum())
+        phi = (eqmeas.base_cosine_potential(0.3) if pot == "cos"
+               else eqmeas.geometric_potential(sysm, 0.7))
+        n_max = 13  # every point of every centre has left by then
+        kw = dict(orders=range(2, n_max + 1), n_centers=7, n_mc=64, seed=5)
+        centers, inside = gibbs_inside_oracle(sysm, mu, **kw)
+        path = [centers]  # path[n - 1]: the centres at order n
+        for _ in range(n_max - 1):
+            path.append(sysm.step_fwd(path[-1]))
+        calls, step = [], sysm.step_fwd
+        sysm.step_fwd = lambda pts: (calls.append(pts.copy()), step(pts))[1]
+        monkeypatch.setattr(equilibrium, "GIBBS_POINTS", points)
+        eqmeas.gibbs_ratio(sysm, phi, mu, 0.9, **kw)
+
+        g = points // 64
+        want = [(lo, n) for lo in range(0, 7, g) for n in range(2, n_max + 1)
+                if pot == "cos" or inside[lo:lo + g, n - 2].any()]
+        assert len(calls) == len(want)
+        rows = {}
+        for pts, (lo, n) in zip(calls, want):
+            k, live = len(centers[lo:lo + g]), inside[lo:lo + g, n - 2].sum()
+            assert np.array_equal(pts[:k], path[n - 2][lo:lo + g])  # the group at order n - 1
+            assert live <= len(pts) - k <= 2 * live
+            rows.setdefault(lo, []).append(len(pts))
+        for lo, mapped in rows.items():
+            k = len(centers[lo:lo + g])
+            assert mapped == sorted(mapped, reverse=True) and mapped[0] <= k * (1 + 64)
+        if pot == "geom":  # the last order steps no group
+            assert max(n for _, n in want) < n_max
 
 
 class TestHolonomy:

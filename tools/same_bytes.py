@@ -10,11 +10,13 @@ track), so nothing is written to .git or bench/.  Every case below is one
 sides; a case is identical when the exit codes, stdout and every output
 file (the pipeline CSVs and summary.json) match byte for byte.  When only
 summary.json differs, the line also names its largest relative change
-among the numbers both sides hold at the same key path, |a - b| / max(|a|,
-|b|): a change that only rounds shows as one of order 1e-12.  When other
-files differ too, it names the pipelines.<name> entries of summary.json
-whose numbers changed.  The slowprod-control and cdim-cos configs are read from the working tree's
-bench/workloads.py, imported in its copy.  The default slowprod fullsuites
+among the numbers at the same key path, |a - b| / max(|a|, |b|): a change
+that only rounds shows as one of order 1e-12, and a key or list item that
+one side lacks, or a number that the other side holds as null or text,
+shows as inf.  When other files differ too, it names the pipelines.<name>
+entries of summary.json whose numbers changed.  The slowprod-control and
+cdim-cos configs are read from the working tree's bench/workloads.py,
+imported in its copy.  The default slowprod fullsuites
 take about 2.5 s (zero potential) and 3.5 s (cos) a side.  A signal stops
 it as it stops tools/pairs.py: no temporary directory or CLI process is
 left behind.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -81,6 +84,10 @@ def cases(checkout):
         # one probe step per block, both directions stepped in one call
         call("skew.samples1e4.probe", "probe", "skew",
              {"n_samples": 10000, "birkhoff_steps": 100}),
+        # Gibbs groups of 32 centres whose cloud points leave at different
+        # orders, with S_n phi summed along the centre rows
+        call("skew.cos.centres32.gibbs", "gibbs", "skew",
+             {"potential": "cos", "n_mc": 256, "n_centers": 64}),
         # the default slowprod pair: its fiber first comes within delta at k = 40
         call("slowprod.kmax64.probe", "probe", "slowprod", {"k_max": 64}),
     ]
@@ -115,17 +122,31 @@ def diff(a, b):
     return bad
 
 
+ABSENT = object()  # the value at a key or list index that one side lacks
+
+
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def largest_change(a, b, path=""):
     """(relative change, key path) of the numbers of two parsed JSON values
-    that differ most; (0.0, "") when none differs."""
+    that differ most; (0.0, "") when none differs.  A number against a
+    non-number (null, say), and a key or list item on one side only, are an
+    infinite change at their path."""
     if isinstance(a, dict) and isinstance(b, dict):
-        pairs = [(a[k], b[k], f"{path}.{k}" if path else k) for k in a.keys() & b.keys()]
+        pairs = [(a.get(k, ABSENT), b.get(k, ABSENT), f"{path}.{k}" if path else k)
+                 for k in a.keys() | b.keys()]
     elif isinstance(a, list) and isinstance(b, list):
-        pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
-    elif (all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-          and a != b and not (math.isnan(a) and math.isnan(b))):
+        pairs = [(x, y, f"{path}[{i}]")
+                 for i, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=ABSENT))]
+    elif _number(a) and _number(b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0, ""
         rel = abs(a - b) / max(abs(a), abs(b))
         return (rel if math.isfinite(rel) else math.inf), path  # nan or inf on one side
+    elif a is ABSENT or b is ABSENT or _number(a) or _number(b):
+        return math.inf, path
     else:
         return 0.0, ""
     return max((largest_change(x, y, p) for x, y, p in sorted(pairs, key=lambda t: t[2])),
@@ -133,10 +154,11 @@ def largest_change(a, b, path=""):
 
 
 def moved_pipelines(a, b):
-    """The pipelines.<name> entries of two parsed summaries whose numbers differ."""
+    """The pipelines.<name> entries of two parsed summaries whose numbers
+    differ, or that one side lacks."""
     pa, pb = a.get("pipelines", {}), b.get("pipelines", {})
-    return [f"pipelines.{name}" for name in sorted(pa.keys() & pb.keys())
-            if largest_change(pa[name], pb[name])[1]]
+    return [f"pipelines.{name}" for name in sorted(pa.keys() | pb.keys())
+            if largest_change(pa.get(name, ABSENT), pb.get(name, ABSENT))[0]]
 
 
 def main(argv=None):
