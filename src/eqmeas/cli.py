@@ -117,12 +117,14 @@ def _load_config(path):
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    if "run" not in parser:
-        raise ConfigError("config needs a [run] section")
-    raw = dict(parser["run"])
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        if "run" not in parser:
+            raise ConfigError("config needs a [run] section")
+        raw = dict(parser["run"])  # values interpolate here: a lone % raises
+    except configparser.Error as exc:  # a repeated key or section, no section header
+        raise ConfigError(" ".join(str(exc).split())) from None
     extra = [k for k in parser.sections() if k != "run"]
     if extra:
         raise ConfigError(f"unexpected sections {extra}")
@@ -324,14 +326,12 @@ def run_probe(run):
                         n_steps=cfg["birkhoff_steps"], n_samples=cfg["n_samples"],
                         seed=cfg["seed"])
     rows = [("transit_k", -1 if hit is None else hit["k"]),
-            ("dispersion", bk["dispersion"]),
-            ("agree_fraction", bk["agree_fraction"])]
+            ("dispersion", bk["dispersion"])]
     checks = [("transitivity", hit is not None, "no k" if hit is None else f"k={hit['k']}"),
               ("birkhoff_dispersion", bk["dispersion"] < 0.05,
                f"dispersion={bk['dispersion']:.4g}")]
     summary = {"transit_k": None if hit is None else hit["k"],
-               "dispersion": bk["dispersion"],
-               "agree_fraction": bk["agree_fraction"]}
+               "dispersion": bk["dispersion"]}
     return rows, ("quantity", "value"), summary, checks
 
 

@@ -16,8 +16,8 @@ import functools
 import numpy as np
 
 # Points per block wherever many are followed (evolve's atoms, the probe's
-# phases of both directions): bounds their 64-bit phase arrays and the
-# temporaries made from them, whatever the net or sample count.
+# phases): bounds their 64-bit phase arrays and the temporaries made from
+# them, whatever the net or sample count.
 BLOCK = 2 ** 14
 ROW = 2 ** 7  # atoms per row in a leaf sum's angle addition
 TILE = 2 ** 4  # rows per matrix product in a leaf sum
@@ -227,7 +227,7 @@ def leaf_birkhoff_sum(sys, phi, x, start, spacing, count, n):
     amp, j, kappa = ([mode[c] for mode in base] for c in range(3))
     words, rems = _net_phases(sys, x, start, spacing)
     kappa = np.array([k % 2 ** 64 for k in kappa], dtype=np.uint64)[:, None]
-    row = _powers(sys, n)[:n, 0, j] * kappa  # kappa times row j of A^k, k < n, mod 2^64
+    row = _powers(sys, n)[:n, j] * kappa  # kappa times row j of A^k, k < n, mod 2^64
     # the (start, step) phases of axis j a step and mode: words mod 2^64, and remainders
     # by the signed rows, exact while |kappa A^k| < 2^63, long after e_u's rounding shows
     z = np.matmul(row, words).reshape(-1, 2)
@@ -278,17 +278,16 @@ def _net_phases(sys, x, start, spacing):
 
 
 def _powers(sys, m):
-    """power[k] = (A^k, A^-k) mod 2^64 (uint64), k <= m: the head of the matrix's
-    table, whose length is the next power of two above m (at least 64)."""
-    return _power_table(sys.matrix.tobytes() + sys.inverse.tobytes(),
-                        2 ** max(6, m.bit_length()))[:m + 1]
+    """power[k] = A^k mod 2^64 (uint64), k <= m: the head of the matrix's table,
+    whose length is the next power of two above m (at least 64)."""
+    return _power_table(sys.matrix.tobytes(), 2 ** max(6, m.bit_length()))[:m + 1]
 
 
 @functools.lru_cache(maxsize=4)
-def _power_table(bases, size):
-    """_powers up to size, from the bytes of float A and A^-1."""
-    power = np.empty((size + 1, 2, 2, 2), dtype=np.uint64)
-    power[0], power[1] = np.eye(2), np.frombuffer(bases).reshape(2, 2, 2).astype(np.int64)
+def _power_table(matrix, size):
+    """_powers up to size, from the bytes of float A."""
+    power = np.empty((size + 1, 2, 2), dtype=np.uint64)
+    power[0], power[1] = np.eye(2), np.frombuffer(matrix).reshape(2, 2).astype(np.int64)
     for k in range(1, size):
         np.matmul(power[k], power[1], out=power[k + 1])
     power.flags.writeable = False  # one table serves every call with these arguments

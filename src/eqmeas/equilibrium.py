@@ -247,7 +247,7 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
         w = np.broadcast_to(v / equal_mass(v, n_atoms), (n_atoms,))
     words = _net_phases(sysm, x, -leaf_radius, ball_width(sysm, order, r))[0]
     words[:, 1] *= np.uint64(thin)
-    phases = np.matmul(_powers(sysm, steps)[:steps, 0], words)  # (P_k, D_k) per axis
+    phases = np.matmul(_powers(sysm, steps)[:steps], words)  # (P_k, D_k) per axis
     g = np.array(grid[:2], dtype=np.uint64)[:, None]
     # g = 2^s cells on both axes: floor(Z g / 2^64) is the top s bits of Z
     top = None if (g & (g - 1)).any() else 64 - np.log2(g).astype(np.uint64)
@@ -606,42 +606,39 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8):
 
 
 def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
-    """Forward and backward Birkhoff averages of a potential table psi from mu-samples.
+    """Forward Birkhoff averages of a potential table psi from mu-samples.
 
     psi (a core.Potential) reads base axes only (axis mod dim in {0, 1}, else
     IndexError before sampling).  The orbits are exact: a sample's base enters
     once as 64-bit phases X = floor(x 2^64) (a coordinate 1.0 is 0); a mode (a,
-    j, kappa) reads Z = kappa (A^(+-k) X)_j mod 2^64 off a table of the powers of
-    A and A^-1 mod 2^64, k below a block of as many steps as fit core.BLOCK
-    phases of both ways (at least one), and a cos(2 pi Z / 2^64) off a table of
-    4,096 cells by a Taylor step.  The steps are added in step order, so the
-    result does not depend on core.BLOCK.  A unique ergodic average shows up as
-    small dispersion across starting points and forward/backward agreement:
-    agree_fraction is the share of starting points whose two averages differ by
-    at most 0.05.  n_steps and n_samples must be at least 1 (ValueError), with
-    2 n_steps n_samples <= MAX_POINT_STEPS.
+    j, kappa) reads Z = kappa (A^k X)_j mod 2^64 off a table of the powers of A
+    mod 2^64, k below a block of as many steps as fit core.BLOCK phases (at
+    least one), and a cos(2 pi Z / 2^64) off a table of 4,096 cells by a Taylor
+    step.  The steps are added in step order, so the result does not depend on
+    core.BLOCK.  A unique ergodic average shows up as small dispersion, the
+    spread of the averages across starting points.  n_steps and n_samples must
+    be at least 1 (ValueError), with n_steps n_samples <= MAX_POINT_STEPS.
     """
     if n_steps < 1 or n_samples < 1:
         raise ValueError(f"birkhoff_probe needs n_steps, n_samples >= 1, "
                          f"got {n_steps}, {n_samples}")
     check_atom_limit(None, {f"birkhoff_steps {n_steps} and n_samples {n_samples}":
-                            2 * n_steps * n_samples}, "probe")
-    steps = max(1, core.BLOCK // (2 * n_samples))
+                            n_steps * n_samples}, "probe")
+    steps = max(1, core.BLOCK // n_samples)
     m = min(n_steps, steps)  # every block is computed whole; the last one is read in part
     power = _powers(sysm, m)
     cos_cell, sin_cell = _cells()
-    # kappa times row j of A^k and A^-k, k < m; a fiber axis indexes past the base's two
-    modes = [(a, power[:m, :, j % sysm.dim, None] * np.uint64(kappa % 2 ** 64))
+    # kappa times row j of A^k, k < m; a fiber axis indexes past the base's two
+    modes = [(a, power[:m, j % sysm.dim] * np.uint64(kappa % 2 ** 64))
              for a, j, kappa in psi.modes]
-    b = mu.sample(n_samples, np.random.default_rng(seed))[:, :2].T
-    x = np.stack(2 * (_phases(b),))  # way, axis, point
-    z, h = np.empty((2, m, 2, 1, n_samples), dtype=np.uint64)
-    t, v = np.empty((2, m, 2, n_samples))
-    cell, u = h.view(np.int64).reshape(t.shape), z.view(float).reshape(t.shape)  # u: z as floats
-    sums = np.zeros((1 + m * len(modes), 2, n_samples))  # row 0: the running total
-    rows = sums[1:].reshape(m, len(modes), 2, n_samples)  # per step, a row per mode
+    x = _phases(mu.sample(n_samples, np.random.default_rng(seed))[:, :2].T)  # axis, point
+    z, h = np.empty((2, m, n_samples), dtype=np.uint64)
+    t, v = np.empty((2, m, n_samples))
+    cell, u = h.view(np.int64), z.view(float)  # u: z as floats
+    sums = np.zeros((1 + m * len(modes), n_samples))  # row 0: the running total
+    rows = sums[1:].reshape(m, len(modes), n_samples)  # per step, a row per mode
     for start in range(0, n_steps, steps):
-        x = np.matmul(power[m], x) if start else x  # A^(+-m) of the last block's start
+        x = np.matmul(power[m], x) if start else x  # A^m of the last block's start
         for i, (a, kappa_row) in enumerate(modes):
             np.matmul(kappa_row, x, out=z)  # Z: two uint64 products and an add
             np.right_shift(z, 52, out=h)  # the cell
@@ -661,9 +658,8 @@ def birkhoff_probe(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0):
             np.subtract(t, v, out=rows[:, i])
         # one reduce adds the block's rows to row 0 in step order, as per-step sums round
         np.add.reduce(sums[:min(steps, n_steps - start) * len(modes) + 1], axis=0, out=sums[0])
-    fwd, bwd = (sums[0] + n_steps * psi.const) / n_steps
-    return {"forward": fwd, "backward": bwd, "dispersion": float(fwd.std()),
-            "mean": float(fwd.mean()), "agree_fraction": float((np.abs(fwd - bwd) <= 0.05).mean())}
+    fwd = (sums[0] + n_steps * psi.const) / n_steps
+    return {"forward": fwd, "dispersion": float(fwd.std()), "mean": float(fwd.mean())}
 
 
 def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14):
@@ -688,7 +684,7 @@ def transitivity_probe(sysm, x, y, *, delta=0.1, k_max=14):
              for k in range(k_max + 1)]
     check_atom_limit(None, {f"delta {delta:g} and k_max {k_max}": 3 * (2 * spans[-1] + 1)},
                      "transitivity window")
-    d = np.matmul(_powers(sysm, k_max)[:, 0], _phases(x[:2])) - _phases(y[:2])
+    d = np.matmul(_powers(sysm, k_max), _phases(x[:2])) - _phases(y[:2])
     us = np.matmul(d.view(np.int64) * 2.0 ** -64, sysm.coframe[:2, :2])  # (u, s) of d, per k
     (c_u1, c_s1), (c_u2, c_s2) = sysm.coframe[:2, :2]
     fiber = x[2:]

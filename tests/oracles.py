@@ -418,35 +418,27 @@ def cos_turns_oracle(z, digits=30):
 
 
 def birkhoff_probe_oracle(sysm, mu, psi, *, n_steps=10_000, n_samples=200, seed=0,
-                          tol=0.05, digits=30):
+                          digits=30):
     """The probe on exact orbits: each sample's base point as its 64-bit phases
-    (phase64), stepped one step at a time by the integer matrix and by its
-    inverse in Python integers mod 2^64, and psi summed along each orbit in
-    mpmath at `digits` digits before one rounding to a float average."""
+    (phase64), stepped one step at a time by the integer matrix in Python
+    integers mod 2^64, and psi summed along each orbit in mpmath at `digits`
+    digits before one rounding to a float average."""
     b = mu.sample(n_samples, np.random.default_rng(seed))[:, :2]
-    mats = [np.rint(m).astype(int).tolist() for m in (sysm.matrix, sysm.inverse)]
+    (m00, m01), (m10, m11) = np.rint(sysm.matrix).astype(int).tolist()
     modes = [(a, axis % sysm.dim, int(kappa)) for a, axis, kappa in psi.modes]
     assert all(j < 2 for _, j, _ in modes)
-    avgs = np.zeros((2, n_samples))
+    fwd = np.zeros(n_samples)
     with mpmath.workdps(digits):
         for i, point in enumerate(b):
-            for d, ((m00, m01), (m10, m11)) in enumerate(mats):
-                p = [phase64(c) for c in point]
-                total = mpmath.mpf(0)
-                for _ in range(n_steps):
-                    total += mpmath.mpf(psi.const) + sum(
-                        mpmath.mpf(a) * mpmath.cospi(mpmath.mpf(kappa * p[j] % 2 ** 64) / 2 ** 63)
-                        for a, j, kappa in modes)
-                    p = [(m00 * p[0] + m01 * p[1]) % 2 ** 64, (m10 * p[0] + m11 * p[1]) % 2 ** 64]
-                avgs[d, i] = float(total / n_steps)
-    fwd, bwd = avgs
-    return {
-        "forward": fwd,
-        "backward": bwd,
-        "dispersion": float(np.std(fwd)),
-        "mean": float(np.mean(fwd)),
-        "agree_fraction": float(np.mean(np.abs(fwd - bwd) <= tol)),
-    }
+            p = [phase64(c) for c in point]
+            total = mpmath.mpf(0)
+            for _ in range(n_steps):
+                total += mpmath.mpf(psi.const) + sum(
+                    mpmath.mpf(a) * mpmath.cospi(mpmath.mpf(kappa * p[j] % 2 ** 64) / 2 ** 63)
+                    for a, j, kappa in modes)
+                p = [(m00 * p[0] + m01 * p[1]) % 2 ** 64, (m10 * p[0] + m11 * p[1]) % 2 ** 64]
+            fwd[i] = float(total / n_steps)
+    return {"forward": fwd, "dispersion": float(np.std(fwd)), "mean": float(np.mean(fwd))}
 
 
 def _logsumexp(vals):

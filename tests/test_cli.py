@@ -82,6 +82,19 @@ class TestMain:
         assert code == 1
         assert "config error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("body,match", [
+        ("[run]\n" + BASE + "system = skew\n", "option 'system' in section 'run' already exists"),
+        (BASE, "File contains no section headers")])
+    def test_malformed_ini_exits_1(self, tmp_path, capsys, body, match):
+        # configparser's own errors: a repeated key, no section header
+        path = tmp_path / "bad.ini"
+        path.write_text(body)
+        assert cli.main(["press", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("config error: ") and out.count("\n") == 1
+        assert match in out
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_pipeline_rejected_by_argparse(self, tmp_path):
         path = _write(tmp_path, BASE)
         with pytest.raises(SystemExit):
@@ -173,6 +186,16 @@ class TestMain:
         names = [ln.split(",")[0] for ln in lines[1:]]
         assert "transit_k" in names and "dispersion" in names
 
+    def test_probe_rows_and_summary_keys(self, tmp_path):
+        path = _write(tmp_path, BASE + "birkhoff_steps = 20\nn_samples = 5\n")
+        out = tmp_path / "out"
+        assert cli.main(["probe", "--config", path, "--out", str(out)]) == 0
+        lines = (out / "probe.csv").read_text().splitlines()
+        assert lines[0].endswith(" cols=quantity,value")
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["transit_k", "dispersion"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary["pipelines"]["probe"]) == ["dispersion", "transit_k"]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         path = _write(tmp_path, BASE + ("steps = 8\ngrid = 16, 16\n"
                                         "birkhoff_steps = 2000\n"
@@ -231,7 +254,7 @@ class TestMain:
         code = cli.main(["probe", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 3
         assert ("numeric failure: probe of birkhoff_steps 1000000 and n_samples 10000 "
-                "needs 20000000000 point-steps (limit 268435456)") in capsys.readouterr().out
+                "needs 10000000000 point-steps (limit 268435456)") in capsys.readouterr().out
 
     def test_transitivity_window_limit_exits_3(self, tmp_path, capsys):
         # 4.8e9 deck translations at k_max: refused before the search allocates any
@@ -410,8 +433,8 @@ class TestBlockSizes:
         runs = []
         # small: ragged evolve blocks of 1,000 atoms; one
         # cat or skew centre, or 3 + 1 slowprod centres, per group; 12 cat, 3
-        # skew or 1 slowprod bin of subcells at a time; probe blocks of 2 steps
-        # (200 samples) or of 7 + 3 (slowprod's 64 and 10 steps)
+        # skew or 1 slowprod bin of subcells at a time; probe blocks of 5 steps
+        # (200 samples) or one of 10 (slowprod's 64 samples and 10 steps)
         sizes = ((core, "BLOCK"), (equilibrium, "GIBBS_POINTS"),
                  (equilibrium, "SUBCELL_POINTS"))
         for values in ([getattr(mod, name) for mod, name in sizes], (1000, 3 * 256, 200)):

@@ -391,6 +391,24 @@ class TestSystemSpec:
             assert calls == directions, name
 
 
+class TestPowerTable:
+    @pytest.mark.parametrize("m", [0, 1, 64, 65, 300])
+    @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[-2, -1], [-1, -1]]],
+                             ids=["cat", "neg"])
+    def test_matches_integer_powers(self, cat, matrix, m):
+        # A^k mod 2^64 for k <= m, across table sizes 64, 128 and 512; the
+        # negative entries wrap
+        sysm = cat.system if matrix[0][0] == 2 else eqmeas.make_toral_automorphism(matrix)
+        assert np.array_equal(sysm.matrix, matrix)
+        power = core._powers(sysm, m)
+        assert power.dtype == np.uint64 and power.shape == (m + 1, 2, 2)
+        want = [[1, 0], [0, 1]]
+        for k in range(m + 1):
+            assert power[k].tolist() == [[v % 2 ** 64 for v in row] for row in want], k
+            want = [[sum(want[i][n] * matrix[n][c] for n in range(2)) for c in range(2)]
+                    for i in range(2)]
+
+
 class TestLeafBirkhoffSum:
     """The closed form against S_n phi on the ideal leaf, at 60 digits.
 

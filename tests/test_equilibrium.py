@@ -781,11 +781,9 @@ def table(sysm):
 
 
 def assert_matches_exact(out, ref, bound=1e-15):
-    for k in ("forward", "backward"):
-        assert np.abs(out[k] - ref[k]).max() <= bound, k
+    assert np.abs(out["forward"] - ref["forward"]).max() <= bound
     assert abs(out["mean"] - ref["mean"]) <= bound
     assert abs(out["dispersion"] - ref["dispersion"]) <= bound
-    assert out["agree_fraction"] == ref["agree_fraction"]
 
 
 class TestBirkhoffProbe:
@@ -808,25 +806,24 @@ class TestBirkhoffProbe:
                 lambda y, f=f: calls.append(1) or f(y) for f in sysm.fiber))
         # the default block, B steps a block with a ragged point budget, 3 steps
         # a block (ragged last blocks) and one step a block: the same bits
-        per_step, outs = 2 * n_samples, []
-        for points in (core.BLOCK, B * per_step + 7, 3 * per_step, 1):
+        outs = []
+        for points in (core.BLOCK, B * n_samples + 7, 3 * n_samples, 1):
             monkeypatch.setattr(core, "BLOCK", points)
             outs.append(eqmeas.birkhoff_probe(spied, mu, psi, n_steps=n_steps,
                                               n_samples=n_samples, seed=3))
         for out in outs:
             assert_matches_exact(out, ref)
-            for k in ("forward", "backward"):
-                assert np.array_equal(out[k], outs[0][k])
-            assert [out[k] for k in ("dispersion", "mean", "agree_fraction")] == [
-                outs[0][k] for k in ("dispersion", "mean", "agree_fraction")]
+            assert np.array_equal(out["forward"], outs[0]["forward"])
+            assert [out[k] for k in ("dispersion", "mean")] == [
+                outs[0][k] for k in ("dispersion", "mean")]
         assert not calls  # the table reads the base, so no fiber is stepped
 
     def test_negative_entries_in_the_power_table(self, monkeypatch):
-        # A and A^-1 = [[-1, 1], [1, -2]] both hold entries that wrap mod 2^64
+        # A holds entries that wrap mod 2^64
         sysm = eqmeas.make_toral_automorphism(NEG)
         mu, psi = eqmeas.PhaseMeasure.uniform((8, 8)), table(sysm)
         ref = birkhoff_probe_oracle(sysm, mu, psi, n_steps=300, n_samples=3, seed=5)
-        for points in (core.BLOCK, 7 * 6):
+        for points in (core.BLOCK, 7 * 3):
             monkeypatch.setattr(core, "BLOCK", points)
             assert_matches_exact(eqmeas.birkhoff_probe(sysm, mu, psi, n_steps=300,
                                                        n_samples=3, seed=5), ref)
@@ -846,8 +843,7 @@ class TestBirkhoffProbe:
         psi = table(sysm)
         got = eqmeas.birkhoff_probe(sysm, Given(pts), psi, n_steps=40, n_samples=4)
         want = eqmeas.birkhoff_probe(sysm, Given(same), psi, n_steps=40, n_samples=4)
-        for k in ("forward", "backward"):
-            assert np.array_equal(got[k], want[k])
+        assert np.array_equal(got["forward"], want["forward"])
         assert_matches_exact(got, birkhoff_probe_oracle(sysm, Given(pts), psi, n_steps=40,
                                                         n_samples=4))
 
@@ -888,14 +884,14 @@ class TestBirkhoffProbe:
                                   n_steps=n_steps, n_samples=n_samples)
 
     def test_work_limit_before_sampling(self, cat, monkeypatch):
-        # the schema's largest probe: about 5 minutes, refused at once
+        # the schema's largest probe: about 2 minutes, refused at once
         with pytest.raises(ArithmeticError, match=(
                 r"probe of birkhoff_steps 1000000 and n_samples 10000 needs "
-                r"20000000000 point-steps \(limit 268435456\)")):
+                r"10000000000 point-steps \(limit 268435456\)")):
             eqmeas.birkhoff_probe(cat.system, Unsampled(), COS0, n_steps=10**6,
                                   n_samples=10**4)
         # the limit itself is allowed, one step more is not
-        monkeypatch.setattr(eqmeas.bowen, "MAX_POINT_STEPS", 2 * 40 * 5)
+        monkeypatch.setattr(eqmeas.bowen, "MAX_POINT_STEPS", 40 * 5)
         mu = eqmeas.PhaseMeasure.uniform((4, 4))
         eqmeas.birkhoff_probe(cat.system, mu, COS0, n_steps=40, n_samples=5)
         with pytest.raises(ArithmeticError, match=r"birkhoff_steps 41 and n_samples 5 "):
@@ -905,15 +901,7 @@ class TestBirkhoffProbe:
         out = eqmeas.birkhoff_probe(cat.system, cat_mu40.measure, COS0,
                                     n_steps=4000, n_samples=100)
         assert out["dispersion"] < 0.05
-        assert out["agree_fraction"] >= 0.9
         assert abs(out["mean"]) < 0.05   # the observable integrates to zero
-
-    def test_forward_backward_symmetry(self, cat, cat_mu40):
-        obs = eqmeas.Potential(modes=((1.0, 1, 1),))  # cos 2 pi x_1
-        out = eqmeas.birkhoff_probe(cat.system, cat_mu40.measure, obs,
-                                    n_steps=4000, n_samples=100)
-        gap = np.abs(out["forward"] - out["backward"]).max()
-        assert gap < 0.1
 
 
 class TestTransitivityProbe:

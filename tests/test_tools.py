@@ -20,6 +20,14 @@ def _load_tool(name):
 
 
 SAME_BYTES = _load_tool("same_bytes")
+PAIRS = _load_tool("pairs")
+
+
+def test_side_directories_have_one_length():
+    # the worker's peak RSS grows with its directory's path length
+    dirs = PAIRS.side_dirs("/tmp/pairs-x")
+    assert sorted(dirs) == ["change", "ref"]
+    assert len(set(dirs.values())) == 2 and len({len(d) for d in dirs.values()}) == 1
 
 
 class TestLargestChange:

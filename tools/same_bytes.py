@@ -34,7 +34,7 @@ import math
 import os
 import sys
 
-from pairs import Scratch, copy_working_tree, extract_ref, git
+from pairs import Scratch, copy_working_tree, extract_ref, git, side_dirs
 
 
 def _workloads(checkout):
@@ -81,7 +81,7 @@ def cases(checkout):
         call("cat.order16.evolve", "evolve", "cat",
              {"evolve_order": 16, "evolve_leaf_radius": 2}),
         call("skew.steps200.evolve", "evolve", "skew", {"steps": 200}),
-        # one probe step per block, both directions stepped in one call
+        # one probe step per block
         call("skew.samples1e4.probe", "probe", "skew",
              {"n_samples": 10000, "birkhoff_steps": 100}),
         # Gibbs groups of 32 centres whose cloud points leave at different
@@ -170,7 +170,7 @@ def main(argv=None):
     differ = 0
     with Scratch("same-bytes-") as scratch:
         tmp = scratch.path
-        sides = {side: os.path.join(tmp, side) for side in ("ref", "change")}
+        sides = side_dirs(tmp)
         extract_ref(repo, sha, sides["ref"])
         copy_working_tree(repo, sides["change"])
         print(f"# ref {args.ref} ({sha[:12]}) against the working tree")
