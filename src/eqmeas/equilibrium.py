@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from .bowen import ball_width, check_atom_limit, net_size
 from . import core
-from .core import _CELL, _cells, _net_phases, _phases, _powers, leaf_point, mod1, torus_dist
+from .core import (_CELL, _cells, _net_phases, _phases, _powers, leaf_point, mod1,
+                   torus_dist, wrap)
 from .caratheodory import LeafMeasure, atom_weight, equal_mass, reference_measure
 
 MASS_TOL = 1e-9
@@ -22,7 +24,9 @@ MASS_TOL = 1e-9
 GIBBS_POINTS = 2 ** 13
 # Most atoms evolve_average follows; larger nets are thinned to this.
 ATOM_BUDGET = 10 ** 6
-# Least B at which evolve counts a constant potential's atoms by runs (break-even: 8-16).
+# Least B at which evolve counts a constant potential's atoms by runs.  On the
+# default 231,120-atom cat, skew and slowprod nets (2-core Xeon), a step by runs
+# takes 0.8-1.0 ms at B = 16 and 1.6 ms at B = 8; atom by atom, 0.9-1.15 ms.
 RUN_MIN = 16
 # Most subcells disintegrate makes at once (at least one bin's 4^d): bounds
 # its subcell points and their frame coordinates.
@@ -292,11 +296,14 @@ def evolve_average(sysm, phi, pressure, x, *, steps=40, grid=None, order=10,
                 stop = min(start + span, n_atoms)
                 s = np.arange(start, stop, b, dtype=np.uint64)  # the block starts
                 zs = np.multiply.outer(d, s) + p[:, None]
-                cell, cuts = bins(zs.copy(), np.empty_like(zs), False), [s]
+                cell, cuts = bins(zs.copy(), np.empty_like(zs), False), []
                 for j, v in enumerate(signed):  # each block's first atom past the edge ahead
                     e = edges[j][cell[j] + 1] - 1 - zs[j] if v >= 0 else zs[j] - edges[j][cell[j]]
                     cuts.append(np.minimum(e // np.uint64(max(abs(v), 1)) + 1, b) + s)
-                runs = np.minimum(np.sort(np.concatenate(cuts)), stop)
+                # s <= each cut <= s + b, the next block's start: (s, min, max) block by
+                # block is sorted
+                runs = np.stack((s, np.minimum(*cuts), np.maximum(*cuts)), 1).ravel()
+                np.minimum(runs, stop, out=runs)
                 zr = np.multiply.outer(d, runs) + p[:, None]
                 row += np.bincount(bins(zr, np.empty_like(zr)), np.diff(
                     runs, append=np.uint64(stop)), len(row))
@@ -517,13 +524,15 @@ def disintegrate(sysm, mu, rect, *, n_u=16, n_plaques=32):
 
     Bins of mu are refined into 4^d equal subcells to soften bin
     boundaries against the rectangle's frame-aligned faces; each subcell
-    lands in one (u-cell, plaque) slot.  Subcells are made whole bins at a
-    time, at most SUBCELL_POINTS, and only those inside the rectangle are
-    kept, in bin order, so the result does not depend on SUBCELL_POINTS.
+    lands in one (u-cell, plaque) slot.  Only the non-empty bins that can
+    meet the rectangle are refined (_subcells), whole bins at a time, at
+    most SUBCELL_POINTS subcells, and only the subcells inside it are kept,
+    in bin order: the result equals that of refining every non-empty bin
+    and does not depend on SUBCELL_POINTS.
     """
     shape = _plaque_shape(sysm.dim - 1, n_plaques)
-    parts = []
-    for pts, w in _subcells(mu, 4):
+    parts = [(np.empty(0), np.empty((0, sysm.dim - 1)), np.empty(0))]  # no bin may meet rect
+    for pts, w in _subcells(mu, rect, 4):
         inside = rect.contains(pts)
         parts.append((*rect.coords(pts[inside]), w[inside]))
     u, cs, w = (np.concatenate(a) for a in zip(*parts))
@@ -542,11 +551,32 @@ def disintegrate(sysm, mu, rect, *, n_u=16, n_plaques=32):
         -rect.du, rect.du, n_u + 1), plaque_shape=tuple(shape), mass_inside=mass)
 
 
-def _subcells(mu, subsplit):
-    """(points, weights) of the subcells, whole non-empty bins at a time."""
+def _subcells(mu, rect, subsplit):
+    """(points, weights) of the subcells of the non-empty bins that can meet
+    rect, whole bins at a time, in bin order.
+
+    A subcell's centre p lies within (1 - 1/subsplit) h_j of its bin's
+    centre c on axis j, h = 1 / (2 grid).  So wrap(p - anchor)_j is
+    delta_j + (p - c)_j, delta = wrap(c - anchor), or, when c lies within
+    h_j of the seam (|delta_j| >= 1/2 - h_j), possibly that -+ 1 (the other
+    wrap branch).  On each branch the subcell's frame coordinates lie within
+    sum_j h_j |coframe[j, i]| of the branch's; a bin is kept when some
+    branch lies within du and dcs plus that (and 1e-9 for rounding).
+    """
     d = len(mu.grid)
     grid = np.asarray(mu.grid, dtype=float)
     nz = np.nonzero(mu.masses)[0]
+    half = (0.5 / grid)[:, None]  # by axis, bins in columns: reductions run down d rows
+    delta = wrap((np.array(np.unravel_index(nz, mu.grid)) + 0.5) / grid[:, None]
+                 - rect.anchor[:, None])
+    other = np.where(np.abs(delta) >= 0.5 - half, -np.sign(delta), 0.0)
+    cof = rect.sys.coframe.T
+    bound = np.r_[rect.du, np.full(d - 1, rect.dcs)][:, None] + np.abs(cof) @ half + 1e-9
+    near = np.zeros(len(nz), dtype=bool)
+    for branch in itertools.product((0.0, 1.0), repeat=d):
+        moved = delta + np.asarray(branch)[:, None] * other
+        near |= np.logical_and.reduce(np.abs(cof @ moved) <= bound)
+    nz = nz[near]
     offs = (np.array(np.meshgrid(*[np.arange(subsplit)] * d, indexing="ij"))
             .reshape(d, -1).T + 0.5) / subsplit
     bins = max(1, SUBCELL_POINTS // len(offs))
@@ -574,22 +604,25 @@ def density_vs_reference(sysm, phi, pressure, fam, *, r=0.05, order=8):
     plaque's center and compares cell masses: the reported constant is
     the worst multiplicative deviation of
     conditional / (reference / reference window mass) over cells with
-    conditional mass above 1e-4.
+    conditional mass above 1e-4.  A constant phi's reference measure has the
+    same params and weights on every leaf, so it is built once.
     """
     rect = fam.rect
     npl = fam.joint.shape[1]
     worst = 1.0
     rows = []
+    ref = None
     for k in range(npl):
         col = fam.joint[:, k]
         if col.sum() <= 0:
             continue
         cond = col / col.sum()
-        y = sysm.cs_chart(rect.anchor, fam.plaque_center_cs(k))
-        ref = reference_measure(sysm, phi, pressure, y, order, r=r,
-                                leaf_radius=rect.du * 1.05)
-        cells = ref.cell_masses(fam.u_edges)
-        window = ref.segment_mass(-rect.du, rect.du)
+        if ref is None or phi.constant_value is None:
+            y = sysm.cs_chart(rect.anchor, fam.plaque_center_cs(k))
+            ref = reference_measure(sysm, phi, pressure, y, order, r=r,
+                                    leaf_radius=rect.du * 1.05)
+            cells = ref.cell_masses(fam.u_edges)
+            window = ref.segment_mass(-rect.du, rect.du)
         use = (cond > 1e-4) & (cells > 0)
         if not use.any():
             continue

@@ -10,8 +10,9 @@ single point with another kernel, which rounds 3x + 2y (M32) unlike the
 same point in a batch.
 
 gibbs_ratio_oracle estimates the Bowen-ball masses one centre at a time,
-and disintegrate_oracle refines every bin of a measure into subcells at
-once.
+disintegrate_oracle refines every non-empty bin of a measure into subcells,
+whether or not it can meet the rectangle, and density_vs_reference_oracle
+builds a reference measure for every plaque.
 flow_time_one_oracle is the slowed-flow time-one map as it was before it
 skipped the arc solve for points that need none: it solves on every call,
 evaluates the chord quadrature for every live row in every round and for
@@ -244,22 +245,29 @@ def evolve_oracle(sysm, step, phi, pressure, x, *, steps=40, grid=None, order=10
 
 
 def disintegrate_oracle(sysm, mu, rect, *, n_u=16, n_plaques=32):
-    """disintegrate with every subcell of every non-empty bin made at once,
+    """disintegrate with every subcell of every non-empty bin made, whether
+    or not the bin can meet the rectangle, 1,024 bins at a time (a few MB),
     and the joint table filled by np.add.at."""
     shape = equilibrium._plaque_shape(sysm.dim - 1, n_plaques)
     d = len(mu.grid)
     nz = np.nonzero(mu.masses)[0]
-    coords = np.column_stack(np.unravel_index(nz, mu.grid)).astype(float)
     offs = (np.array(np.meshgrid(*[np.arange(4)] * d, indexing="ij"))
             .reshape(d, -1).T + 0.5) / 4
-    sub_pts = (coords[:, None, :] + offs[None, :, :]).reshape(-1, d) / np.asarray(
-        mu.grid, dtype=float)
-    sub_w = np.repeat(mu.masses[nz] / 4 ** d, 4 ** d)
-    inside = rect.contains(sub_pts)
-    if not inside.any():
+    u, cs, w = [], [], []
+    for lo in range(0, len(nz), 1024):
+        part = nz[lo:lo + 1024]
+        coords = np.column_stack(np.unravel_index(part, mu.grid)).astype(float)
+        sub_pts = (coords[:, None, :] + offs[None, :, :]).reshape(-1, d) / np.asarray(
+            mu.grid, dtype=float)
+        sub_w = np.repeat(mu.masses[part] / 4 ** d, 4 ** d)
+        inside = rect.contains(sub_pts)
+        u_in, cs_in = rect.coords(sub_pts[inside])
+        u.append(u_in)
+        cs.append(cs_in)
+        w.append(sub_w[inside])
+    u, cs, w = np.concatenate(u), np.concatenate(cs), np.concatenate(w)
+    if not len(w):
         raise ValueError("rectangle carries no mass")
-    u, cs = rect.coords(sub_pts[inside])
-    w = sub_w[inside]
     iu = np.clip(((u + rect.du) / (2 * rect.du / n_u)).astype(int), 0, n_u - 1)
     ipl = np.zeros(len(w), dtype=np.int64)
     for j, pj in enumerate(shape):
@@ -271,6 +279,30 @@ def disintegrate_oracle(sysm, mu, rect, *, n_u=16, n_plaques=32):
     mass = float(w.sum())
     return ConditionalFamily(rect=rect, joint=joint / mass, u_edges=np.linspace(
         -rect.du, rect.du, n_u + 1), plaque_shape=tuple(shape), mass_inside=mass)
+
+
+def density_vs_reference_oracle(sysm, phi, pressure, fam, *, r=0.05, order=8):
+    """density_vs_reference with a reference measure built on the leaf through
+    every populated plaque's centre, whatever the potential."""
+    rect = fam.rect
+    worst, rows = 1.0, []
+    for k in range(fam.joint.shape[1]):
+        col = fam.joint[:, k]
+        if col.sum() <= 0:
+            continue
+        y = sysm.cs_chart(rect.anchor, fam.plaque_center_cs(k))
+        ref = eqmeas.reference_measure(sysm, phi, pressure, y, order, r=r,
+                                       leaf_radius=rect.du * 1.05)
+        cells = ref.cell_masses(fam.u_edges)
+        cond = col / col.sum()
+        use = (cond > 1e-4) & (cells > 0)
+        if not use.any():
+            continue
+        ratio = (cond[use] / cells[use]) * ref.segment_mass(-rect.du, rect.du)
+        c0 = float(np.max(np.maximum(ratio, 1.0 / ratio)))
+        worst = max(worst, c0)
+        rows.append((k, c0))
+    return {"c0": worst, "per_plaque": rows}
 
 
 def gibbs_ratio_oracle(sysm, phi, mu, pressure, *, orders=range(3, 9), r=0.2,

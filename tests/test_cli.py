@@ -187,14 +187,16 @@ class TestMain:
         assert "transit_k" in names and "dispersion" in names
 
     def test_probe_rows_and_summary_keys(self, tmp_path):
-        path = _write(tmp_path, BASE + "birkhoff_steps = 20\nn_samples = 5\n")
-        out = tmp_path / "out"
-        assert cli.main(["probe", "--config", path, "--out", str(out)]) == 0
-        lines = (out / "probe.csv").read_text().splitlines()
-        assert lines[0].endswith(" cols=quantity,value")
-        assert [ln.split(",")[0] for ln in lines[1:]] == ["transit_k", "dispersion"]
-        summary = json.loads((out / "summary.json").read_text())
-        assert sorted(summary["pipelines"]["probe"]) == ["dispersion", "transit_k"]
+        for system in ("cat", "skew"):  # (C1) and transitive: the Birkhoff probe applies
+            path = _write(tmp_path, f"schema_version = 1\nsystem = {system}\n"
+                          "birkhoff_steps = 20\nn_samples = 5\n")
+            out = tmp_path / system
+            assert cli.main(["probe", "--config", path, "--out", str(out)]) == 0
+            lines = (out / "probe.csv").read_text().splitlines()
+            assert lines[0].endswith(" cols=quantity,value")
+            assert [ln.split(",")[0] for ln in lines[1:]] == ["transit_k", "dispersion"]
+            summary = json.loads((out / "summary.json").read_text())
+            assert sorted(summary["pipelines"]["probe"]) == ["dispersion", "transit_k"]
 
     def test_seed_flag_overrides_config(self, tmp_path):
         path = _write(tmp_path, BASE + ("steps = 8\ngrid = 16, 16\n"
@@ -279,13 +281,16 @@ class TestMain:
                          "--check"]) == 3
         assert calls == []
 
-    def test_slowprod_fullsuite_checks(self, tmp_path, capsys):
+    def test_slowprod_fullsuite_checks(self, tmp_path, capsys, monkeypatch):
+        probes = []
+        monkeypatch.setattr(cli, "birkhoff_probe", lambda *a, **k: probes.append(1))
         path = _write(tmp_path, "schema_version = 1\nsystem = slowprod\n"
                       "n_centers = 4\nn_mc = 256\ngibbs_n_lo = 1\ngibbs_n_hi = 5\n"
                       "birkhoff_steps = 10\nn_samples = 64\n")
         out = tmp_path / "o"
         assert cli.main(["fullsuite", "--config", path, "--out", str(out),
                          "--check", "--seed", "0"]) == 2
+        assert probes == []
         assert sorted(f.name for f in out.glob("*.csv")) == sorted(
             f"{name}.csv" for name in cli.PIPELINES if name != "fullsuite")
         summary = json.loads((out / "summary.json").read_text())
@@ -296,8 +301,8 @@ class TestMain:
 
     def test_slowprod_default_probe_steps_no_fiber_orbits(self, tmp_path, capsys,
                                                           monkeypatch):
-        # the probe's observable reads the base, so the slowed flow is called
-        # only for the evolved leaf's fiber point and the transitivity search
+        # slowprod's probe runs no Birkhoff probe, so nothing evolves: the slowed
+        # flow is called only by the transitivity search, once a step k = 1..k_max
         calls = []
         flow = catalog.flow_time_one
 
@@ -310,7 +315,24 @@ class TestMain:
         assert cli.main(["probe", "--config", path, "--out", str(tmp_path / "o"),
                          "--check"]) == 2
         assert "[probe] transitivity: FAIL (no k)" in capsys.readouterr().out
-        assert 0 < len(calls) <= 100
+        assert len(calls) == cli._SCHEMA["k_max"][2]
+
+    def test_slowprod_probe_skips_birkhoff_and_evolve(self, tmp_path, monkeypatch):
+        # birkhoff_dispersion does not apply off (C1), so neither it nor the
+        # evolved measure it reads is computed, and probe reports transit_k alone
+        calls = []
+        for name in ("evolve_average", "birkhoff_probe"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        path = _write(tmp_path, "schema_version = 1\nsystem = slowprod\n"
+                      "birkhoff_steps = 10\nn_samples = 64\n")
+        out = tmp_path / "o"
+        assert cli.main(["probe", "--config", path, "--out", str(out), "--check"]) == 2
+        assert calls == []
+        lines = (out / "probe.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["transit_k"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary["pipelines"]["probe"]) == ["transit_k"]
+        assert [c["name"] for c in summary["checks"]] == ["transitivity"]
 
     @pytest.mark.parametrize("seed", [-1, 2**31])
     def test_seed_flag_out_of_range_exits_1(self, tmp_path, capsys, seed):

@@ -1,6 +1,7 @@
 """Evolved measures, Gibbs ratios, holonomy, disintegration, probes."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ import oracles
 from eqmeas import caratheodory, core, equilibrium
 from eqmeas.equilibrium import _bin_index
 from oracles import (bin_index_oracle, birkhoff_probe_oracle, cos_turns_oracle,
-                     disintegrate_oracle, evolve_oracle, exact_landing, gibbs_inside_oracle,
+                     density_vs_reference_oracle, disintegrate_oracle, evolve_oracle, exact_landing, gibbs_inside_oracle,
                      gibbs_ratio_oracle, net_words_oracle, systems_with_oracles, toral_steps)
 
 LAM = (3 + np.sqrt(5.0)) / 2
@@ -695,6 +696,23 @@ class TestHolonomy:
 
 
 @pytest.fixture(scope="module")
+def default_measures():
+    """key -> (system, the CLI's default evolved measure, base_y), built once;
+    toral32 takes cat's defaults."""
+    from eqmeas.cli import _SYSTEM_DEFAULTS
+
+    @functools.cache
+    def build(key):
+        sysm = systems_with_oracles()[key][0]
+        cfg = _SYSTEM_DEFAULTS["cat" if key == "toral32" else key]
+        res = eqmeas.evolve_average(sysm, eqmeas.zero_potential(), math.log(sysm.leaf_rate),
+                                    np.array(cfg["base_x"]), steps=40, grid=cfg["grid"],
+                                    order=10, leaf_radius=1.0)
+        return sysm, res.measure, cfg["base_y"]
+    return build
+
+
+@pytest.fixture(scope="module")
 def rect(cat):
     return eqmeas.Rectangle(sys=cat.system, anchor=np.array([0.61, 0.13]),
                             du=0.15, dcs=0.15)
@@ -745,6 +763,45 @@ class TestDisintegration:
             assert np.array_equal(got.joint, want.joint)
             assert got.mass_inside == want.mass_inside
             assert got.plaque_shape == want.plaque_shape
+
+    @pytest.mark.parametrize("key", ["cat", "skew", "slowprod", "toral32"])
+    def test_matches_full_refinement_on_evolved_measures(self, default_measures, key):
+        # the CLI's default evolved measures (toral32: the non-orthonormal
+        # [[3, 2], [1, 1]] with cat's), anchors on the seam, and rectangles of
+        # half-size 0.5, whose refined bins can sit on the far wrap branch
+        sysm, mu, base_y = default_measures(key)
+        d = sysm.dim
+        mixed = ([0.99, 0.01] * d)[:d]
+        cases = [(base_y, 0.15, 32), (base_y, 0.15, 4 ** (d - 1)), ([0.99] * d, 0.15, 32),
+                 ([0.01] * d, 0.15, 32), (mixed, 0.15, 32), (base_y, 0.5, 32), (mixed, 0.5, 32)]
+        for anchor, half, n_plaques in cases:
+            rect = eqmeas.Rectangle(sys=sysm, anchor=np.array(anchor), du=half, dcs=half)
+            got = eqmeas.disintegrate(sysm, mu, rect, n_u=8, n_plaques=n_plaques)
+            want = disintegrate_oracle(sysm, mu, rect, n_u=8, n_plaques=n_plaques)
+            assert np.array_equal(got.joint, want.joint), (anchor, half)
+            assert got.mass_inside == want.mass_inside, (anchor, half)
+            assert np.array_equal(got.u_edges, want.u_edges)
+
+    @pytest.mark.parametrize("key", ["cat", "skew"])
+    def test_density_builds_one_reference_for_a_constant_potential(
+            self, default_measures, monkeypatch, key):
+        sysm, mu, base_y = default_measures(key)
+        rect = eqmeas.Rectangle(sys=sysm, anchor=np.array(base_y), du=0.15, dcs=0.15)
+        fam = eqmeas.disintegrate(sysm, mu, rect, n_u=8)
+        built = []
+        ref = caratheodory.reference_measure
+        monkeypatch.setattr(equilibrium, "reference_measure",
+                            lambda *a, **k: built.append(1) or ref(*a, **k))
+        for phi in (eqmeas.zero_potential(), eqmeas.constant_potential(0.3)):
+            built.clear()
+            got = eqmeas.density_vs_reference(sysm, phi, H, fam)
+            assert got == density_vs_reference_oracle(sysm, phi, H, fam)
+            assert len(got["per_plaque"]) > 1 and built == [1]
+        phi = eqmeas.base_cosine_potential(0.05)  # a reference per plaque
+        built.clear()
+        got = eqmeas.density_vs_reference(sysm, phi, H, fam)
+        assert got == density_vs_reference_oracle(sysm, phi, H, fam)
+        assert len(built) == len(got["per_plaque"])
 
     def test_rejects_rectangle_without_mass(self, cat):
         mu = eqmeas.PhaseMeasure.from_points(np.array([[0.1, 0.1]]), (8, 8))

@@ -90,6 +90,12 @@ def cases(checkout):
              {"potential": "cos", "n_mc": 256, "n_centers": 64}),
         # the default slowprod pair: its fiber first comes within delta at k = 40
         call("slowprod.kmax64.probe", "probe", "slowprod", {"k_max": 64}),
+        # rectangles across the wrap seam and over half the torus: disintegrate
+        # refines only the bins that can meet them, on either wrap branch
+        call("skew.seam.disintegrate", "disintegrate", "skew",
+             {"base_y": "0.99, 0.01, 0.5", "rect_du": 0.45, "rect_dcs": 0.45}),
+        call("cat.rect0.5.disintegrate", "disintegrate", "cat",
+             {"rect_du": 0.5, "rect_dcs": 0.5}),
     ]
 
 
